@@ -182,7 +182,6 @@ PoolRun pool_run(router::BorderRouter& br,
                  std::size_t cache_entries) {
   router::ForwardingPool::Config cfg;
   cfg.threads = threads;
-  cfg.chunk_packets = 64;
   cfg.kernel = kernel;
   cfg.flow_cache_entries = cache_entries;
   router::ForwardingPool pool(br, cfg);

@@ -11,7 +11,7 @@
 //   * ChaCha20: the wide keystream path (8-way AVX2 / 4-way SSE2 behind
 //     chacha20_xcrypt) against the scalar block function, plus the
 //     ChaCha20-Poly1305 issuance AEAD end to end.
-//   * The three CCA-secure payload suites (§IV-A) at MTU size.
+//   * The two CCA-secure payload suites (§IV-A) at MTU size.
 //   * Ed25519: sign, scalar verify, and ed25519_verify_batch at the
 //     ServicePool chunk widths — the shared-doubling speedup the MS
 //     cert-chain check amortizes (Fig 3).
@@ -213,8 +213,8 @@ int main(int argc, char** argv) {
   const Bytes nonce12 = rng.bytes(12);
   const Bytes aad = rng.bytes(48);
   const Bytes payload = rng.bytes(1460);
-  for (const auto suite : {AeadSuite::aes128_gcm, AeadSuite::aes128_ctr_cmac,
-                           AeadSuite::chacha20_poly1305}) {
+  for (const auto suite :
+       {AeadSuite::aes128_ctr_cmac, AeadSuite::chacha20_poly1305}) {
     auto aead = Aead::create(suite, aead_key);
     const Bytes sealed = aead->seal(nonce12, aad, payload);
     const double seal_ns = bench::time_per_op_ns(aes_iters, [&](std::size_t) {

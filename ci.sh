@@ -42,6 +42,12 @@ ctest --test-dir build-ci --output-on-failure -L alloc
 # loopback UDP leg — the E1 allocs/request ceiling, cached-vs-uncached and
 # cross-tier crypto equivalence) run here too.
 ctest --test-dir build-ci --output-on-failure -L bench
+# Benchmark self-test, explicitly in the Release leg: the perfbench/
+# program links seal_control, open_control, decode_msg and
+# ForwardingPool::Config, so a library API change that breaks it fails CI
+# instead of the next benchmark run. Every workload runs for 1 s, untraced
+# and traced, and must keep its output checks and zero gates.
+python3 perfbench/selftest.py
 # Real-socket leg, explicitly in the Release leg: the transport conformance
 # suite (both backends) plus the two-process loopback demo ride the `net`
 # label; both skip cleanly where the environment forbids sockets. Bounded —

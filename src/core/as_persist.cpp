@@ -76,8 +76,9 @@ void emit_domain_block(persist::Sink* sink, std::string_view domain) {
 
 void emit_dns_put(persist::Sink* sink, const DnsRecord& rec) {
   if (!sink) return;
-  const Bytes payload = rec.serialize();
-  sink->append(type_byte(PersistRecordType::dns_put), span_of(payload));
+  wire::MsgWriter w(320);
+  rec.encode(w);
+  sink->append(type_byte(PersistRecordType::dns_put), w.span());
 }
 
 void emit_dns_erase(persist::Sink* sink, std::string_view name) {
@@ -197,9 +198,11 @@ Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
   for (const std::string& d : extras.blocked_domains) w.str(d);
 
   w.u64(extras.dns_records.size());
+  wire::MsgWriter rec_buf(320);
   for (const DnsRecord& rec : extras.dns_records) {
-    const Bytes b = rec.serialize();
-    w.var(span_of(b));
+    rec_buf.clear();
+    rec.encode(rec_buf);
+    w.var(rec_buf.span());
   }
 
   return persist::write_snapshot_file(
@@ -317,8 +320,7 @@ Result<RecoveringWorld> load_image(ByteSpan payload,
     auto raw = r.var();
     if (!raw)
       return Result<RecoveringWorld>(Errc::malformed, "snapshot dns record");
-    wire::Reader rr(*raw);
-    auto rec = DnsRecord::parse(rr);
+    auto rec = decode_msg<DnsRecord>(*raw);
     if (!rec)
       return Result<RecoveringWorld>(Errc::malformed, "snapshot dns parse");
     DnsRecord d = rec.take();
@@ -393,7 +395,7 @@ bool apply_record(RecoveringWorld& world, std::uint8_t type, ByteSpan payload) {
       return true;
     }
     case PersistRecordType::dns_put: {
-      auto rec = DnsRecord::parse(r);
+      auto rec = DnsRecord::decode(r);
       if (!rec) return false;
       DnsRecord d = rec.take();
       world.dns[d.name] = std::move(d);

@@ -4,18 +4,6 @@
 
 namespace apna::core {
 
-Bytes EphIdCertificate::tbs() const {
-  wire::Writer w(96);
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.raw(pub.dh);
-  w.raw(pub.sig);
-  w.u32(aid);
-  w.raw(aa_ephid.bytes);
-  w.u8(flags);
-  return w.take();
-}
-
 void EphIdCertificate::tbs_into(wire::MsgWriter& w) const {
   w.raw(ephid.bytes);
   w.u32(exp_time);
@@ -43,29 +31,12 @@ Result<void> EphIdCertificate::verify(const crypto::Ed25519PublicKey& as_pub,
   return Result<void>::success();
 }
 
-void EphIdCertificate::serialize_into(wire::Writer& w) const {
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.raw(pub.dh);
-  w.raw(pub.sig);
-  w.u32(aid);
-  w.raw(aa_ephid.bytes);
-  w.u8(flags);
-  w.raw(sig);
-}
-
-void EphIdCertificate::encode_into(wire::MsgWriter& w) const {
+void EphIdCertificate::encode(wire::MsgWriter& w) const {
   tbs_into(w);  // wire form = signed fields ‖ signature, single-sourced
   w.raw(sig);
 }
 
-Bytes EphIdCertificate::serialize() const {
-  wire::Writer w(160);
-  serialize_into(w);
-  return w.take();
-}
-
-Result<EphIdCertificate> EphIdCertificate::parse(wire::Reader& r) {
+Result<EphIdCertificate> EphIdCertificate::decode(wire::Reader& r) {
   EphIdCertificate c;
   auto ephid = r.arr<16>();
   if (!ephid) return ephid.error();
@@ -91,15 +62,6 @@ Result<EphIdCertificate> EphIdCertificate::parse(wire::Reader& r) {
   auto sig = r.arr<64>();
   if (!sig) return sig.error();
   c.sig = *sig;
-  return c;
-}
-
-Result<EphIdCertificate> EphIdCertificate::parse(ByteSpan data) {
-  wire::Reader r(data);
-  auto c = parse(r);
-  if (!c) return c;
-  if (!r.done())
-    return Result<EphIdCertificate>(Errc::malformed, "trailing bytes");
   return c;
 }
 

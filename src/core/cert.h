@@ -39,9 +39,6 @@ struct EphIdCertificate {
   bool receive_only() const { return (flags & kCertReceiveOnly) != 0; }
   bool service() const { return (flags & kCertService) != 0; }
 
-  /// To-be-signed encoding (all fields except the signature).
-  Bytes tbs() const;
-
   /// Signs in place with the AS's signing key.
   void sign_with(const crypto::Ed25519KeyPair& as_key);
 
@@ -50,16 +47,11 @@ struct EphIdCertificate {
   Result<void> verify(const crypto::Ed25519PublicKey& as_pub,
                       ExpTime now) const;
 
-  Bytes serialize() const;
-  static Result<EphIdCertificate> parse(ByteSpan data);
-  static Result<EphIdCertificate> parse(wire::Reader& r);
-  void serialize_into(wire::Writer& w) const;
-
-  /// Pooled-codec twin of serialize_into (byte-identical output; pinned by
-  /// control_plane_test). Hot paths encode through this form only.
-  void encode_into(wire::MsgWriter& w) const;
-  /// tbs() without the heap round trip: appends the to-be-signed bytes to
-  /// a (pooled) scratch writer for sign/verify call sites.
+  /// Wire form: the to-be-signed fields followed by the signature.
+  void encode(wire::MsgWriter& w) const;
+  static Result<EphIdCertificate> decode(wire::Reader& r);
+  /// Appends the to-be-signed bytes (every field except the signature) to
+  /// a pooled scratch writer for sign/verify call sites.
   void tbs_into(wire::MsgWriter& w) const;
 
   bool operator==(const EphIdCertificate&) const = default;

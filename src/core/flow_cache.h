@@ -65,8 +65,7 @@ class FlowCache {
     /// EphIDs currently cached by MORE than one worker (each extra copy
     /// counts one). A single cache always reports 0 — the field is filled
     /// by router::ForwardingPool::flow_cache_stats() on the merged view,
-    /// where duplicates measure steering quality: chunk-claiming dispatch
-    /// duplicates hot flows across workers, flow-hash steering
+    /// where duplicates measure steering quality: flow-hash steering
     /// (core/flow_steer.h) drives this to zero.
     std::uint64_t cross_worker_duplicates = 0;
 

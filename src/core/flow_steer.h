@@ -1,10 +1,9 @@
 // Flow-hash steering — which processing context owns a flow.
 //
-// The chunk-claiming dispatch the ForwardingPool started with splits a
-// single flow's packets across whichever workers happen to claim its
-// chunks, so the flow's verified verdict (core/flow_cache.h) gets
-// re-derived and duplicated in several per-worker caches — wasted crypto
-// and wasted capacity. Steering fixes the affinity: every packet of a flow
+// A dispatch that splits one flow's packets across workers re-derives the
+// flow's verified verdict (core/flow_cache.h) and duplicates it in several
+// per-worker caches — wasted crypto and wasted capacity. Steering fixes the
+// affinity: every packet of a flow
 // hashes to ONE worker, that worker's FlowCache stays hot, and
 // ForwardingPool::flow_cache_stats()'s cross_worker_duplicates counter
 // stays at zero (the software analogue of NIC RSS keeping a TCP flow on

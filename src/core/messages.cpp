@@ -9,30 +9,15 @@ namespace apna::core {
 using wire::Reader;
 using wire::Writer;
 
-// ---- BootstrapRequest -------------------------------------------------------
+namespace {
 
-Bytes BootstrapRequest::serialize() const {
-  Writer w(64);
-  w.u32(subscriber_id);
-  w.var(credential);
-  w.raw(host_pub);
-  return w.take();
+// The two AEAD suites a handshake may negotiate (value 2 is retired).
+bool known_suite(std::uint8_t v) {
+  return v == static_cast<std::uint8_t>(crypto::AeadSuite::chacha20_poly1305) ||
+         v == static_cast<std::uint8_t>(crypto::AeadSuite::aes128_ctr_cmac);
 }
 
-Result<BootstrapRequest> BootstrapRequest::parse(ByteSpan data) {
-  Reader r(data);
-  BootstrapRequest m;
-  auto sid = r.u32();
-  if (!sid) return sid.error();
-  m.subscriber_id = *sid;
-  auto cred = r.var();
-  if (!cred) return cred.error();
-  m.credential.assign(cred->begin(), cred->end());
-  auto pub = r.arr<32>();
-  if (!pub) return pub.error();
-  m.host_pub = *pub;
-  return m;
-}
+}  // namespace
 
 // ---- BootstrapResponse ------------------------------------------------------
 
@@ -42,49 +27,6 @@ Bytes BootstrapResponse::id_info_tbs() const {
   w.u32(ctrl_exp_time);
   w.u32(hid);
   return w.take();
-}
-
-Bytes BootstrapResponse::serialize() const {
-  Writer w(512);
-  w.u32(hid);
-  w.raw(ctrl_ephid.bytes);
-  w.u32(ctrl_exp_time);
-  w.raw(id_info_sig);
-  ms_cert.serialize_into(w);
-  dns_cert.serialize_into(w);
-  w.u32(aid);
-  w.raw(aa_ephid.bytes);
-  return w.take();
-}
-
-Result<BootstrapResponse> BootstrapResponse::parse(ByteSpan data) {
-  Reader r(data);
-  BootstrapResponse m;
-  auto hid = r.u32();
-  if (!hid) return hid.error();
-  m.hid = *hid;
-  auto ctrl = r.arr<16>();
-  if (!ctrl) return ctrl.error();
-  m.ctrl_ephid.bytes = *ctrl;
-  auto exp = r.u32();
-  if (!exp) return exp.error();
-  m.ctrl_exp_time = *exp;
-  auto sig = r.arr<64>();
-  if (!sig) return sig.error();
-  m.id_info_sig = *sig;
-  auto ms = EphIdCertificate::parse(r);
-  if (!ms) return ms.error();
-  m.ms_cert = ms.take();
-  auto dns = EphIdCertificate::parse(r);
-  if (!dns) return dns.error();
-  m.dns_cert = dns.take();
-  auto aid = r.u32();
-  if (!aid) return aid.error();
-  m.aid = *aid;
-  auto aa = r.arr<16>();
-  if (!aa) return aa.error();
-  m.aa_ephid.bytes = *aa;
-  return m;
 }
 
 // ---- EphIdRequest / Response ------------------------------------------------
@@ -103,258 +45,24 @@ std::array<std::uint8_t, 16 + 64 + 2> EphIdRequest::pop_tbs() const {
   return tbs;
 }
 
-Bytes EphIdRequest::serialize() const {
-  Writer w(136);
-  w.raw(ephid_pub.dh);
-  w.raw(ephid_pub.sig);
-  w.u8(flags);
-  w.u8(static_cast<std::uint8_t>(lifetime));
-  w.raw(pop_sig);
-  return w.take();
-}
-
-Result<EphIdRequest> EphIdRequest::parse(ByteSpan data) {
-  Reader r(data);
-  EphIdRequest m;
-  auto dh = r.arr<32>();
-  if (!dh) return dh.error();
-  m.ephid_pub.dh = *dh;
-  auto sig = r.arr<32>();
-  if (!sig) return sig.error();
-  m.ephid_pub.sig = *sig;
-  auto flags = r.u8();
-  if (!flags) return flags.error();
-  m.flags = *flags;
-  auto lt = r.u8();
-  if (!lt) return lt.error();
-  if (*lt > static_cast<std::uint8_t>(EphIdLifetime::long_term))
-    return Result<EphIdRequest>(Errc::malformed, "bad lifetime class");
-  m.lifetime = static_cast<EphIdLifetime>(*lt);
-  auto pop = r.arr<64>();
-  if (!pop) return pop.error();
-  m.pop_sig = *pop;
-  return m;
-}
-
-Bytes EphIdResponse::serialize() const { return cert.serialize(); }
-
-Result<EphIdResponse> EphIdResponse::parse(ByteSpan data) {
-  auto cert = EphIdCertificate::parse(data);
-  if (!cert) return cert.error();
-  EphIdResponse m;
-  m.cert = cert.take();
-  return m;
-}
-
 // ---- Control sealing --------------------------------------------------------
 
 Bytes seal_control(const HostAsKeys& keys, std::uint64_t nonce_counter,
                    bool from_host, ByteSpan plaintext) {
-  const auto aead = crypto::Aead::create(crypto::AeadSuite::chacha20_poly1305,
-                                         keys.enc);
-  std::uint8_t nonce[12] = {};
-  nonce[0] = from_host ? 0x01 : 0x02;
-  store_be64(nonce + 4, nonce_counter);
-  Writer w(plaintext.size() + 32);
-  w.u64(nonce_counter);
-  w.raw(aead->seal(ByteSpan(nonce, 12), {}, plaintext));
+  wire::MsgWriter w(8 + plaintext.size() + crypto::ChaCha20Poly1305::kTagSize);
+  seal_control_into(w, keys, nonce_counter, from_host, plaintext);
   return w.take();
 }
 
 Result<Bytes> open_control(const HostAsKeys& keys, bool from_host,
                            ByteSpan sealed) {
-  Reader r(sealed);
-  auto counter = r.u64();
-  if (!counter) return counter.error();
-  const auto aead = crypto::Aead::create(crypto::AeadSuite::chacha20_poly1305,
-                                         keys.enc);
-  std::uint8_t nonce[12] = {};
-  nonce[0] = from_host ? 0x01 : 0x02;
-  store_be64(nonce + 4, *counter);
-  auto pt = aead->open(ByteSpan(nonce, 12), {}, r.rest());
-  if (!pt)
-    return Result<Bytes>(Errc::decrypt_failed, "control payload rejected");
-  return *pt;
-}
-
-// ---- Handshake --------------------------------------------------------------
-
-Bytes HandshakeInit::serialize() const {
-  Writer w(256);
-  client_cert.serialize_into(w);
-  w.u64(client_nonce);
-  w.u8(static_cast<std::uint8_t>(suite));
-  w.var(early_data);
-  return w.take();
-}
-
-Result<HandshakeInit> HandshakeInit::parse(ByteSpan data) {
-  Reader r(data);
-  HandshakeInit m;
-  auto cert = EphIdCertificate::parse(r);
-  if (!cert) return cert.error();
-  m.client_cert = cert.take();
-  auto nonce = r.u64();
-  if (!nonce) return nonce.error();
-  m.client_nonce = *nonce;
-  auto suite = r.u8();
-  if (!suite) return suite.error();
-  if (*suite < 1 || *suite > 3)
-    return Result<HandshakeInit>(Errc::malformed, "unknown AEAD suite");
-  m.suite = static_cast<crypto::AeadSuite>(*suite);
-  auto early = r.var();
-  if (!early) return early.error();
-  m.early_data.assign(early->begin(), early->end());
-  return m;
-}
-
-Bytes HandshakeResponse::serialize() const {
-  Writer w(256);
-  serving_cert.serialize_into(w);
-  w.u64(server_nonce);
-  w.u8(static_cast<std::uint8_t>(suite));
-  return w.take();
-}
-
-Result<HandshakeResponse> HandshakeResponse::parse(ByteSpan data) {
-  Reader r(data);
-  HandshakeResponse m;
-  auto cert = EphIdCertificate::parse(r);
-  if (!cert) return cert.error();
-  m.serving_cert = cert.take();
-  auto nonce = r.u64();
-  if (!nonce) return nonce.error();
-  m.server_nonce = *nonce;
-  auto suite = r.u8();
-  if (!suite) return suite.error();
-  if (*suite < 1 || *suite > 3)
-    return Result<HandshakeResponse>(Errc::malformed, "unknown AEAD suite");
-  m.suite = static_cast<crypto::AeadSuite>(*suite);
-  return m;
-}
-
-// ---- DNS ---------------------------------------------------------------------
-
-Bytes DnsQuery::serialize() const {
-  Writer w(name.size() + 2);
-  w.str(name);
-  return w.take();
-}
-
-Result<DnsQuery> DnsQuery::parse(ByteSpan data) {
-  Reader r(data);
-  auto name = r.str();
-  if (!name) return name.error();
-  DnsQuery q;
-  q.name = name.take();
-  return q;
-}
-
-Bytes DnsRecord::tbs() const {
-  Writer w(256);
-  w.str(name);
-  cert.serialize_into(w);
-  w.u32(ipv4);
-  return w.take();
-}
-
-Bytes DnsRecord::serialize() const {
-  Writer w(320);
-  w.str(name);
-  cert.serialize_into(w);
-  w.u32(ipv4);
-  w.raw(sig);
-  return w.take();
-}
-
-Result<DnsRecord> DnsRecord::parse(wire::Reader& r) {
-  DnsRecord rec;
-  auto name = r.str();
-  if (!name) return name.error();
-  rec.name = name.take();
-  auto cert = EphIdCertificate::parse(r);
-  if (!cert) return cert.error();
-  rec.cert = cert.take();
-  auto ip = r.u32();
-  if (!ip) return ip.error();
-  rec.ipv4 = *ip;
-  auto sig = r.arr<64>();
-  if (!sig) return sig.error();
-  rec.sig = *sig;
-  return rec;
-}
-
-Bytes DnsResponse::serialize() const {
-  Writer w(384);
-  w.u8(status);
-  w.u8(record.has_value() ? 1 : 0);
-  if (record) w.raw(record->serialize());
-  return w.take();
-}
-
-Result<DnsResponse> DnsResponse::parse(ByteSpan data) {
-  Reader r(data);
-  DnsResponse resp;
-  auto status = r.u8();
-  if (!status) return status.error();
-  resp.status = *status;
-  auto has = r.u8();
-  if (!has) return has.error();
-  if (*has) {
-    auto rec = DnsRecord::parse(r);
-    if (!rec) return rec.error();
-    resp.record = rec.take();
-  }
-  return resp;
-}
-
-Bytes DnsPublish::serialize() const {
-  Writer w(320);
-  w.str(name);
-  cert.serialize_into(w);
-  w.u32(ipv4);
-  return w.take();
-}
-
-Result<DnsPublish> DnsPublish::parse(ByteSpan data) {
-  Reader r(data);
-  DnsPublish p;
-  auto name = r.str();
-  if (!name) return name.error();
-  p.name = name.take();
-  auto cert = EphIdCertificate::parse(r);
-  if (!cert) return cert.error();
-  p.cert = cert.take();
-  auto ip = r.u32();
-  if (!ip) return ip.error();
-  p.ipv4 = *ip;
-  return p;
+  wire::MsgWriter scratch(sealed.size());
+  auto pt = open_control_into(scratch, keys, from_host, sealed);
+  if (!pt) return pt.error();
+  return Bytes(pt->begin(), pt->end());
 }
 
 // ---- Shutoff ------------------------------------------------------------------
-
-Bytes ShutoffRequest::serialize() const {
-  Writer w(512);
-  w.var(offending_packet);
-  w.raw(sig);
-  dst_cert.serialize_into(w);
-  return w.take();
-}
-
-Result<ShutoffRequest> ShutoffRequest::parse(ByteSpan data) {
-  Reader r(data);
-  ShutoffRequest m;
-  auto pkt = r.var();
-  if (!pkt) return pkt.error();
-  m.offending_packet.assign(pkt->begin(), pkt->end());
-  auto sig = r.arr<64>();
-  if (!sig) return sig.error();
-  m.sig = *sig;
-  auto cert = EphIdCertificate::parse(r);
-  if (!cert) return cert.error();
-  m.dst_cert = cert.take();
-  return m;
-}
 
 Bytes EphIdRevokeRequest::revoke_tbs(const EphId& ephid) {
   Writer w(32);
@@ -363,49 +71,10 @@ Bytes EphIdRevokeRequest::revoke_tbs(const EphId& ephid) {
   return w.take();
 }
 
-Bytes EphIdRevokeRequest::serialize() const {
-  Writer w(256);
-  w.raw(ephid.bytes);
-  w.raw(sig);
-  cert.serialize_into(w);
-  return w.take();
-}
-
-Result<EphIdRevokeRequest> EphIdRevokeRequest::parse(ByteSpan data) {
-  Reader r(data);
-  EphIdRevokeRequest m;
-  auto eph = r.arr<16>();
-  if (!eph) return eph.error();
-  m.ephid.bytes = *eph;
-  auto sig = r.arr<64>();
-  if (!sig) return sig.error();
-  m.sig = *sig;
-  auto cert = EphIdCertificate::parse(r);
-  if (!cert) return cert.error();
-  m.cert = cert.take();
-  return m;
-}
-
-Bytes ShutoffResponse::serialize() const {
-  Writer w(1);
-  w.u8(status);
-  return w.take();
-}
-
-Result<ShutoffResponse> ShutoffResponse::parse(ByteSpan data) {
-  Reader r(data);
-  auto status = r.u8();
-  if (!status) return status.error();
-  ShutoffResponse m;
-  m.status = *status;
-  return m;
-}
-
-// ---- Span codec (MsgWriter/MsgReader) ---------------------------------------
+// ---- Codec (MsgWriter / Reader) --------------------------------------------
 //
-// The hot-path twins of the legacy serialize()/parse() bodies above. Output
-// must stay byte-identical to serialize() — control_plane_test diffs the
-// two on randomized messages.
+// One encode/decode pair per message; tests/codec_golden_test.cpp pins the
+// bytes.
 
 void BootstrapRequest::encode(wire::MsgWriter& w) const {
   w.u32(subscriber_id);
@@ -413,7 +82,7 @@ void BootstrapRequest::encode(wire::MsgWriter& w) const {
   w.raw(host_pub);
 }
 
-Result<BootstrapRequest> BootstrapRequest::decode(wire::MsgReader& r) {
+Result<BootstrapRequest> BootstrapRequest::decode(Reader& r) {
   BootstrapRequest m;
   auto sid = r.u32();
   if (!sid) return sid.error();
@@ -432,13 +101,13 @@ void BootstrapResponse::encode(wire::MsgWriter& w) const {
   w.raw(ctrl_ephid.bytes);
   w.u32(ctrl_exp_time);
   w.raw(id_info_sig);
-  ms_cert.encode_into(w);
-  dns_cert.encode_into(w);
+  ms_cert.encode(w);
+  dns_cert.encode(w);
   w.u32(aid);
   w.raw(aa_ephid.bytes);
 }
 
-Result<BootstrapResponse> BootstrapResponse::decode(wire::MsgReader& r) {
+Result<BootstrapResponse> BootstrapResponse::decode(Reader& r) {
   BootstrapResponse m;
   auto hid = r.u32();
   if (!hid) return hid.error();
@@ -452,10 +121,10 @@ Result<BootstrapResponse> BootstrapResponse::decode(wire::MsgReader& r) {
   auto sig = r.arr<64>();
   if (!sig) return sig.error();
   m.id_info_sig = *sig;
-  auto ms = EphIdCertificate::parse(r);
+  auto ms = EphIdCertificate::decode(r);
   if (!ms) return ms.error();
   m.ms_cert = ms.take();
-  auto dns = EphIdCertificate::parse(r);
+  auto dns = EphIdCertificate::decode(r);
   if (!dns) return dns.error();
   m.dns_cert = dns.take();
   auto aid = r.u32();
@@ -475,7 +144,7 @@ void EphIdRequest::encode(wire::MsgWriter& w) const {
   w.raw(pop_sig);
 }
 
-Result<EphIdRequest> EphIdRequest::decode(wire::MsgReader& r) {
+Result<EphIdRequest> EphIdRequest::decode(Reader& r) {
   EphIdRequest m;
   auto dh = r.arr<32>();
   if (!dh) return dh.error();
@@ -497,10 +166,10 @@ Result<EphIdRequest> EphIdRequest::decode(wire::MsgReader& r) {
   return m;
 }
 
-void EphIdResponse::encode(wire::MsgWriter& w) const { cert.encode_into(w); }
+void EphIdResponse::encode(wire::MsgWriter& w) const { cert.encode(w); }
 
-Result<EphIdResponse> EphIdResponse::decode(wire::MsgReader& r) {
-  auto cert = EphIdCertificate::parse(r);
+Result<EphIdResponse> EphIdResponse::decode(Reader& r) {
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   EphIdResponse m;
   m.cert = cert.take();
@@ -508,15 +177,15 @@ Result<EphIdResponse> EphIdResponse::decode(wire::MsgReader& r) {
 }
 
 void HandshakeInit::encode(wire::MsgWriter& w) const {
-  client_cert.encode_into(w);
+  client_cert.encode(w);
   w.u64(client_nonce);
   w.u8(static_cast<std::uint8_t>(suite));
   w.var(early_data);
 }
 
-Result<HandshakeInit> HandshakeInit::decode(wire::MsgReader& r) {
+Result<HandshakeInit> HandshakeInit::decode(Reader& r) {
   HandshakeInit m;
-  auto cert = EphIdCertificate::parse(r);
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   m.client_cert = cert.take();
   auto nonce = r.u64();
@@ -524,7 +193,7 @@ Result<HandshakeInit> HandshakeInit::decode(wire::MsgReader& r) {
   m.client_nonce = *nonce;
   auto suite = r.u8();
   if (!suite) return suite.error();
-  if (*suite < 1 || *suite > 3)
+  if (!known_suite(*suite))
     return Result<HandshakeInit>(Errc::malformed, "unknown AEAD suite");
   m.suite = static_cast<crypto::AeadSuite>(*suite);
   auto early = r.var();
@@ -534,14 +203,14 @@ Result<HandshakeInit> HandshakeInit::decode(wire::MsgReader& r) {
 }
 
 void HandshakeResponse::encode(wire::MsgWriter& w) const {
-  serving_cert.encode_into(w);
+  serving_cert.encode(w);
   w.u64(server_nonce);
   w.u8(static_cast<std::uint8_t>(suite));
 }
 
-Result<HandshakeResponse> HandshakeResponse::decode(wire::MsgReader& r) {
+Result<HandshakeResponse> HandshakeResponse::decode(Reader& r) {
   HandshakeResponse m;
-  auto cert = EphIdCertificate::parse(r);
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   m.serving_cert = cert.take();
   auto nonce = r.u64();
@@ -549,7 +218,7 @@ Result<HandshakeResponse> HandshakeResponse::decode(wire::MsgReader& r) {
   m.server_nonce = *nonce;
   auto suite = r.u8();
   if (!suite) return suite.error();
-  if (*suite < 1 || *suite > 3)
+  if (!known_suite(*suite))
     return Result<HandshakeResponse>(Errc::malformed, "unknown AEAD suite");
   m.suite = static_cast<crypto::AeadSuite>(*suite);
   return m;
@@ -557,7 +226,7 @@ Result<HandshakeResponse> HandshakeResponse::decode(wire::MsgReader& r) {
 
 void DnsQuery::encode(wire::MsgWriter& w) const { w.str(name); }
 
-Result<DnsQuery> DnsQuery::decode(wire::MsgReader& r) {
+Result<DnsQuery> DnsQuery::decode(Reader& r) {
   auto name = r.str();
   if (!name) return name.error();
   DnsQuery q;
@@ -567,7 +236,7 @@ Result<DnsQuery> DnsQuery::decode(wire::MsgReader& r) {
 
 void DnsRecord::tbs_into(wire::MsgWriter& w) const {
   w.str(name);
-  cert.encode_into(w);
+  cert.encode(w);
   w.u32(ipv4);
 }
 
@@ -576,12 +245,12 @@ void DnsRecord::encode(wire::MsgWriter& w) const {
   w.raw(sig);
 }
 
-Result<DnsRecord> DnsRecord::decode(wire::MsgReader& r) {
+Result<DnsRecord> DnsRecord::decode(Reader& r) {
   DnsRecord rec;
   auto name = r.str();
   if (!name) return name.error();
   rec.name = name.take();
-  auto cert = EphIdCertificate::parse(r);
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   rec.cert = cert.take();
   auto ip = r.u32();
@@ -599,7 +268,7 @@ void DnsResponse::encode(wire::MsgWriter& w) const {
   if (record) record->encode(w);
 }
 
-Result<DnsResponse> DnsResponse::decode(wire::MsgReader& r) {
+Result<DnsResponse> DnsResponse::decode(Reader& r) {
   DnsResponse resp;
   auto status = r.u8();
   if (!status) return status.error();
@@ -616,16 +285,16 @@ Result<DnsResponse> DnsResponse::decode(wire::MsgReader& r) {
 
 void DnsPublish::encode(wire::MsgWriter& w) const {
   w.str(name);
-  cert.encode_into(w);
+  cert.encode(w);
   w.u32(ipv4);
 }
 
-Result<DnsPublish> DnsPublish::decode(wire::MsgReader& r) {
+Result<DnsPublish> DnsPublish::decode(Reader& r) {
   DnsPublish p;
   auto name = r.str();
   if (!name) return name.error();
   p.name = name.take();
-  auto cert = EphIdCertificate::parse(r);
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   p.cert = cert.take();
   auto ip = r.u32();
@@ -637,10 +306,10 @@ Result<DnsPublish> DnsPublish::decode(wire::MsgReader& r) {
 void ShutoffRequest::encode(wire::MsgWriter& w) const {
   w.var(offending_packet);
   w.raw(sig);
-  dst_cert.encode_into(w);
+  dst_cert.encode(w);
 }
 
-Result<ShutoffRequest> ShutoffRequest::decode(wire::MsgReader& r) {
+Result<ShutoffRequest> ShutoffRequest::decode(Reader& r) {
   ShutoffRequest m;
   auto pkt = r.var();
   if (!pkt) return pkt.error();
@@ -648,7 +317,7 @@ Result<ShutoffRequest> ShutoffRequest::decode(wire::MsgReader& r) {
   auto sig = r.arr<64>();
   if (!sig) return sig.error();
   m.sig = *sig;
-  auto cert = EphIdCertificate::parse(r);
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   m.dst_cert = cert.take();
   return m;
@@ -657,10 +326,10 @@ Result<ShutoffRequest> ShutoffRequest::decode(wire::MsgReader& r) {
 void EphIdRevokeRequest::encode(wire::MsgWriter& w) const {
   w.raw(ephid.bytes);
   w.raw(sig);
-  cert.encode_into(w);
+  cert.encode(w);
 }
 
-Result<EphIdRevokeRequest> EphIdRevokeRequest::decode(wire::MsgReader& r) {
+Result<EphIdRevokeRequest> EphIdRevokeRequest::decode(Reader& r) {
   EphIdRevokeRequest m;
   auto eph = r.arr<16>();
   if (!eph) return eph.error();
@@ -668,7 +337,7 @@ Result<EphIdRevokeRequest> EphIdRevokeRequest::decode(wire::MsgReader& r) {
   auto sig = r.arr<64>();
   if (!sig) return sig.error();
   m.sig = *sig;
-  auto cert = EphIdCertificate::parse(r);
+  auto cert = EphIdCertificate::decode(r);
   if (!cert) return cert.error();
   m.cert = cert.take();
   return m;
@@ -676,7 +345,7 @@ Result<EphIdRevokeRequest> EphIdRevokeRequest::decode(wire::MsgReader& r) {
 
 void ShutoffResponse::encode(wire::MsgWriter& w) const { w.u8(status); }
 
-Result<ShutoffResponse> ShutoffResponse::decode(wire::MsgReader& r) {
+Result<ShutoffResponse> ShutoffResponse::decode(Reader& r) {
   auto status = r.u8();
   if (!status) return status.error();
   ShutoffResponse m;
@@ -690,7 +359,7 @@ void IcmpMessage::encode(wire::MsgWriter& w) const {
   w.var(data);
 }
 
-Result<IcmpMessage> IcmpMessage::decode(wire::MsgReader& r) {
+Result<IcmpMessage> IcmpMessage::decode(Reader& r) {
   IcmpMessage m;
   auto type = r.u8();
   if (!type) return type.error();
@@ -742,33 +411,6 @@ Result<ByteSpan> open_control_into(wire::MsgWriter& scratch,
   if (!aead.open_into(ByteSpan(nonce, 12), {}, ct_tag, pt))
     return Result<ByteSpan>(Errc::decrypt_failed, "control payload rejected");
   return ByteSpan(pt.data(), pt.size());
-}
-
-// ---- ICMP ---------------------------------------------------------------------
-
-Bytes IcmpMessage::serialize() const {
-  Writer w(data.size() + 8);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(code);
-  w.var(data);
-  return w.take();
-}
-
-Result<IcmpMessage> IcmpMessage::parse(ByteSpan bytes) {
-  Reader r(bytes);
-  IcmpMessage m;
-  auto type = r.u8();
-  if (!type) return type.error();
-  if (*type > static_cast<std::uint8_t>(IcmpType::packet_too_big))
-    return Result<IcmpMessage>(Errc::malformed, "unknown ICMP type");
-  m.type = static_cast<IcmpType>(*type);
-  auto code = r.u32();
-  if (!code) return code.error();
-  m.code = *code;
-  auto data = r.var();
-  if (!data) return data.error();
-  m.data.assign(data->begin(), data->end());
-  return m;
 }
 
 }  // namespace apna::core

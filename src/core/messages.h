@@ -27,15 +27,12 @@
 
 namespace apna::core {
 
-// Every message carries TWO codecs:
-//  * encode(wire::MsgWriter&) / decode(wire::MsgReader&) — the span-based
-//    pooled codec the request/response hot paths (services, host) use.
-//    Encoding appends into recycled storage (usually a PacketWriter's
-//    payload region); decoding reads the wire image in place.
-//  * serialize() / parse(ByteSpan) — the legacy Bytes round trip, retained
-//    as the REFERENCE codec: control_plane_test proves encode() output is
-//    byte-identical to serialize() on randomized messages, so the two
-//    implementations can never drift. Do not call these on hot paths.
+// Every message has exactly one codec: encode(wire::MsgWriter&) appends the
+// wire form into pooled storage (usually a PacketWriter's payload region),
+// and decode(wire::Reader&) reads it in place. wire::MsgReader derives from
+// wire::Reader, so packet payloads and journal/snapshot replay share the
+// one decoder; decode_msg<M> is the strict whole-buffer entry point.
+// tests/codec_golden_test.cpp pins every wire form to checked-in bytes.
 
 // ---- Bootstrap (Fig 2) ------------------------------------------------------
 
@@ -45,9 +42,8 @@ struct BootstrapRequest {
   crypto::X25519PublicKey host_pub{};  // K+_H, learned by the AS (§IV-B)
 
   void encode(wire::MsgWriter& w) const;
-  static Result<BootstrapRequest> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<BootstrapRequest> parse(ByteSpan data);
+  static Result<BootstrapRequest> decode(wire::Reader& r);
+  bool operator==(const BootstrapRequest&) const = default;
 };
 
 /// id_info = {EphID_ctrl, ExpTime} signed with K-_AS, plus the service
@@ -66,9 +62,8 @@ struct BootstrapResponse {
   Bytes id_info_tbs() const;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<BootstrapResponse> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<BootstrapResponse> parse(ByteSpan data);
+  static Result<BootstrapResponse> decode(wire::Reader& r);
+  bool operator==(const BootstrapResponse&) const = default;
 };
 
 // ---- EphID issuance (Fig 3) -------------------------------------------------
@@ -102,39 +97,30 @@ struct EphIdRequest {
   std::array<std::uint8_t, 16 + 64 + 2> pop_tbs() const;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<EphIdRequest> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<EphIdRequest> parse(ByteSpan data);
+  static Result<EphIdRequest> decode(wire::Reader& r);
+  bool operator==(const EphIdRequest&) const = default;
 };
 
 struct EphIdResponse {
   EphIdCertificate cert;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<EphIdResponse> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<EphIdResponse> parse(ByteSpan data);
+  static Result<EphIdResponse> decode(wire::Reader& r);
+  bool operator==(const EphIdResponse&) const = default;
 };
 
 /// Fig 3's E_kHA(...): AEAD-encrypts a control payload under the host↔AS
 /// key so observers cannot link EphIDs to the control EphID (§IV-C).
+/// Appends {counter ‖ ciphertext ‖ tag} directly to `out` (typically a
+/// PacketWriter's payload region); allocation-free in steady state, since
+/// the AEAD lives on the stack and encrypts straight into pooled storage.
 /// `from_host` separates the two nonce spaces (host→AS vs AS→host) so the
 /// shared key never sees a repeated (key, nonce) pair.
-Bytes seal_control(const HostAsKeys& keys, std::uint64_t nonce_counter,
-                   bool from_host, ByteSpan plaintext);
-Result<Bytes> open_control(const HostAsKeys& keys, bool from_host,
-                           ByteSpan sealed);
-
-/// Pooled form of seal_control: appends {counter ‖ ciphertext ‖ tag}
-/// directly to `out` (typically a PacketWriter's payload region), skipping
-/// the intermediate Bytes round trip. Allocation-free in steady state: the
-/// AEAD lives on the stack and encrypts straight into the writer's pooled
-/// storage.
 void seal_control_into(wire::MsgWriter& out, const HostAsKeys& keys,
                        std::uint64_t nonce_counter, bool from_host,
                        ByteSpan plaintext);
 
-/// Pooled form of open_control: decrypts into `scratch` (cleared first)
+/// Inverse of seal_control_into: decrypts into `scratch` (cleared first)
 /// and returns the plaintext span, which stays valid until the scratch
 /// writer's next append. The per-request hot path (E1 issuance) uses this
 /// to keep allocations per request flat.
@@ -142,11 +128,18 @@ Result<ByteSpan> open_control_into(wire::MsgWriter& scratch,
                                    const HostAsKeys& keys, bool from_host,
                                    ByteSpan sealed);
 
+/// Owned-Bytes wrappers over seal_control_into / open_control_into, for
+/// callers that keep the sealed or opened payload.
+Bytes seal_control(const HostAsKeys& keys, std::uint64_t nonce_counter,
+                   bool from_host, ByteSpan plaintext);
+Result<Bytes> open_control(const HostAsKeys& keys, bool from_host,
+                           ByteSpan sealed);
+
 /// Strict whole-payload decode through the span codec: the message must
 /// consume every byte (truncation AND trailing garbage are malformed).
 template <class M>
 Result<M> decode_msg(ByteSpan data) {
-  wire::MsgReader r(data);
+  wire::Reader r(data);
   auto m = M::decode(r);
   if (!m) return m;
   if (!r.done()) return Result<M>(Errc::malformed, "trailing bytes");
@@ -164,9 +157,8 @@ struct HandshakeInit {
   Bytes early_data;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<HandshakeInit> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<HandshakeInit> parse(ByteSpan data);
+  static Result<HandshakeInit> decode(wire::Reader& r);
+  bool operator==(const HandshakeInit&) const = default;
 };
 
 struct HandshakeResponse {
@@ -178,9 +170,8 @@ struct HandshakeResponse {
   crypto::AeadSuite suite = crypto::AeadSuite::chacha20_poly1305;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<HandshakeResponse> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<HandshakeResponse> parse(ByteSpan data);
+  static Result<HandshakeResponse> decode(wire::Reader& r);
+  bool operator==(const HandshakeResponse&) const = default;
 };
 
 // ---- DNS (§VII-A) -----------------------------------------------------------
@@ -189,9 +180,8 @@ struct DnsQuery {
   std::string name;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<DnsQuery> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<DnsQuery> parse(ByteSpan data);
+  static Result<DnsQuery> decode(wire::Reader& r);
+  bool operator==(const DnsQuery&) const = default;
 };
 
 /// A signed record binding a name to a (receive-only) EphID certificate.
@@ -203,12 +193,11 @@ struct DnsRecord {
   std::uint32_t ipv4 = 0;       // optional legacy address (§VII-D); 0 = none
   crypto::Ed25519Signature sig{};
 
-  Bytes tbs() const;
+  /// Appends the signed bytes (every field except sig) to `w`.
   void tbs_into(wire::MsgWriter& w) const;
   void encode(wire::MsgWriter& w) const;
-  static Result<DnsRecord> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<DnsRecord> parse(wire::Reader& r);
+  static Result<DnsRecord> decode(wire::Reader& r);
+  bool operator==(const DnsRecord&) const = default;
 };
 
 struct DnsResponse {
@@ -216,9 +205,8 @@ struct DnsResponse {
   std::optional<DnsRecord> record;
 
   void encode(wire::MsgWriter& w) const;
-  static Result<DnsResponse> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<DnsResponse> parse(ByteSpan data);
+  static Result<DnsResponse> decode(wire::Reader& r);
+  bool operator==(const DnsResponse&) const = default;
 };
 
 /// Server-side publication (§VII-A task 2: "it registers the certificate
@@ -229,9 +217,8 @@ struct DnsPublish {
   std::uint32_t ipv4 = 0;  // optional legacy address for gateways (§VII-D)
 
   void encode(wire::MsgWriter& w) const;
-  static Result<DnsPublish> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<DnsPublish> parse(ByteSpan data);
+  static Result<DnsPublish> decode(wire::Reader& r);
+  bool operator==(const DnsPublish&) const = default;
 };
 
 // ---- Shutoff (Fig 5) ----------------------------------------------------------
@@ -249,9 +236,8 @@ struct ShutoffRequest {
   EphIdCertificate dst_cert;         // proves requester owns EphID_d
 
   void encode(wire::MsgWriter& w) const;
-  static Result<ShutoffRequest> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<ShutoffRequest> parse(ByteSpan data);
+  static Result<ShutoffRequest> decode(wire::Reader& r);
+  bool operator==(const ShutoffRequest&) const = default;
 };
 
 /// §VIII-G2: "a host could revoke an EphID that is no longer needed."
@@ -267,18 +253,16 @@ struct EphIdRevokeRequest {
   static Bytes revoke_tbs(const EphId& ephid);
 
   void encode(wire::MsgWriter& w) const;
-  static Result<EphIdRevokeRequest> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<EphIdRevokeRequest> parse(ByteSpan data);
+  static Result<EphIdRevokeRequest> decode(wire::Reader& r);
+  bool operator==(const EphIdRevokeRequest&) const = default;
 };
 
 struct ShutoffResponse {
   std::uint8_t status = 0;  // 0 = revoked, nonzero = Errc of the failure
 
   void encode(wire::MsgWriter& w) const;
-  static Result<ShutoffResponse> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<ShutoffResponse> parse(ByteSpan data);
+  static Result<ShutoffResponse> decode(wire::Reader& r);
+  bool operator==(const ShutoffResponse&) const = default;
 };
 
 // ---- ICMP (§VIII-B) -----------------------------------------------------------
@@ -297,9 +281,8 @@ struct IcmpMessage {
   Bytes data;                // echo payload / offending-header snippet
 
   void encode(wire::MsgWriter& w) const;
-  static Result<IcmpMessage> decode(wire::MsgReader& r);
-  Bytes serialize() const;
-  static Result<IcmpMessage> parse(ByteSpan data);
+  static Result<IcmpMessage> decode(wire::Reader& r);
+  bool operator==(const IcmpMessage&) const = default;
 };
 
 }  // namespace apna::core

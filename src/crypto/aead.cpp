@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "crypto/chacha20.h"
-#include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/modes.h"
 
@@ -12,7 +11,6 @@ namespace apna::crypto {
 const char* aead_suite_name(AeadSuite s) {
   switch (s) {
     case AeadSuite::chacha20_poly1305: return "chacha20-poly1305";
-    case AeadSuite::aes128_gcm: return "aes128-gcm";
     case AeadSuite::aes128_ctr_cmac: return "aes128-ctr-cmac";
   }
   return "unknown";
@@ -34,23 +32,6 @@ class ChaChaAead final : public Aead {
 
  private:
   ChaCha20Poly1305 impl_;
-};
-
-class GcmAead final : public Aead {
- public:
-  explicit GcmAead(ByteSpan key32)
-      : impl_(derive_key16(key32, "apna-aead-gcm")) {}
-  AeadSuite suite() const override { return AeadSuite::aes128_gcm; }
-  Bytes seal(ByteSpan n, ByteSpan aad, ByteSpan pt) const override {
-    return impl_.seal(n, aad, pt);
-  }
-  std::optional<Bytes> open(ByteSpan n, ByteSpan aad,
-                            ByteSpan ct) const override {
-    return impl_.open(n, aad, ct);
-  }
-
- private:
-  AesGcm impl_;
 };
 
 // Encrypt-then-MAC generic composition [Bellare-Namprempre]: AES-CTR under
@@ -114,8 +95,6 @@ std::unique_ptr<Aead> Aead::create(AeadSuite suite, ByteSpan key32) {
   switch (suite) {
     case AeadSuite::chacha20_poly1305:
       return std::make_unique<ChaChaAead>(key32);
-    case AeadSuite::aes128_gcm:
-      return std::make_unique<GcmAead>(key32);
     case AeadSuite::aes128_ctr_cmac:
       return std::make_unique<EtmAead>(key32);
   }

@@ -1,17 +1,14 @@
-// Unified AEAD interface over the three CCA-secure suites in this repo.
+// Unified AEAD interface over the two CCA-secure suites in this repo.
 //
 // §IV-A: "any conventional CCA-secure scheme [27],[36] can be used" for
 // payload encryption. We provide:
 //   * chacha20_poly1305 — default; best worst-case choice (fast without any
 //                         hardware support).
-//   * aes128_gcm        — the GCM scheme the paper cites [27]; our GHASH is
-//                         portable and slow, kept for interoperability and
-//                         the E9 ablation.
 //   * aes128_ctr_cmac   — Encrypt-then-MAC generic composition [7], the same
 //                         paradigm the EphID construction uses (§V-A1); the
 //                         fastest suite on AES-NI hardware (see E9).
-// The suite is negotiated in the connection handshake; bench E9 compares all
-// three.
+// The suite is negotiated in the connection handshake; bench E9 compares
+// both. Suite value 2 (AES-128-GCM) is retired and never decodes.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +21,6 @@ namespace apna::crypto {
 
 enum class AeadSuite : std::uint8_t {
   chacha20_poly1305 = 1,
-  aes128_gcm = 2,
   aes128_ctr_cmac = 3,
 };
 

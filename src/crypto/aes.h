@@ -2,7 +2,7 @@
 //
 // APNA's data plane is built exclusively on AES (§V-A1: "AES ... is the only
 // cipher with widespread hardware support"). Only the forward (encrypt)
-// direction is ever needed: CTR, CBC-MAC, CMAC and GCM all use the encrypt
+// direction is ever needed: CTR, CBC-MAC and CMAC all use the encrypt
 // permutation, and EphID "decryption" is CTR keystream reuse.
 //
 // Four backend tiers, selected by cpuid at construction (widest first):

@@ -3,8 +3,8 @@
 //
 // The paper requires "any conventional CCA-secure scheme" for payload
 // encryption (§IV-A). ChaCha20-Poly1305 is this repo's default software
-// suite: it is fast without hardware support, unlike GCM whose portable
-// GHASH is slow. ChaCha20 also drives the deterministic RNG (drbg.h).
+// suite: it is fast without hardware support. ChaCha20 also drives the
+// deterministic RNG (drbg.h).
 #pragma once
 
 #include <array>

@@ -12,21 +12,6 @@ constexpr bool canonical_char(char c) {
          c == '_';
 }
 
-// Shared label walk for both encoders: calls `emit(label)` per label after
-// full validation, so a failed name writes nothing.
-template <class Emit>
-Result<void> for_each_label(std::string_view name, Emit&& emit) {
-  if (auto ok = validate_name(name); !ok) return ok;
-  std::size_t start = 0;
-  while (start <= name.size()) {
-    std::size_t dot = name.find('.', start);
-    if (dot == std::string_view::npos) dot = name.size();
-    emit(name.substr(start, dot - start));
-    start = dot + 1;
-  }
-  return Result<void>::success();
-}
-
 }  // namespace
 
 std::string canonical_name(std::string_view name) {
@@ -60,24 +45,17 @@ Result<void> validate_name(std::string_view name) {
 }
 
 Result<void> encode_name(wire::MsgWriter& w, std::string_view name) {
-  auto r = for_each_label(name, [&](std::string_view label) {
-    w.u8(static_cast<std::uint8_t>(label.size()));
-    w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>(label.data()),
-                   label.size()));
-  });
-  if (!r) return r;
+  if (auto ok = validate_name(name); !ok) return ok;  // fail writing nothing
+  std::size_t start = 0;
+  while (start <= name.size()) {
+    std::size_t dot = name.find('.', start);
+    if (dot == std::string_view::npos) dot = name.size();
+    w.u8(static_cast<std::uint8_t>(dot - start));
+    w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>(name.data()) + start,
+                   dot - start));
+    start = dot + 1;
+  }
   w.u8(0);  // root
-  return Result<void>::success();
-}
-
-Result<void> encode_name(wire::Writer& w, std::string_view name) {
-  auto r = for_each_label(name, [&](std::string_view label) {
-    w.u8(static_cast<std::uint8_t>(label.size()));
-    w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>(label.data()),
-                   label.size()));
-  });
-  if (!r) return r;
-  w.u8(0);
   return Result<void>::success();
 }
 
@@ -118,7 +96,7 @@ Result<void> QueryFrame::encode(wire::MsgWriter& w) const {
   return encode_name(w, name);
 }
 
-Result<QueryFrame> QueryFrame::decode(wire::MsgReader& r) {
+Result<QueryFrame> QueryFrame::decode(wire::Reader& r) {
   auto kind = r.u8();
   if (!kind) return kind.error();
   if (*kind != kKindQuery)
@@ -130,24 +108,6 @@ Result<QueryFrame> QueryFrame::decode(wire::MsgReader& r) {
   QueryFrame q;
   q.id = *id;
   q.name = std::move(*name);
-  return q;
-}
-
-Result<Bytes> QueryFrame::serialize() const {
-  if (auto ok = validate_name(name); !ok) return ok.error();
-  wire::Writer w;
-  w.u8(kKindQuery);
-  w.u16(id);
-  if (auto ok = encode_name(w, name); !ok) return ok.error();
-  return w.take();
-}
-
-Result<QueryFrame> QueryFrame::parse(ByteSpan data) {
-  wire::MsgReader r(data);
-  auto q = decode(r);
-  if (!q) return q;
-  if (!r.done())
-    return Result<QueryFrame>(Errc::malformed, "trailing bytes in DNS query");
   return q;
 }
 
@@ -167,7 +127,7 @@ Result<void> ResponseFrame::encode(wire::MsgWriter& w) const {
   return Result<void>::success();
 }
 
-Result<ResponseFrame> ResponseFrame::decode(wire::MsgReader& r) {
+Result<ResponseFrame> ResponseFrame::decode(wire::Reader& r) {
   auto kind = r.u8();
   if (!kind) return kind.error();
   if (*kind != kKindResponse)
@@ -198,35 +158,6 @@ Result<ResponseFrame> ResponseFrame::decode(wire::MsgReader& r) {
     if (!rec) return rec.error();
     resp.record = std::move(*rec);
   }
-  return resp;
-}
-
-Result<Bytes> ResponseFrame::serialize() const {
-  if (auto ok = validate_name(name); !ok) return ok.error();
-  if (record.has_value() != (rcode == Rcode::ok))
-    return Result<Bytes>(Errc::malformed, "record/rcode mismatch");
-  wire::Writer w;
-  w.u8(kKindResponse);
-  w.u16(id);
-  w.u8(static_cast<std::uint8_t>(rcode));
-  w.u32(ttl);
-  if (auto ok = encode_name(w, name); !ok) return ok.error();
-  w.u8(record ? 1 : 0);
-  Bytes out = w.take();
-  if (record) {
-    const Bytes rec = record->serialize();
-    out.insert(out.end(), rec.begin(), rec.end());
-  }
-  return out;
-}
-
-Result<ResponseFrame> ResponseFrame::parse(ByteSpan data) {
-  wire::MsgReader r(data);
-  auto resp = decode(r);
-  if (!resp) return resp;
-  if (!r.done())
-    return Result<ResponseFrame>(Errc::malformed,
-                                 "trailing bytes in DNS response");
   return resp;
 }
 

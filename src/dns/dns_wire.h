@@ -13,10 +13,10 @@
 // (canonical_name) and everything below the resolver entry point compares
 // bytes.
 //
-// Dual codec, same convention as core/messages.h: encode(MsgWriter&)/
-// decode(MsgReader&) is the pooled hot path; serialize()/parse(ByteSpan)
-// is the heap-allocating REFERENCE codec. The two are byte-identical,
-// pinned by dns_test the way control_plane_test pins control messages.
+// One codec, same convention as core/messages.h: encode(MsgWriter&)
+// appends a frame into pooled storage and decode(Reader&) reads one in
+// place; core::decode_msg<QueryFrame/ResponseFrame> is the strict
+// whole-frame entry point. tests/codec_golden_test.cpp pins the wire bytes.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +56,10 @@ Result<void> validate_name(std::string_view name);
 /// Label-encodes `name` ([len][label]...[0]). Fails (writing nothing) on
 /// non-canonical input.
 Result<void> encode_name(wire::MsgWriter& w, std::string_view name);
-/// Reference twin (byte-identical output).
-Result<void> encode_name(wire::Writer& w, std::string_view name);
 
 /// Decodes one label-encoded name back to canonical dotted form. Rejects
 /// oversize labels/names, empty root-only names, non-canonical bytes and
-/// truncation. (wire::MsgReader derives from wire::Reader, so this is the
-/// decoder for both codec paths.)
+/// truncation.
 Result<std::string> decode_name(wire::Reader& r);
 
 /// Response codes (the classic RCODE values we model).
@@ -84,9 +81,8 @@ struct QueryFrame {
   std::string name;      // canonical dotted form
 
   Result<void> encode(wire::MsgWriter& w) const;
-  static Result<QueryFrame> decode(wire::MsgReader& r);
-  Result<Bytes> serialize() const;
-  static Result<QueryFrame> parse(ByteSpan data);
+  static Result<QueryFrame> decode(wire::Reader& r);
+  bool operator==(const QueryFrame&) const = default;
 };
 
 /// One answer: [kind=1][id][rcode][ttl][qname][has_record][record?].
@@ -101,9 +97,8 @@ struct ResponseFrame {
   std::optional<core::DnsRecord> record;
 
   Result<void> encode(wire::MsgWriter& w) const;
-  static Result<ResponseFrame> decode(wire::MsgReader& r);
-  Result<Bytes> serialize() const;
-  static Result<ResponseFrame> parse(ByteSpan data);
+  static Result<ResponseFrame> decode(wire::Reader& r);
+  bool operator==(const ResponseFrame&) const = default;
 };
 
 }  // namespace apna::dns

@@ -131,8 +131,8 @@ void Resolver::send_query(std::uint16_t id, Pending& p) {
   QueryFrame q;
   q.id = id;
   q.name = p.name;
-  auto frame = q.serialize();
-  if (frame) upstream_(std::move(*frame));
+  wire::MsgWriter w(3 + encoded_name_size(q.name));
+  if (q.encode(w)) upstream_(w.take());
 }
 
 void Resolver::arm_timeout(std::uint16_t id, std::uint64_t serial,
@@ -163,7 +163,7 @@ void Resolver::arm_timeout(std::uint16_t id, std::uint64_t serial,
 }
 
 void Resolver::on_upstream_frame(ByteSpan frame) {
-  auto resp = ResponseFrame::parse(frame);
+  auto resp = core::decode_msg<ResponseFrame>(frame);
   if (!resp) {
     counters_.upstream_mismatched.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -212,7 +212,7 @@ void Resolver::on_upstream_frame(ByteSpan frame) {
 }
 
 Bytes Resolver::answer_query(ByteSpan query_frame) {
-  auto q = QueryFrame::parse(query_frame);
+  auto q = core::decode_msg<QueryFrame>(query_frame);
   if (!q) return Bytes{};
   const Answer a = resolve(q->name, loop_.now_seconds());
 
@@ -237,8 +237,8 @@ Bytes Resolver::answer_query(ByteSpan query_frame) {
       resp.rcode = Rcode::servfail;
       break;
   }
-  auto out = resp.serialize();
-  return out ? std::move(*out) : Bytes{};
+  wire::MsgWriter w(512);
+  return resp.encode(w) ? w.take() : Bytes{};
 }
 
 Result<void> Resolver::admit_publish(std::string_view name,

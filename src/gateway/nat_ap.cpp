@@ -243,7 +243,7 @@ void NatAccessPoint::handle_inner_ms_request(const wire::PacketView& pkt) {
   auto payload = core::open_control(inner_rec->keys, /*from_host=*/true,
                                     pkt.payload());
   if (!payload) return;
-  auto request = core::EphIdRequest::parse(*payload);
+  auto request = core::decode_msg<core::EphIdRequest>(*payload);
   if (!request) return;
 
   // Proxy upstream with the INNER host's public key (§VII-B difference 1),

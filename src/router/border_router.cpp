@@ -521,20 +521,16 @@ void BorderRouter::maybe_icmp_error(const IcmpQuote& offending,
   msg.data.assign(offending.header.begin(),
                   offending.header.begin() + offending.header_len);
 
-  wire::Packet icmp;
-  icmp.src_aid = ident_.aid;
-  icmp.src_ephid = ident_.ephid.bytes;
-  icmp.dst_aid = offending.src_aid;
-  icmp.dst_ephid = offending.src_ephid;
-  icmp.proto = wire::NextProto::icmp;
-  icmp.payload = msg.serialize();
-  // Control-plane construction: build → seal → stamp in place.
-  wire::PacketBuf buf = icmp.seal();
+  // Control-plane construction: encode into the packet → stamp in place.
+  wire::PacketWriter pw(ident_.aid, ident_.ephid.bytes, offending.src_aid,
+                        offending.src_ephid, wire::NextProto::icmp);
+  msg.encode(pw);
+  wire::PacketBuf buf = pw.finish();
   core::stamp_packet_mac(crypto::AesCmac(ByteSpan(ident_.mac_key.data(), 16)),
                          buf);
   ++stats_.icmp_sent;
 
-  if (icmp.dst_aid == as_.aid) {
+  if (offending.src_aid == as_.aid) {
     // The offender is local: deliver the feedback internally.
     on_ingress(std::move(buf));
   } else if (cb_.send_external) {

@@ -13,7 +13,6 @@ ForwardingPool::ForwardingPool(BorderRouter& br, Config cfg)
     const unsigned hw = std::thread::hardware_concurrency();
     cfg_.threads = hw == 0 ? 1 : hw;
   }
-  if (cfg_.chunk_packets == 0) cfg_.chunk_packets = 64;
   slots_ = std::make_unique<Slot[]>(cfg_.threads);
   if (cfg_.flow_cache_entries > 0)
     for (std::size_t i = 0; i < cfg_.threads; ++i)
@@ -33,42 +32,16 @@ ForwardingPool::~ForwardingPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ForwardingPool::drain_chunks(std::size_t slot) {
-  for (;;) {
-    const wire::PacketView* burst;
-    BorderRouter::Verdict* verdicts;
-    core::ExpTime now;
-    bool ingress, batched;
-    std::size_t begin, end;
-    {
-      std::lock_guard lock(mu_);
-      if (next_chunk_ >= chunks_total_) return;
-      begin = next_chunk_++ * cfg_.chunk_packets;
-      end = std::min(begin + cfg_.chunk_packets, burst_n_);
-      burst = burst_;
-      verdicts = verdicts_;
-      now = now_;
-      ingress = ingress_;
-      batched = batched_;
-    }
-    {
-      std::lock_guard slot_lock(slots_[slot].mu);
-      const std::span<const wire::PacketView> chunk(burst + begin, end - begin);
-      const std::span<BorderRouter::Verdict> out(verdicts + begin,
-                                                 end - begin);
-      core::FlowCache* cache = slots_[slot].cache.get();
-      if (ingress) {
-        br_.classify_ingress_burst(chunk, now, out, slots_[slot].stats,
-                                   batched, cache);
-      } else {
-        br_.classify_outgoing_burst(chunk, now, out, slots_[slot].stats,
-                                    batched, cache);
-      }
-    }
-    {
-      std::lock_guard lock(mu_);
-      if (++chunks_done_ == chunks_total_) cv_done_.notify_all();
-    }
+void ForwardingPool::classify(Slot& s,
+                              std::span<const wire::PacketView> burst,
+                              core::ExpTime now, bool ingress, bool batched,
+                              std::span<BorderRouter::Verdict> out) {
+  if (ingress) {
+    br_.classify_ingress_burst(burst, now, out, s.stats, batched,
+                               s.cache.get());
+  } else {
+    br_.classify_outgoing_burst(burst, now, out, s.stats, batched,
+                                s.cache.get());
   }
 }
 
@@ -93,14 +66,7 @@ void ForwardingPool::run_ring(std::size_t slot) {
   s.gather.clear();
   for (const std::uint32_t idx : s.ring) s.gather.push_back(burst[idx]);
   s.scratch.resize(s.ring.size());
-  core::FlowCache* cache = s.cache.get();
-  if (ingress) {
-    br_.classify_ingress_burst(s.gather, now, s.scratch, s.stats, batched,
-                               cache);
-  } else {
-    br_.classify_outgoing_burst(s.gather, now, s.scratch, s.stats, batched,
-                                cache);
-  }
+  classify(s, s.gather, now, ingress, batched, s.scratch);
   // Scatter back to burst order. Rings partition the burst, so no two
   // slots ever write the same verdict index.
   for (std::size_t j = 0; j < s.ring.size(); ++j)
@@ -109,24 +75,17 @@ void ForwardingPool::run_ring(std::size_t slot) {
 
 void ForwardingPool::worker_main(std::size_t slot) {
   for (;;) {
-    bool steered;
     {
       std::unique_lock lock(mu_);
       cv_work_.wait(lock, [this, slot] {
-        return stop_ || next_chunk_ < chunks_total_ ||
-               (steered_ && slots_[slot].done_seq != burst_seq_);
+        return stop_ || slots_[slot].done_seq != burst_seq_;
       });
       if (stop_) return;
-      steered = steered_ && slots_[slot].done_seq != burst_seq_;
     }
-    if (steered) {
-      run_ring(slot);
-      std::lock_guard lock(mu_);
-      slots_[slot].done_seq = burst_seq_;
-      if (--workers_pending_ == 0) cv_done_.notify_all();
-    } else {
-      drain_chunks(slot);
-    }
+    run_ring(slot);
+    std::lock_guard lock(mu_);
+    slots_[slot].done_seq = burst_seq_;
+    if (--workers_pending_ == 0) cv_done_.notify_all();
   }
 }
 
@@ -134,11 +93,13 @@ void ForwardingPool::process_burst(std::span<const wire::PacketView> burst,
                                    core::ExpTime now, bool ingress) {
   if (burst.empty()) return;
   verdict_buf_.resize(burst.size());
-  // A 1-thread pool runs the plain chunk loop regardless of policy — there
-  // is only one cache, so steering has nothing to separate.
-  const bool steered =
-      cfg_.steering == Steering::flow_hash && cfg_.threads > 1;
-  if (steered) {
+  const bool batched = batched_for(burst.size());
+  if (cfg_.threads == 1) {
+    // One processing context: there is only one cache, so steering has
+    // nothing to separate — classify the whole burst in place.
+    std::lock_guard slot_lock(slots_[0].mu);
+    classify(slots_[0], burst, now, ingress, batched, verdict_buf_);
+  } else {
     // Scatter the burst into per-worker RX rings by flow hash BEFORE
     // publishing the burst: the workers are quiescent between bursts, and
     // the mu_ release below orders these writes ahead of any ring read.
@@ -149,40 +110,22 @@ void ForwardingPool::process_burst(std::span<const wire::PacketView> burst,
       slots_[core::steer_worker(key, cfg_.threads)].ring.push_back(
           static_cast<std::uint32_t>(i));
     }
-  }
-  {
-    std::lock_guard lock(mu_);
-    burst_ = burst.data();
-    burst_n_ = burst.size();
-    verdicts_ = verdict_buf_.data();
-    now_ = now;
-    ingress_ = ingress;
-    batched_ = batched_for(burst.size());
-    steered_ = steered;
-    next_chunk_ = 0;
-    chunks_done_ = 0;
-    if (steered) {
-      chunks_total_ = 0;  // keep the chunk-claim predicate false
+    {
+      std::lock_guard lock(mu_);
+      burst_ = burst.data();
+      verdicts_ = verdict_buf_.data();
+      now_ = now;
+      ingress_ = ingress;
+      batched_ = batched;
       ++burst_seq_;
       workers_pending_ = cfg_.threads - 1;
-    } else {
-      chunks_total_ =
-          (burst.size() + cfg_.chunk_packets - 1) / cfg_.chunk_packets;
     }
-  }
-  cv_work_.notify_all();
-
-  // The calling thread is processing context 0: run its own ring / claim
-  // chunks like any worker instead of blocking, so threads == 1 needs no
-  // handoff at all.
-  if (steered) {
+    cv_work_.notify_all();
+    // The calling thread is processing context 0: it runs its own ring
+    // like any worker instead of blocking.
     run_ring(0);
     std::unique_lock lock(mu_);
     cv_done_.wait(lock, [this] { return workers_pending_ == 0; });
-  } else {
-    drain_chunks(0);
-    std::unique_lock lock(mu_);
-    cv_done_.wait(lock, [this] { return chunks_done_ == chunks_total_; });
   }
   // Action phase on the calling thread, burst order, OUTSIDE mu_: the
   // callbacks may be arbitrarily slow or call back into stats() without

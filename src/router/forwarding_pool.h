@@ -9,26 +9,22 @@
 // (§V-B3) and reaches line rate because every per-packet operation is
 // symmetric crypto plus two table lookups (design choice 3). This pool is
 // the software analogue of that device's RSS/receive-side scaling — and
-// like RSS it steers by FLOW, not by position: under the default
-// Steering::flow_hash dispatch each packet is assigned to the worker owning
-// its flow EphID (core/flow_steer.h), the calling thread scatters the burst
-// into per-worker RX rings, and every worker runs its ring to completion
-// (classify, with its own hot FlowCache) before the forwarding actions —
-// the TX side — are executed in burst order on the CALLING thread. So the
-// single-threaded simulator event loop (or a real socket RX loop) can drive
-// the pool without its callbacks ever running concurrently. The legacy
-// Steering::chunk mode (workers dynamically claim fixed-size chunks) is
-// kept for comparison: it load-balances a little better but splits one
-// flow's packets across workers mid-burst, duplicating FlowCache entries —
-// measured by flow_cache_stats().cross_worker_duplicates, which flow_hash
-// holds at zero.
+// like RSS it steers by FLOW, not by position: each packet is assigned to
+// the worker owning its flow EphID (core/flow_steer.h), the calling thread
+// scatters the burst into per-worker RX rings, and every worker runs its
+// ring to completion (classify, with its own hot FlowCache) before the
+// forwarding actions — the TX side — are executed in burst order on the
+// CALLING thread. So the single-threaded simulator event loop (or a real
+// socket RX loop) can drive the pool without its callbacks ever running
+// concurrently. A flow's cache entry therefore lives in exactly one worker
+// (flow_cache_stats().cross_worker_duplicates stays zero).
 //
 // Threading model (see ARCHITECTURE.md "Concurrency model"):
 //  * Config::threads is the TOTAL processing parallelism: threads-1
 //    background workers plus the calling thread, which processes ring 0
-//    (or claims chunks) like any worker while it waits. threads == 1 means
-//    no background workers at all — the pool degenerates to a plain loop
-//    with no synchronization beyond one uncontended mutex.
+//    like any worker while it waits. threads == 1 means no background
+//    workers and no rings at all: the caller classifies the whole burst in
+//    place under one uncontended slot lock.
 //  * Each processing context owns a Stats slot; stats() merges the slots
 //    (plus the action-phase counters) on read, taking each slot's lock, so
 //    it is safe to call concurrently with processing.
@@ -65,30 +61,10 @@ class ForwardingPool {
     batched,
   };
 
-  /// How a burst is dispatched across the processing contexts.
-  enum class Steering {
-    /// One flow → one worker, by EphID hash (core/flow_steer.h): the
-    /// egress key is src_ephid, the ingress key dst_ephid — the EphID
-    /// whose verdict the FlowCache memoizes — so a flow's cache entry
-    /// lives in exactly one worker. The default.
-    flow_hash,
-    /// Legacy dynamic chunk-claiming: better load balance on pathological
-    /// skew, but duplicates hot flows' cache entries across workers
-    /// (cross_worker_duplicates > 0). Kept for comparison and tests.
-    chunk,
-  };
-
   struct Config {
     /// Total processing threads (calling thread included). 0 → one per
     /// hardware thread.
     std::size_t threads = 0;
-    /// Burst dispatch policy (see Steering). flow_hash needs threads > 1
-    /// to matter; a 1-thread pool runs a plain loop either way.
-    Steering steering = Steering::flow_hash;
-    /// Steering::chunk only: packets per work unit; the claim granularity.
-    /// Small enough to load-balance a 512-packet burst over many workers,
-    /// big enough that the batched AES kernels see full gather buffers.
-    std::size_t chunk_packets = 64;
     /// Kernel selection (see Kernel). Explicit Kernel::batched is how a
     /// single-threaded driver opts into the fused cached pipeline.
     Kernel kernel = Kernel::auto_select;
@@ -125,8 +101,8 @@ class ForwardingPool {
   /// Per-worker flow-cache counters merged on read (hit rate of the
   /// verified-flow caches across all processing contexts), plus the
   /// steering-quality probe: cross_worker_duplicates counts EphIDs
-  /// currently cached by more than one worker (0 under flow_hash
-  /// steering; chunk dispatch duplicates hot flows).
+  /// currently cached by more than one worker (0 under flow-hash
+  /// steering).
   core::FlowCache::Stats flow_cache_stats() const;
 
   /// Total processing threads (callers + workers).
@@ -147,14 +123,10 @@ class ForwardingPool {
   void process_burst(std::span<const wire::PacketView> burst, core::ExpTime now,
                      bool ingress);
   void worker_main(std::size_t slot);
-  /// Claims and classifies chunks until the current burst is exhausted
-  /// (Steering::chunk). Returns once no work is left (the burst may still
-  /// be in flight on other workers).
-  void drain_chunks(std::size_t slot);
-  /// Classifies this slot's steered RX ring run-to-completion
-  /// (Steering::flow_hash): gather the ring's views, one classify pass
-  /// against the slot's own FlowCache, scatter verdicts back to burst
-  /// order (disjoint indices — no two slots write the same verdict).
+  /// Classifies this slot's steered RX ring run-to-completion: gather the
+  /// ring's views, one classify pass against the slot's own FlowCache,
+  /// scatter verdicts back to burst order (disjoint indices — no two slots
+  /// write the same verdict).
   void run_ring(std::size_t slot);
 
   struct alignas(64) Slot {
@@ -172,32 +144,32 @@ class ForwardingPool {
     std::vector<std::uint32_t> ring;
     std::vector<wire::PacketView> gather;
     std::vector<BorderRouter::Verdict> scratch;
-    /// Last steered burst sequence this slot completed (guarded by mu_).
+    /// Last burst sequence this slot completed (guarded by mu_).
     std::uint64_t done_seq = 0;
   };
+
+  /// One classify pass over `burst` against slot `s`'s stats and cache
+  /// (caller holds s.mu).
+  void classify(Slot& s, std::span<const wire::PacketView> burst,
+                core::ExpTime now, bool ingress, bool batched,
+                std::span<BorderRouter::Verdict> out);
 
   BorderRouter& br_;
   Config cfg_;
 
   // Burst state, guarded by mu_. Workers read the burst descriptor after
-  // observing next_chunk_ < chunks_total_ (chunk mode) or a burst_seq_
-  // bump (steered mode) under mu_, which orders the descriptor — and ring
-  // — writes before any processing.
+  // observing a burst_seq_ bump under mu_, which orders the descriptor —
+  // and ring — writes before any processing.
   mutable std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   const wire::PacketView* burst_ = nullptr;
-  std::size_t burst_n_ = 0;
   BorderRouter::Verdict* verdicts_ = nullptr;
   core::ExpTime now_ = 0;
   bool ingress_ = false;
   bool batched_ = true;  // this burst's kernel choice (batched_for)
-  bool steered_ = false; // this burst's dispatch (flow_hash with threads>1)
-  std::uint64_t burst_seq_ = 0;       // steered-burst generation
-  std::size_t workers_pending_ = 0;   // steered: rings not yet completed
-  std::size_t next_chunk_ = 0;
-  std::size_t chunks_done_ = 0;
-  std::size_t chunks_total_ = 0;
+  std::uint64_t burst_seq_ = 0;       // burst generation
+  std::size_t workers_pending_ = 0;   // rings not yet completed
   bool stop_ = false;
 
   BorderRouter::Stats action_stats_;  // caller-thread action phase, under mu_

@@ -718,8 +718,9 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
       b.push_back(dns_resolver_->policy().blocked(name, nullptr) ? 1 : 0);
       if (auto rec = dns_zone_->get(name)) {
         b.push_back(1);
-        const Bytes rb = rec->serialize();
-        b.insert(b.end(), rb.begin(), rb.end());
+        wire::MsgWriter rw(320);
+        rec->encode(rw);
+        append(b, rw.span());
       } else {
         b.push_back(0);  // swept by a block, or never published
       }

@@ -102,7 +102,7 @@ bool PersistCoordinator::append(std::uint8_t type, ByteSpan payload) {
       break;
     }
     case core::PersistRecordType::dns_put: {
-      if (auto rec = core::DnsRecord::parse(r)) {
+      if (auto rec = core::DnsRecord::decode(r)) {
         core::DnsRecord d = rec.take();
         std::string name = d.name;
         dns_.insert_or_assign(std::move(name), std::move(d));

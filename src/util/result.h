@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <optional>
-#include <string>
 #include <utility>
 #include <variant>
 
@@ -58,9 +57,11 @@ inline const char* errc_name(Errc e) {
   return "unknown";
 }
 
+/// `detail` is a static string (every call site passes a literal), so a
+/// drop arm on the forwarding path never touches the heap.
 struct Error {
   Errc code = Errc::internal;
-  std::string detail;
+  const char* detail = "";
 };
 
 /// Result<T>: either a value or an Error. `Result<void>` specializes below.
@@ -69,7 +70,7 @@ class Result {
  public:
   Result(T value) : v_(std::move(value)) {}           // NOLINT(implicit)
   Result(Error e) : v_(std::move(e)) {}               // NOLINT(implicit)
-  Result(Errc c, std::string detail = {}) : v_(Error{c, std::move(detail)}) {}
+  Result(Errc c, const char* detail = "") : v_(Error{c, detail}) {}
 
   bool ok() const { return std::holds_alternative<T>(v_); }
   explicit operator bool() const { return ok(); }
@@ -106,7 +107,7 @@ class Result<void> {
  public:
   Result() = default;
   Result(Error e) : err_(std::move(e)) {}  // NOLINT(implicit)
-  Result(Errc c, std::string detail = {}) : err_(Error{c, std::move(detail)}) {}
+  Result(Errc c, const char* detail = "") : err_(Error{c, detail}) {}
 
   static Result success() { return Result(); }
 

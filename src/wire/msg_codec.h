@@ -13,6 +13,8 @@
 //  * MsgReader  — the decode side: a wire::Reader bound directly to a
 //    PacketView's payload. Parsing is in place — every accessor reads the
 //    wire image where it lies; only explicitly owned fields copy out.
+//    Message decoders take the wire::Reader base, so packet payloads and
+//    journal/snapshot replay run the same decoder.
 //  * PacketWriter — builds one CONTROL PACKET in a single pass: the Fig 7
 //    header fields are written at their fixed offsets, the payload is
 //    appended through the MsgWriter interface directly after the extension
@@ -21,10 +23,10 @@
 //    (payload Bytes -> Packet::seal() memcpy) from every service reply and
 //    host transmission: one encode, zero intermediate payload buffers.
 //
-// Messages keep their legacy Bytes serialize()/parse(ByteSpan) methods as
-// the REFERENCE codec: tests/control_plane_test.cpp proves encode() emits
-// byte-identical output, so the two can never drift. Hot paths (services,
-// host) use only the MsgWriter/MsgReader forms.
+// Every control message has exactly this one codec: encode(MsgWriter&) and
+// decode(Reader&), with core::decode_msg<M> as the strict whole-buffer
+// entry point. Checked-in golden hex vectors (tests/codec_golden_test.cpp)
+// pin the wire bytes instead of a second reference implementation.
 #pragma once
 
 #include <cstring>

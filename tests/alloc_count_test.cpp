@@ -7,6 +7,7 @@
 // counting hook and asserts that, after a warm-up pass, forwarding a burst
 // performs ZERO heap allocations per packet — and zero PacketView::
 // to_owned() deep copies (the audited control-plane-only copy point).
+// Dropping a packet on any Fig 4 abort arm is held to the same zero.
 //
 // Runs in the Release leg of ci.sh so a copy/allocation regression fails
 // CI, not just the benchmark.
@@ -57,9 +58,13 @@ struct AllocFixture {
   }
 
   wire::PacketBuf egress_packet(core::Hid hid) {
+    return egress_packet(hid, as.codec.issue(hid, now + 900, rng));
+  }
+
+  wire::PacketBuf egress_packet(core::Hid hid, const core::EphId& src) {
     wire::Packet pkt;
     pkt.src_aid = as.aid;
-    pkt.src_ephid = as.codec.issue(hid, now + 900, rng).bytes;
+    pkt.src_ephid = src.bytes;
     pkt.dst_aid = 64513;
     rng.fill(MutByteSpan(pkt.dst_ephid.data(), 16));
     pkt.proto = wire::NextProto::data;
@@ -158,7 +163,6 @@ TEST(ZeroAlloc, ForwardingPoolSteadyState) {
 
   ForwardingPool::Config cfg;
   cfg.threads = 2;
-  cfg.chunk_packets = 32;
   ForwardingPool pool(*br, cfg);
 
   for (int i = 0; i < 4; ++i) pool.process_outgoing(views, f.now);
@@ -173,6 +177,68 @@ TEST(ZeroAlloc, ForwardingPoolSteadyState) {
       << "pool forwarded " << (kRounds * kBurst) << " packets with "
       << allocs << " heap allocations";
   EXPECT_EQ(pool.stats().total_drops(), 0u);
+}
+
+TEST(ZeroAlloc, DropArmsSteadyState) {
+  // Fig 4's abort arms — forged EphID, bad MAC, expired, revoked — must be
+  // as allocation-free as the pass arm on both data paths: a drop reports
+  // a static error detail, never a heap string.
+  AllocFixture f;
+  auto br = f.make_router();
+
+  std::vector<wire::PacketBuf> bufs;
+  for (core::Hid hid = 1; hid <= 8; ++hid) {
+    core::EphId forged;
+    f.rng.fill(MutByteSpan(forged.bytes.data(), 16));
+    bufs.push_back(f.egress_packet(hid, forged));
+
+    wire::PacketBuf bad_mac = f.egress_packet(hid);
+    bad_mac.mutable_bytes().back() ^= 1;  // payload is MAC-covered
+    bufs.push_back(std::move(bad_mac));
+
+    bufs.push_back(
+        f.egress_packet(hid, f.as.codec.issue(hid, f.now - 1, f.rng)));
+
+    const core::EphId revoked = f.as.codec.issue(hid, f.now + 900, f.rng);
+    f.as.revoked.revoke_ephid(revoked, f.now + 900, hid);
+    bufs.push_back(f.egress_packet(hid, revoked));
+  }
+  std::vector<wire::PacketView> views;
+  for (const auto& b : bufs) views.push_back(b.view());
+
+  auto expect_every_arm = [](const BorderRouter::Stats& s) {
+    EXPECT_GT(s.drop_bad_ephid, 0u);
+    EXPECT_GT(s.drop_bad_mac, 0u);
+    EXPECT_GT(s.drop_expired, 0u);
+    EXPECT_GT(s.drop_revoked, 0u);
+    EXPECT_EQ(s.forwarded_out, 0u);
+  };
+
+  constexpr int kRounds = 50;
+  for (const std::size_t cache_entries : {std::size_t{0}, std::size_t{4096}}) {
+    ForwardingPool::Config cfg;
+    cfg.threads = 1;
+    cfg.flow_cache_entries = cache_entries;
+    ForwardingPool pool(*br, cfg);
+    for (int i = 0; i < 4; ++i) pool.process_outgoing(views, f.now);
+
+    const std::uint64_t allocs0 = util::heap_alloc_count();
+    for (int i = 0; i < kRounds; ++i) pool.process_outgoing(views, f.now);
+    EXPECT_EQ(util::heap_alloc_count() - allocs0, 0u)
+        << "1-thread pool, flow cache entries " << cache_entries;
+    expect_every_arm(pool.stats());
+  }
+
+  // The simulator path: on_outgoing() runs check_outgoing, whose Result
+  // carries the drop reason.
+  auto run_simulator = [&] {
+    for (const auto& v : views) br->on_outgoing(wire::PacketBuf::copy_of(v));
+  };
+  for (int i = 0; i < 4; ++i) run_simulator();
+  const std::uint64_t allocs0 = util::heap_alloc_count();
+  for (int i = 0; i < kRounds; ++i) run_simulator();
+  EXPECT_EQ(util::heap_alloc_count() - allocs0, 0u) << "on_outgoing";
+  expect_every_arm(br->stats());
 }
 
 }  // namespace

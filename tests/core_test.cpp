@@ -16,10 +16,13 @@
 #include "core/revocation.h"
 #include "core/session.h"
 #include "crypto/ed25519.h"
+#include "msg_bytes.h"
 #include "util/hex.h"
 
 namespace apna::core {
 namespace {
+
+using test::encoded;
 
 crypto::ChaChaRng& test_rng() {
   static crypto::ChaChaRng rng(777);
@@ -166,21 +169,21 @@ TEST(Cert, AnyFieldTamperInvalidatesSignature) {
   tamper([](EphIdCertificate& c) { c.flags ^= kCertReceiveOnly; });
 }
 
-TEST(Cert, SerializeParseRoundtrip) {
+TEST(Cert, EncodeDecodeRoundtrip) {
   CertFixture f;
   const auto cert = f.make(123456, kCertReceiveOnly);
-  auto parsed = EphIdCertificate::parse(cert.serialize());
+  auto parsed = decode_msg<EphIdCertificate>(encoded(cert));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, cert);
   EXPECT_TRUE(parsed->receive_only());
   EXPECT_TRUE(parsed->verify(f.as_key.pub, 1).ok());
 }
 
-TEST(Cert, ParseRejectsTruncation) {
+TEST(Cert, DecodeRejectsTruncation) {
   CertFixture f;
-  const Bytes wire = f.make(1).serialize();
+  const Bytes wire = encoded(f.make(1));
   for (std::size_t len = 0; len < wire.size(); len += 13)
-    EXPECT_FALSE(EphIdCertificate::parse(ByteSpan(wire.data(), len)).ok());
+    EXPECT_FALSE(decode_msg<EphIdCertificate>(ByteSpan(wire.data(), len)).ok());
 }
 
 // ---- Host DB / revocation --------------------------------------------------------
@@ -658,7 +661,7 @@ TEST(Messages, EphIdRequestRoundtrip) {
   req.flags = kRequestReceiveOnly;
   req.lifetime = EphIdLifetime::medium_term;
   req.pop_sig = kp.sign(req.pop_tbs());
-  auto parsed = EphIdRequest::parse(req.serialize());
+  auto parsed = decode_msg<EphIdRequest>(encoded(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ephid_pub, req.ephid_pub);
   EXPECT_EQ(parsed->flags, req.flags);
@@ -675,7 +678,7 @@ TEST(Messages, BootstrapRequestRoundtrip) {
   req.subscriber_id = 1234;
   req.credential = rng.bytes(20);
   req.host_pub = crypto::X25519KeyPair::generate(rng).pub;
-  auto parsed = BootstrapRequest::parse(req.serialize());
+  auto parsed = decode_msg<BootstrapRequest>(encoded(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->subscriber_id, 1234u);
   EXPECT_EQ(hex_encode(parsed->credential), hex_encode(req.credential));
@@ -687,7 +690,7 @@ TEST(Messages, ShutoffRequestRoundtrip) {
   req.offending_packet = f.rng.bytes(80);
   f.rng.fill(MutByteSpan(req.sig.data(), 64));
   req.dst_cert = f.make(500);
-  auto parsed = ShutoffRequest::parse(req.serialize());
+  auto parsed = decode_msg<ShutoffRequest>(encoded(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(hex_encode(parsed->offending_packet),
             hex_encode(req.offending_packet));
@@ -701,21 +704,26 @@ TEST(Messages, DnsRecordSignedRoundtrip) {
   rec.name = "shop.example";
   rec.cert = f.make(500, kCertReceiveOnly);
   rec.ipv4 = 0x0a000042;
-  rec.sig = dns_key.sign(rec.tbs());
+  auto tbs = [](const DnsRecord& r) {
+    wire::MsgWriter w;
+    r.tbs_into(w);
+    return w.take();
+  };
+  rec.sig = dns_key.sign(tbs(rec));
 
   DnsResponse resp;
   resp.status = 0;
   resp.record = rec;
-  auto parsed = DnsResponse::parse(resp.serialize());
+  auto parsed = decode_msg<DnsResponse>(encoded(resp));
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed->record.has_value());
   EXPECT_EQ(parsed->record->name, "shop.example");
-  EXPECT_TRUE(crypto::ed25519_verify(dns_key.pub, parsed->record->tbs(),
+  EXPECT_TRUE(crypto::ed25519_verify(dns_key.pub, tbs(*parsed->record),
                                      parsed->record->sig));
   // Tampered name invalidates the DNSSEC-style signature.
   auto bad = *parsed->record;
   bad.name = "evil.example";
-  EXPECT_FALSE(crypto::ed25519_verify(dns_key.pub, bad.tbs(), bad.sig));
+  EXPECT_FALSE(crypto::ed25519_verify(dns_key.pub, tbs(bad), bad.sig));
 }
 
 TEST(Messages, IcmpRoundtripAndBadTypeRejected) {
@@ -723,14 +731,14 @@ TEST(Messages, IcmpRoundtripAndBadTypeRejected) {
   m.type = IcmpType::packet_too_big;
   m.code = 1280;
   m.data = to_bytes("hdr");
-  auto parsed = IcmpMessage::parse(m.serialize());
+  auto parsed = decode_msg<IcmpMessage>(encoded(m));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->type, IcmpType::packet_too_big);
   EXPECT_EQ(parsed->code, 1280u);
 
-  Bytes bad = m.serialize();
+  Bytes bad = encoded(m);
   bad[0] = 0x66;
-  EXPECT_FALSE(IcmpMessage::parse(bad).ok());
+  EXPECT_FALSE(decode_msg<IcmpMessage>(bad).ok());
 }
 
 TEST(Messages, HandshakeInitRoundtrip) {
@@ -738,13 +746,29 @@ TEST(Messages, HandshakeInitRoundtrip) {
   HandshakeInit init;
   init.client_cert = f.make(100);
   init.client_nonce = 0x1234;
-  init.suite = crypto::AeadSuite::aes128_gcm;
+  init.suite = crypto::AeadSuite::aes128_ctr_cmac;
   init.early_data = f.rng.bytes(32);
-  auto parsed = HandshakeInit::parse(init.serialize());
+  Bytes wire = encoded(init);
+  auto parsed = decode_msg<HandshakeInit>(wire);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->client_cert, init.client_cert);
-  EXPECT_EQ(parsed->suite, crypto::AeadSuite::aes128_gcm);
+  EXPECT_EQ(parsed->suite, crypto::AeadSuite::aes128_ctr_cmac);
   EXPECT_EQ(hex_encode(parsed->early_data), hex_encode(init.early_data));
+
+  // The retired suite value 2 (AES-128-GCM) is malformed in both handshake
+  // messages. The suite byte follows the certificate and the 8-byte nonce.
+  const std::size_t suite_at = wire.size() - 2 - init.early_data.size() - 1;
+  ASSERT_EQ(wire[suite_at], 3);
+  wire[suite_at] = 2;
+  EXPECT_EQ(decode_msg<HandshakeInit>(wire).code(), Errc::malformed);
+
+  HandshakeResponse resp;
+  resp.serving_cert = f.make(100);
+  resp.server_nonce = 0x5678;
+  Bytes resp_wire = encoded(resp);
+  ASSERT_TRUE(decode_msg<HandshakeResponse>(resp_wire).ok());
+  resp_wire.back() = 2;  // the suite is the last byte
+  EXPECT_EQ(decode_msg<HandshakeResponse>(resp_wire).code(), Errc::malformed);
 }
 
 // ---- EphID key pairs -----------------------------------------------------------------------

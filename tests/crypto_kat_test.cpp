@@ -5,12 +5,11 @@
 //   HMAC-SHA256       — RFC 4231 test cases 1-4, 6, 7
 //   ChaCha20/Poly1305 — RFC 8439 §2.3.2, §2.4.2, §2.5.2, §2.8.2
 //   AES-128           — FIPS 197 Appendix B / C.1 (both backends)
-//   AES-128-GCM       — NIST GCM spec (McGrew-Viega) test cases 1-4
 //   X25519            — RFC 7748 §5.2 and §6.1
 //   Ed25519           — RFC 8032 §7.1 tests 1-3
 //
-// These pin the implementations so backend swaps (e.g. AES-NI vs soft, future
-// vectorized GHASH) can be validated against the exact same answers.
+// These pin the implementations so backend swaps (e.g. AES-NI vs soft) can
+// be validated against the exact same answers.
 
 #include <array>
 #include <cstdint>
@@ -22,7 +21,6 @@
 #include "crypto/chacha20.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
-#include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/sha2.h"
 #include "crypto/x25519.h"
@@ -267,55 +265,6 @@ TEST(Aes128Kat, BackendsAgreeOnBulkBlocks) {
     Bytes c(in.size());
     forced.encrypt_blocks(in.data(), c.data(), in.size() / 16);
     EXPECT_EQ(a, c) << "tier " << forced.backend();
-  }
-}
-
-// ------------------------------------------------------------ AES-128-GCM --
-
-TEST(AesGcmKat, NistTestCases) {
-  struct {
-    const char* key;
-    const char* iv;
-    const char* pt;
-    const char* aad;
-    const char* ct_and_tag;
-  } vecs[] = {
-      // GCM spec test case 1
-      {"00000000000000000000000000000000", "000000000000000000000000", "", "",
-       "58e2fccefa7e3061367f1d57a4e7455a"},
-      // Test case 2
-      {"00000000000000000000000000000000", "000000000000000000000000",
-       "00000000000000000000000000000000", "",
-       "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"},
-      // Test case 3
-      {"feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
-       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
-       "",
-       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
-       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
-       "4d5c2af327cd64a62cf35abd2ba6fab4"},
-      // Test case 4 (with AAD, partial final block)
-      {"feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
-       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-       "feedfacedeadbeeffeedfacedeadbeefabaddad2",
-       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
-       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
-       "5bc94fbc3221a5db94fae95ae7121a47"},
-  };
-  int i = 1;
-  for (const auto& v : vecs) {
-    apna::crypto::AesGcm gcm(must_hex(v.key));
-    const Bytes iv = must_hex(v.iv);
-    const Bytes pt = must_hex(v.pt);
-    const Bytes aad = must_hex(v.aad);
-    const Bytes sealed = gcm.seal(iv, aad, pt);
-    EXPECT_EQ(hex_encode(sealed), v.ct_and_tag) << "GCM test case " << i;
-    auto opened = gcm.open(iv, aad, sealed);
-    ASSERT_TRUE(opened.has_value()) << "GCM test case " << i;
-    EXPECT_EQ(*opened, pt) << "GCM test case " << i;
-    ++i;
   }
 }
 

@@ -9,7 +9,6 @@
 #include "crypto/chacha20.h"
 #include "crypto/ed25519.h"
 #include "crypto/fe25519.h"
-#include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/modes.h"
 #include "crypto/rng.h"
@@ -199,19 +198,15 @@ TEST(AeadProperty, SuitesAreMutuallyIncompatible) {
   const Bytes nonce = rng.bytes(12);
   const Bytes pt = rng.bytes(64);
   auto chacha = Aead::create(AeadSuite::chacha20_poly1305, key);
-  auto gcm = Aead::create(AeadSuite::aes128_gcm, key);
   auto etm = Aead::create(AeadSuite::aes128_ctr_cmac, key);
-  const Bytes sealed = chacha->seal(nonce, {}, pt);
-  EXPECT_FALSE(gcm->open(nonce, {}, sealed).has_value());
-  EXPECT_FALSE(etm->open(nonce, {}, sealed).has_value());
-  const Bytes sealed_gcm = gcm->seal(nonce, {}, pt);
-  EXPECT_FALSE(etm->open(nonce, {}, sealed_gcm).has_value());
+  EXPECT_FALSE(etm->open(nonce, {}, chacha->seal(nonce, {}, pt)).has_value());
+  EXPECT_FALSE(chacha->open(nonce, {}, etm->seal(nonce, {}, pt)).has_value());
 }
 
 TEST(AeadProperty, AadOnlyMessages) {
   ChaChaRng rng(4);
-  for (auto suite : {AeadSuite::chacha20_poly1305, AeadSuite::aes128_gcm,
-                     AeadSuite::aes128_ctr_cmac}) {
+  for (auto suite :
+       {AeadSuite::chacha20_poly1305, AeadSuite::aes128_ctr_cmac}) {
     auto aead = Aead::create(suite, rng.bytes(32));
     const Bytes nonce = rng.bytes(12);
     const Bytes aad = rng.bytes(100);
@@ -377,26 +372,6 @@ TEST(ChaChaProperty, BlocksAreIndependentByCounter) {
     EXPECT_EQ(ct[i], pt[i] ^ b0[i]);
   for (std::size_t i = 64; i < 128; ++i)
     EXPECT_EQ(ct[i], pt[i] ^ b1[i - 64]);
-}
-
-// ---- GCM vs CTR consistency ----------------------------------------------------------
-
-TEST(GcmProperty, CiphertextPrefixMatchesCtrAtCounter2) {
-  // GCM encrypts with CTR starting at counter 2 under J0 = nonce ‖ 1.
-  ChaChaRng rng(13);
-  const Bytes key = rng.bytes(16);
-  const Bytes nonce = rng.bytes(12);
-  const Bytes pt = rng.bytes(40);
-  AesGcm gcm(key);
-  const Bytes sealed = gcm.seal(nonce, {}, pt);
-
-  Aes128 aes(key);
-  std::uint8_t ctr[16];
-  std::memcpy(ctr, nonce.data(), 12);
-  store_be32(ctr + 12, 2);
-  const Bytes expect_ct = aes_ctr(aes, ctr, pt);
-  EXPECT_EQ(hex_encode(ByteSpan(sealed.data(), pt.size())),
-            hex_encode(expect_ct));
 }
 
 // ---- Backend-tier equivalence -----------------------------------------------------

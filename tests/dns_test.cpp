@@ -1,5 +1,6 @@
-// DNS subsystem tests (§VII-A): wire codec (boundary names, frame pinning,
-// per-byte truncation), domain trie (exact/parent/sibling/override), the
+// DNS subsystem tests (§VII-A): wire codec (boundary names, record/rcode
+// agreement, per-byte truncation; the frame bytes are pinned by
+// codec_golden_test), domain trie (exact/parent/sibling/override), the
 // sharded TTL/negative cache (epoch invalidation, LRU, negative bounds),
 // the resolver (cached ≡ uncached across zone updates, upstream
 // timeout/backoff), the zone store and the DnsService front (migrated from
@@ -99,48 +100,12 @@ core::DnsRecord make_record(const std::string& name, std::uint32_t ipv4) {
   return rec;
 }
 
-TEST(DnsWire, QueryFramePinnedAndRoundtrips) {
-  QueryFrame q;
-  q.id = 0xbeef;
-  q.name = "shop.example";
-
-  auto ref = q.serialize();
-  ASSERT_TRUE(ref.ok());
-  wire::MsgWriter w(64);
-  ASSERT_TRUE(q.encode(w).ok());
-  // Hot-path codec is byte-identical to the reference codec.
-  ASSERT_EQ(w.span().size(), ref->size());
-  EXPECT_TRUE(std::equal(ref->begin(), ref->end(), w.span().begin()));
-
-  auto back = QueryFrame::parse(ByteSpan(ref->data(), ref->size()));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->id, q.id);
-  EXPECT_EQ(back->name, q.name);
-}
-
-TEST(DnsWire, ResponseFramePinnedAndRoundtrips) {
-  ResponseFrame resp;
-  resp.id = 7;
-  resp.rcode = Rcode::ok;
-  resp.ttl = 300;
-  resp.name = "shop.example";
-  resp.record = make_record("shop.example", 0x0a00002a);
-
-  auto ref = resp.serialize();
-  ASSERT_TRUE(ref.ok());
-  wire::MsgWriter w(600);
-  ASSERT_TRUE(resp.encode(w).ok());
-  ASSERT_EQ(w.span().size(), ref->size());
-  EXPECT_TRUE(std::equal(ref->begin(), ref->end(), w.span().begin()));
-
-  auto back = ResponseFrame::parse(ByteSpan(ref->data(), ref->size()));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->id, resp.id);
-  EXPECT_EQ(back->rcode, Rcode::ok);
-  EXPECT_EQ(back->ttl, 300u);
-  ASSERT_TRUE(back->record.has_value());
-  EXPECT_EQ(back->record->name, "shop.example");
-  EXPECT_EQ(back->record->ipv4, 0x0a00002au);
+/// A frame encoded through its one codec (the encoder must accept it).
+template <class F>
+Bytes frame_bytes(const F& frame) {
+  wire::MsgWriter w;
+  EXPECT_TRUE(frame.encode(w).ok());
+  return w.take();
 }
 
 TEST(DnsWire, RecordPresentIffOk) {
@@ -149,35 +114,32 @@ TEST(DnsWire, RecordPresentIffOk) {
   nx.rcode = Rcode::nxdomain;
   nx.ttl = 30;
   nx.name = "missing.example";
-  auto bytes = nx.serialize();
-  ASSERT_TRUE(bytes.ok());
-  auto back = ResponseFrame::parse(ByteSpan(bytes->data(), bytes->size()));
+  auto back = core::decode_msg<ResponseFrame>(frame_bytes(nx));
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back->record.has_value());
 
-  // rcode==ok without a record must not serialize.
+  // rcode==ok without a record must not encode.
+  wire::MsgWriter w;
   ResponseFrame broken;
   broken.rcode = Rcode::ok;
   broken.name = "x.example";
-  EXPECT_FALSE(broken.serialize().ok());
+  EXPECT_FALSE(broken.encode(w).ok());
   // ... and nxdomain WITH a record must not either.
   nx.record = make_record("missing.example", 1);
-  EXPECT_FALSE(nx.serialize().ok());
+  EXPECT_FALSE(nx.encode(w).ok());
 }
 
 TEST(DnsWire, PerByteTruncationRejected) {
   QueryFrame q;
   q.id = 321;
   q.name = "a.bb.ccc.dddd.example";
-  auto qb = q.serialize();
-  ASSERT_TRUE(qb.ok());
-  for (std::size_t len = 0; len < qb->size(); ++len)
-    EXPECT_FALSE(QueryFrame::parse(ByteSpan(qb->data(), len)).ok())
+  const Bytes qb = frame_bytes(q);
+  for (std::size_t len = 0; len < qb.size(); ++len)
+    EXPECT_FALSE(core::decode_msg<QueryFrame>(ByteSpan(qb.data(), len)).ok())
         << "query prefix " << len;
-  Bytes extended = *qb;
+  Bytes extended = qb;
   extended.push_back(0);  // trailing byte: whole-buffer strictness
-  EXPECT_FALSE(
-      QueryFrame::parse(ByteSpan(extended.data(), extended.size())).ok());
+  EXPECT_FALSE(core::decode_msg<QueryFrame>(extended).ok());
 
   ResponseFrame resp;
   resp.id = 99;
@@ -185,14 +147,13 @@ TEST(DnsWire, PerByteTruncationRejected) {
   resp.ttl = 60;
   resp.name = "shop.example";
   resp.record = make_record("shop.example", 42);
-  auto rb = resp.serialize();
-  ASSERT_TRUE(rb.ok());
-  for (std::size_t len = 0; len < rb->size(); ++len)
-    EXPECT_FALSE(ResponseFrame::parse(ByteSpan(rb->data(), len)).ok())
+  const Bytes rb = frame_bytes(resp);
+  for (std::size_t len = 0; len < rb.size(); ++len)
+    EXPECT_FALSE(core::decode_msg<ResponseFrame>(ByteSpan(rb.data(), len)).ok())
         << "response prefix " << len;
-  Bytes rext = *rb;
+  Bytes rext = rb;
   rext.push_back(7);
-  EXPECT_FALSE(ResponseFrame::parse(ByteSpan(rext.data(), rext.size())).ok());
+  EXPECT_FALSE(core::decode_msg<ResponseFrame>(rext).ok());
 }
 
 // ---- domain trie -------------------------------------------------------------
@@ -580,7 +541,7 @@ TEST(Resolver, MismatchedUpstreamAnswerNeverFillsCache) {
   // Capture the outgoing query so we can forge answers against its id.
   std::optional<QueryFrame> seen;
   f.client.set_upstream([&](Bytes frame) {
-    auto q = QueryFrame::parse(ByteSpan(frame.data(), frame.size()));
+    auto q = core::decode_msg<QueryFrame>(frame);
     if (q && !seen) seen = *q;
   });
   std::vector<Resolver::Answer> got;
@@ -595,9 +556,7 @@ TEST(Resolver, MismatchedUpstreamAnswerNeverFillsCache) {
   forged.ttl = 300;
   forged.name = "attacker.example";
   forged.record = make_record("attacker.example", 666);
-  auto fb = forged.serialize();
-  ASSERT_TRUE(fb.ok());
-  f.client.on_upstream_frame(ByteSpan(fb->data(), fb->size()));
+  f.client.on_upstream_frame(frame_bytes(forged));
   EXPECT_TRUE(got.empty());  // pending query unaffected
   EXPECT_EQ(f.client.stats().upstream_mismatched, 1u);
   EXPECT_EQ(f.client.cache().size(), 0u);
@@ -672,7 +631,9 @@ TEST(DnsService, PublishResolveRoundtrip) {
   EXPECT_EQ(resp->record->cert, f.host_cert);
   EXPECT_EQ(resp->record->ipv4, 0x0a00002au);
   // Record carries a valid DNSSEC-style signature.
-  EXPECT_TRUE(crypto::ed25519_verify(f.dns.record_key(), resp->record->tbs(),
+  wire::MsgWriter tbs;
+  resp->record->tbs_into(tbs);
+  EXPECT_TRUE(crypto::ed25519_verify(f.dns.record_key(), tbs.span(),
                                      resp->record->sig));
 
   // Cached answer (second resolve) is identical — ed25519 re-signing is

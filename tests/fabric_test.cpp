@@ -80,7 +80,7 @@ TEST(Fabric, AaRejectsUnknownShutoffKind) {
   wire::Reader r(resp->view().payload());
   EXPECT_EQ(r.u8().value(),
             static_cast<std::uint8_t>(core::ShutoffKind::response));
-  auto status = core::ShutoffResponse::parse(r.rest());
+  auto status = core::decode_msg<core::ShutoffResponse>(r.rest());
   ASSERT_TRUE(status.ok());
   EXPECT_NE(status->status, 0);
   EXPECT_EQ(w.as_a->aa().stats().rejected_malformed, 1u);

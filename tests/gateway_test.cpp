@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apna/internet.h"
+#include "crypto/x25519.h"
 #include "gateway/apnaas.h"
 #include "gateway/bridge_ap.h"
 #include "gateway/ipv4_gateway.h"
@@ -145,6 +146,60 @@ TEST(NatAp, SpoofingInnerHostDropped) {
   w.net.run();
   EXPECT_EQ(ap.stats().drop_unknown_ephid, 1u);
   (void)evil;
+}
+
+TEST(NatAp, InnerRequestWithTrailingByteDropped) {
+  // The AP's MS proxy decodes inner EphID requests as strictly as the real
+  // Management Service: a sealed request whose plaintext carries one
+  // trailing byte is dropped — nothing goes upstream, no reply comes back.
+  GwWorld w;
+  NatAccessPoint ap({.name = "ap"}, *w.as_a, w.net.directory());
+  host::Host& inner = ap.add_inner_host("laptop");
+  ASSERT_TRUE(inner.bootstrapped());
+
+  // One genuine request, captured on the inner wire, supplies the
+  // addressing (control EphID → inner MS) and a valid plaintext.
+  std::optional<wire::PacketBuf> genuine;
+  inner.set_uplink([&](wire::PacketBuf pkt) { genuine = std::move(pkt); });
+  inner.request_ephid(core::EphIdLifetime::short_term, 0, [](auto) {});
+  ASSERT_TRUE(genuine.has_value());
+  const wire::PacketView& g = genuine->view();
+
+  // The inner host's kHA: its long-term key is the first draw of its
+  // name-seeded RNG, exchanged with the private realm's published DH key.
+  crypto::ChaChaRng host_rng(to_bytes("laptop"));
+  const auto long_term = crypto::X25519KeyPair::generate(host_rng);
+  const auto realm = w.net.directory().lookup(inner.aid());
+  ASSERT_TRUE(realm.has_value());
+  const auto kha = core::HostAsKeys::derive(
+      crypto::x25519_shared(long_term.priv, realm->dh_pub));
+  auto request = core::open_control(kha, /*from_host=*/true, g.payload());
+  ASSERT_TRUE(request.ok());
+
+  std::uint64_t counter = 1000;
+  auto inject = [&](ByteSpan plaintext) {
+    wire::PacketWriter pw(g.src_aid(), g.src_ephid(), g.dst_aid(),
+                          g.dst_ephid(), wire::NextProto::control);
+    core::seal_control_into(pw, kha, counter++, /*from_host=*/true,
+                            plaintext);
+    ap.inject_inner(pw.finish());
+    w.net.run();
+  };
+
+  const auto upstream_before = ap.ap_host().stats().packets_sent;
+  const auto replies_before = inner.stats().packets_received;
+  Bytes trailing = *request;
+  trailing.push_back(0x00);
+  inject(trailing);
+  EXPECT_EQ(ap.stats().proxied_ephids, 0u);
+  EXPECT_EQ(ap.ap_host().stats().packets_sent, upstream_before);
+  EXPECT_EQ(inner.stats().packets_received, replies_before);
+
+  // The same request without the extra byte is proxied and answered.
+  inject(*request);
+  EXPECT_EQ(ap.stats().proxied_ephids, 1u);
+  EXPECT_GT(ap.ap_host().stats().packets_sent, upstream_before);
+  EXPECT_GT(inner.stats().packets_received, replies_before);
 }
 
 TEST(NatAp, BurstUplinkMatchesScalarVerdicts) {

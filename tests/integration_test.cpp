@@ -470,11 +470,12 @@ TEST(Integration, PacketsAreEncryptedOnTheWire) {
 }
 
 TEST(Integration, AeadSuitesInteroperateAcrossHosts) {
-  // Suite negotiation: a GCM client talks to any server.
+  // Suite negotiation: a non-default (Encrypt-then-MAC) client talks to a
+  // server on the default suite.
   World w;
   host::Host& alice =
       w.as_a->add_host("alice", host::Granularity::per_flow,
-                       crypto::AeadSuite::aes128_gcm);
+                       crypto::AeadSuite::aes128_ctr_cmac);
   host::Host& bob = w.as_b->add_host("bob");
   ASSERT_TRUE(provision_ephids(alice, w.net.loop(), 1).ok());
   ASSERT_TRUE(provision_ephids(bob, w.net.loop(), 1).ok());
@@ -483,9 +484,9 @@ TEST(Integration, AeadSuitesInteroperateAcrossHosts) {
   auto sid = alice.connect(bob.pool().entries().front()->cert, {},
                            [](Result<std::uint64_t>) {});
   ASSERT_TRUE(sid.ok());
-  (void)alice.send_data(*sid, to_bytes("gcm works"));
+  (void)alice.send_data(*sid, to_bytes("etm works"));
   w.net.run();
-  EXPECT_EQ(got, "gcm works");
+  EXPECT_EQ(got, "etm works");
 }
 
 }  // namespace

@@ -75,7 +75,6 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   std::string s;
   switch (suite) {
     case crypto::AeadSuite::chacha20_poly1305: s = "ChaCha"; break;
-    case crypto::AeadSuite::aes128_gcm: s = "Gcm"; break;
     case crypto::AeadSuite::aes128_ctr_cmac: s = "EtM"; break;
   }
   switch (g) {
@@ -91,7 +90,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombos, StackMatrix,
     ::testing::Combine(
         ::testing::Values(crypto::AeadSuite::chacha20_poly1305,
-                          crypto::AeadSuite::aes128_gcm,
                           crypto::AeadSuite::aes128_ctr_cmac),
         ::testing::Values(host::Granularity::per_host,
                           host::Granularity::per_application,

@@ -1,12 +1,15 @@
 // Parser robustness: every wire format must reject truncations and survive
 // arbitrary byte corruption without crashing (malformed input is attacker
 // controlled — §II adversaries inject arbitrary control and data messages).
+// Control messages go through core::decode_msg<M>, the strict decoder that
+// packet payloads, journal replay and snapshot loads all use.
 #include <gtest/gtest.h>
 
 #include <functional>
 
 #include "core/messages.h"
 #include "crypto/rng.h"
+#include "msg_bytes.h"
 #include "wire/apna_header.h"
 #include "wire/ipv4.h"
 
@@ -37,6 +40,13 @@ struct Format {
   std::function<bool(ByteSpan)> parses;  // returns ok-ness, must not crash
 };
 
+/// A control message under test: its one encoder, and decode_msg<M>.
+template <class M>
+Format control(const char* name, std::function<M()> make) {
+  return {name, [make] { return test::encoded(make()); },
+          [](ByteSpan d) { return core::decode_msg<M>(d).ok(); }};
+}
+
 std::vector<Format> formats() {
   std::vector<Format> out;
   out.push_back({"Packet",
@@ -50,130 +60,102 @@ std::vector<Format> formats() {
                    return p.serialize();
                  },
                  [](ByteSpan d) { return wire::Packet::parse(d).ok(); }});
-  out.push_back({"Certificate", [] { return sample_cert().serialize(); },
-                 [](ByteSpan d) {
-                   return core::EphIdCertificate::parse(d).ok();
-                 }});
-  out.push_back({"BootstrapRequest",
-                 [] {
-                   core::BootstrapRequest m;
-                   m.subscriber_id = 1;
-                   m.credential = rng().bytes(10);
-                   m.host_pub = crypto::X25519KeyPair::generate(rng()).pub;
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::BootstrapRequest::parse(d).ok();
-                 }});
-  out.push_back({"BootstrapResponse",
-                 [] {
-                   core::BootstrapResponse m;
-                   m.hid = 7;
-                   rng().fill(MutByteSpan(m.ctrl_ephid.bytes.data(), 16));
-                   m.ctrl_exp_time = 99;
-                   rng().fill(MutByteSpan(m.id_info_sig.data(), 64));
-                   m.ms_cert = sample_cert();
-                   m.dns_cert = sample_cert();
-                   m.aid = 64512;
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::BootstrapResponse::parse(d).ok();
-                 }});
-  out.push_back({"EphIdRequest",
-                 [] {
-                   core::EphIdRequest m;
-                   m.ephid_pub = core::EphIdKeyPair::generate(rng()).pub;
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) { return core::EphIdRequest::parse(d).ok(); }});
-  out.push_back({"EphIdResponse",
-                 [] {
-                   core::EphIdResponse m;
-                   m.cert = sample_cert();
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::EphIdResponse::parse(d).ok();
-                 }});
-  out.push_back({"HandshakeInit",
-                 [] {
-                   core::HandshakeInit m;
-                   m.client_cert = sample_cert();
-                   m.client_nonce = 5;
-                   m.early_data = rng().bytes(20);
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::HandshakeInit::parse(d).ok();
-                 }});
-  out.push_back({"HandshakeResponse",
-                 [] {
-                   core::HandshakeResponse m;
-                   m.serving_cert = sample_cert();
-                   m.server_nonce = 6;
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::HandshakeResponse::parse(d).ok();
-                 }});
-  out.push_back({"DnsQuery",
-                 [] {
-                   core::DnsQuery q;
-                   q.name = "robustness.example";
-                   return q.serialize();
-                 },
-                 [](ByteSpan d) { return core::DnsQuery::parse(d).ok(); }});
-  out.push_back({"DnsResponse",
-                 [] {
-                   core::DnsResponse m;
-                   m.status = 0;
-                   core::DnsRecord rec;
-                   rec.name = "x.example";
-                   rec.cert = sample_cert();
-                   rng().fill(MutByteSpan(rec.sig.data(), 64));
-                   m.record = rec;
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) { return core::DnsResponse::parse(d).ok(); }});
-  out.push_back({"DnsPublish",
-                 [] {
-                   core::DnsPublish m;
-                   m.name = "pub.example";
-                   m.cert = sample_cert();
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) { return core::DnsPublish::parse(d).ok(); }});
-  out.push_back({"ShutoffRequest",
-                 [] {
-                   core::ShutoffRequest m;
-                   m.offending_packet = rng().bytes(80);
-                   rng().fill(MutByteSpan(m.sig.data(), 64));
-                   m.dst_cert = sample_cert();
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::ShutoffRequest::parse(d).ok();
-                 }});
-  out.push_back({"EphIdRevokeRequest",
-                 [] {
-                   core::EphIdRevokeRequest m;
-                   rng().fill(MutByteSpan(m.ephid.bytes.data(), 16));
-                   rng().fill(MutByteSpan(m.sig.data(), 64));
-                   m.cert = sample_cert();
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) {
-                   return core::EphIdRevokeRequest::parse(d).ok();
-                 }});
-  out.push_back({"IcmpMessage",
-                 [] {
-                   core::IcmpMessage m;
-                   m.type = core::IcmpType::echo_request;
-                   m.data = rng().bytes(24);
-                   return m.serialize();
-                 },
-                 [](ByteSpan d) { return core::IcmpMessage::parse(d).ok(); }});
+  out.push_back(control<core::EphIdCertificate>("Certificate", sample_cert));
+  out.push_back(control<core::BootstrapRequest>("BootstrapRequest", [] {
+    core::BootstrapRequest m;
+    m.subscriber_id = 1;
+    m.credential = rng().bytes(10);
+    m.host_pub = crypto::X25519KeyPair::generate(rng()).pub;
+    return m;
+  }));
+  out.push_back(control<core::BootstrapResponse>("BootstrapResponse", [] {
+    core::BootstrapResponse m;
+    m.hid = 7;
+    rng().fill(MutByteSpan(m.ctrl_ephid.bytes.data(), 16));
+    m.ctrl_exp_time = 99;
+    rng().fill(MutByteSpan(m.id_info_sig.data(), 64));
+    m.ms_cert = sample_cert();
+    m.dns_cert = sample_cert();
+    m.aid = 64512;
+    return m;
+  }));
+  out.push_back(control<core::EphIdRequest>("EphIdRequest", [] {
+    core::EphIdRequest m;
+    m.ephid_pub = core::EphIdKeyPair::generate(rng()).pub;
+    return m;
+  }));
+  out.push_back(control<core::EphIdResponse>("EphIdResponse", [] {
+    core::EphIdResponse m;
+    m.cert = sample_cert();
+    return m;
+  }));
+  out.push_back(control<core::HandshakeInit>("HandshakeInit", [] {
+    core::HandshakeInit m;
+    m.client_cert = sample_cert();
+    m.client_nonce = 5;
+    m.early_data = rng().bytes(20);
+    return m;
+  }));
+  out.push_back(control<core::HandshakeResponse>("HandshakeResponse", [] {
+    core::HandshakeResponse m;
+    m.serving_cert = sample_cert();
+    m.server_nonce = 6;
+    return m;
+  }));
+  out.push_back(control<core::DnsQuery>("DnsQuery", [] {
+    core::DnsQuery q;
+    q.name = "robustness.example";
+    return q;
+  }));
+  out.push_back(control<core::DnsResponse>("DnsResponse", [] {
+    core::DnsResponse m;
+    m.status = 0;
+    core::DnsRecord rec;
+    rec.name = "x.example";
+    rec.cert = sample_cert();
+    rng().fill(MutByteSpan(rec.sig.data(), 64));
+    m.record = rec;
+    return m;
+  }));
+  out.push_back(control<core::DnsRecord>("DnsRecord", [] {
+    core::DnsRecord m;
+    m.name = "rec.example";
+    m.cert = sample_cert();
+    m.ipv4 = 0x0a000001;
+    rng().fill(MutByteSpan(m.sig.data(), 64));
+    return m;
+  }));
+  out.push_back(control<core::DnsPublish>("DnsPublish", [] {
+    core::DnsPublish m;
+    m.name = "pub.example";
+    m.cert = sample_cert();
+    return m;
+  }));
+  out.push_back(control<core::ShutoffRequest>("ShutoffRequest", [] {
+    core::ShutoffRequest m;
+    m.offending_packet = rng().bytes(80);
+    rng().fill(MutByteSpan(m.sig.data(), 64));
+    m.dst_cert = sample_cert();
+    return m;
+  }));
+  out.push_back(control<core::EphIdRevokeRequest>("EphIdRevokeRequest", [] {
+    core::EphIdRevokeRequest m;
+    rng().fill(MutByteSpan(m.ephid.bytes.data(), 16));
+    rng().fill(MutByteSpan(m.sig.data(), 64));
+    m.cert = sample_cert();
+    return m;
+  }));
+  out.push_back(control<core::ShutoffResponse>("ShutoffResponse", [] {
+    core::ShutoffResponse m;
+    m.status = 3;
+    return m;
+  }));
+  out.push_back(control<core::IcmpMessage>("IcmpMessage", [] {
+    core::IcmpMessage m;
+    m.type = core::IcmpType::echo_request;
+    m.data = rng().bytes(24);
+    return m;
+  }));
   out.push_back({"Ipv4Packet",
                  [] {
                    wire::Ipv4Packet p;

@@ -403,9 +403,7 @@ TEST(ForwardingPool, MergedStatsMatchSingleThreadedReference) {
   const SealedBurst burst(mixed_egress_burst(f, 1));
 
   ForwardingPool::Config pool_cfg;
-  pool_cfg.threads = 4;
-  pool_cfg.steering = ForwardingPool::Steering::chunk;  // legacy dispatch
-  pool_cfg.chunk_packets = 8;  // force multi-chunk distribution
+  pool_cfg.threads = 4;  // flow-hash steering across 4 rings
   pool_cfg.kernel = ForwardingPool::Kernel::batched;
   ForwardingPool pool(*pooled_br, pool_cfg);
 
@@ -433,8 +431,8 @@ TEST(ForwardingPool, MergedStatsMatchSingleThreadedReference) {
 }
 
 /// An egress burst of `reps` repetitions of `flows.size()` valid flows,
-/// interleaved so every chunk_packets-sized window mixes distinct flows —
-/// the shape where chunk-claiming scatters one flow across workers.
+/// interleaved so neighbouring packets belong to distinct flows — the shape
+/// that scatters one flow across workers unless steering keeps it whole.
 SealedBurst repeated_flow_burst(ConcurrencyFixture& f,
                                 const std::vector<core::EphId>& flows,
                                 int reps) {
@@ -457,7 +455,6 @@ TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
 
   ForwardingPool::Config pool_cfg;
   pool_cfg.threads = 4;
-  pool_cfg.steering = ForwardingPool::Steering::flow_hash;  // the default
   ForwardingPool pool(*pooled_br, pool_cfg);
 
   BorderRouter::Stats ref_stats;
@@ -474,44 +471,10 @@ TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
 
   // The steering invariant: one flow → one worker, so no EphID is ever
   // cached by two processing contexts. This holds DETERMINISTICALLY —
-  // steer_worker is a pure hash — unlike chunk claiming below.
+  // steer_worker is a pure hash.
   const auto cache = pool.flow_cache_stats();
   EXPECT_GT(cache.hits, 0u);
   EXPECT_EQ(cache.cross_worker_duplicates, 0u);
-}
-
-TEST(ForwardingPool, ChunkClaimingDuplicatesHotFlowsAcrossWorkers) {
-  // The bug flow-hash steering fixes: dynamic chunk claiming hands one
-  // flow's packets to whichever workers grab its chunks, so the flow's
-  // verdict is re-verified and cached once per claiming worker. WHICH
-  // worker claims a chunk is scheduling-dependent, so this test loops
-  // until the duplication is observed and skips (rather than flakes) if
-  // the scheduler never lets a second worker claim — e.g. a single-core
-  // host where the calling thread drains every chunk itself.
-  ConcurrencyFixture f;
-  auto br = f.make_router();
-
-  std::vector<core::EphId> flows;
-  for (core::Hid hid = 1; hid <= 16; ++hid)
-    flows.push_back(f.as.codec.issue(hid, f.now + 900, f.rng));
-  const SealedBurst burst = repeated_flow_burst(f, flows, 16);
-
-  ForwardingPool::Config pool_cfg;
-  pool_cfg.threads = 4;
-  pool_cfg.steering = ForwardingPool::Steering::chunk;
-  pool_cfg.chunk_packets = 8;  // 32 chunks per burst, every flow in many
-  ForwardingPool pool(*br, pool_cfg);
-
-  std::uint64_t duplicates = 0;
-  for (int round = 0; round < 300 && duplicates == 0; ++round) {
-    pool.process_outgoing(burst.views, f.now);
-    duplicates = pool.flow_cache_stats().cross_worker_duplicates;
-  }
-  if (duplicates == 0)
-    GTEST_SKIP() << "scheduler never interleaved workers on this host "
-                    "(duplication needs two workers claiming chunks of one "
-                    "flow); the flow_hash twin asserts the zero side";
-  EXPECT_GT(duplicates, 0u);
 }
 
 TEST(ForwardingPool, IngressDeliversAndTransits) {
@@ -539,7 +502,6 @@ TEST(ForwardingPool, IngressDeliversAndTransits) {
 
   ForwardingPool::Config pool_cfg;
   pool_cfg.threads = 4;
-  pool_cfg.chunk_packets = 4;
   ForwardingPool pool(*br, pool_cfg);
   pool.process_ingress(burst.views, f.now);
 

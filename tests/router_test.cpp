@@ -195,7 +195,8 @@ TEST(BorderRouterOut, OversizedPacketGetsPacketTooBig) {
   // Feedback went back into the local AS toward the source host.
   ASSERT_EQ(internal.size(), 1u);
   EXPECT_EQ(internal[0].first, f.host_hid);
-  auto icmp = core::IcmpMessage::parse(internal[0].second.view().payload());
+  auto icmp =
+      core::decode_msg<core::IcmpMessage>(internal[0].second.view().payload());
   ASSERT_TRUE(icmp.ok());
   EXPECT_EQ(icmp->type, core::IcmpType::packet_too_big);
   EXPECT_EQ(icmp->code, 256u);

@@ -6,6 +6,7 @@
 
 #include "core/packet_auth.h"
 #include "crypto/x25519.h"
+#include "msg_bytes.h"
 #include "services/accountability_agent.h"
 #include "services/management_service.h"
 #include "services/registry_service.h"
@@ -144,7 +145,7 @@ Bytes make_request(AsFixture::ManualHost& h, crypto::Rng& rng,
   req.flags = flags;
   req.lifetime = lt;
   req.pop_sig = kp.sign(req.pop_tbs());
-  return core::seal_control(h.keys, nonce, true, req.serialize());
+  return core::seal_control(h.keys, nonce, true, test::encoded(req));
 }
 
 TEST(ManagementService, IssuesValidCertificate) {
@@ -159,7 +160,7 @@ TEST(ManagementService, IssuesValidCertificate) {
 
   auto opened = core::open_control(h->keys, false, *resp);
   ASSERT_TRUE(opened.ok());
-  auto parsed = core::EphIdResponse::parse(*opened);
+  auto parsed = core::decode_msg<core::EphIdResponse>(*opened);
   ASSERT_TRUE(parsed.ok());
   const auto& cert = parsed->cert;
   EXPECT_TRUE(cert.verify(f.as.secrets.sign.pub, f.loop.now_seconds()).ok());
@@ -189,7 +190,7 @@ TEST(ManagementService, LifetimeClassesHonored) {
     auto resp = f.ms.issue_sealed(h->ctrl, sealed, now, f.rng);
     ASSERT_TRUE(resp.ok());
     auto opened = core::open_control(h->keys, false, *resp);
-    auto parsed = core::EphIdResponse::parse(*opened);
+    auto parsed = core::decode_msg<core::EphIdResponse>(*opened);
     EXPECT_EQ(parsed->cert.exp_time, now + expect_s);
   }
 }
@@ -203,7 +204,7 @@ TEST(ManagementService, ReceiveOnlyFlagPropagates) {
   auto resp = f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng);
   ASSERT_TRUE(resp.ok());
   auto opened = core::open_control(h->keys, false, *resp);
-  auto parsed = core::EphIdResponse::parse(*opened);
+  auto parsed = core::decode_msg<core::EphIdResponse>(*opened);
   EXPECT_TRUE(parsed->cert.receive_only());
 }
 
@@ -222,7 +223,7 @@ TEST(ManagementService, BadProofOfPossessionRejected) {
   req.pop_sig = kp.sign(req.pop_tbs());
   req.pop_sig[3] ^= 0x10;  // corrupt the otherwise-valid signature
   const Bytes sealed =
-      core::seal_control(h->keys, 1, true, req.serialize());
+      core::seal_control(h->keys, 1, true, test::encoded(req));
   EXPECT_EQ(
       f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng).code(),
       Errc::bad_signature);
@@ -244,7 +245,7 @@ TEST(ManagementService, PopSignatureOverWrongKeyRejected) {
   req.lifetime = core::EphIdLifetime::short_term;
   req.pop_sig = thief.sign(req.pop_tbs());  // ...with the thief's signature
   const Bytes sealed =
-      core::seal_control(h->keys, 1, true, req.serialize());
+      core::seal_control(h->keys, 1, true, test::encoded(req));
   EXPECT_EQ(
       f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng).code(),
       Errc::bad_signature);
