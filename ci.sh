@@ -31,46 +31,40 @@ run_config() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
 }
 
+# Each leg's full ctest (in run_config) covers every label; no label is
+# re-run on its own. Why particular suites matter in particular legs:
+#   Release — `alloc`: the operator-new-hook test must see 0 heap
+#     allocations per forwarded packet in steady state, and optimized
+#     builds are where a copy/allocation regression shows. `bench`:
+#     smoke runs of the baseline-emitting benches (E1/E2/E7/E9) keep them
+#     from bit-rotting and hold their hard assertions (0 allocs/forwarded
+#     packet including the loopback UDP leg, the E1 allocs/request
+#     ceiling, cached-vs-uncached and cross-tier crypto equivalence).
+#     `net`: the transport conformance suite (both backends) and the
+#     two-process loopback demo; both skip where sockets are forbidden.
+#     `scenario`: the Internet-scale scripts in --smoke trim (10⁶-host
+#     memory gate, attack storms, multi-AS sweep, DNS NXDOMAIN storm — each
+#     re-runs itself to verify byte-identical JSON); Release only matters
+#     here because the 10⁶-host provisioning loop is what the gate
+#     measures. `dns`: wire codec, sharded TTL/negative cache, policy trie,
+#     upstream timeout/backoff. `persist`: journal framing under every
+#     truncation point and bit flip, snapshot checksums, fault-injected
+#     short writes/fsync failures, full snapshot+journal recovery.
+#   ASan/UBSan — `wire`: PacketView::bind and Packet::parse over
+#     truncations/mutations. `services`: the span codec's truncation
+#     properties and the pooled issuance path. `net`: recvfrom into pooled
+#     storage, the MSG_TRUNC arm, bind() over adversarial datagrams. `dns`:
+#     the name codec's truncation properties, the arena-backed cache and
+#     trie edge splits. `persist`: replay_journal over attacker-shaped
+#     bytes and the snapshot reader's self-described lengths. Each is where
+#     an out-of-bounds read would hide.
 run_config ci       -DCMAKE_BUILD_TYPE=Release -DAPNA_WERROR=ON
-# Zero-copy contract, explicitly in the Release leg: the operator-new-hook
-# test must see 0 heap allocations per forwarded packet in steady state
-# (optimized builds are where a copy/allocation regression actually shows).
-ctest --test-dir build-ci --output-on-failure -L alloc
-# Bench smoke, explicitly in the Release leg: tiny-iteration runs of the
-# baseline-emitting benches (E1/E2/E7/E9) so they cannot compile- or
-# bit-rot; their hard assertions (0 allocs/forwarded packet — including the
-# loopback UDP leg — the E1 allocs/request ceiling, cached-vs-uncached and
-# cross-tier crypto equivalence) run here too.
-ctest --test-dir build-ci --output-on-failure -L bench
 # Benchmark self-test, explicitly in the Release leg: the perfbench/
 # program links seal_control, open_control, decode_msg and
 # ForwardingPool::Config, so a library API change that breaks it fails CI
 # instead of the next benchmark run. Every workload runs for 1 s, untraced
 # and traced, and must keep its output checks and zero gates.
 python3 perfbench/selftest.py
-# Real-socket leg, explicitly in the Release leg: the transport conformance
-# suite (both backends) plus the two-process loopback demo ride the `net`
-# label; both skip cleanly where the environment forbids sockets. Bounded —
-# loopback traffic only, smoke-sized windows.
-ctest --test-dir build-ci --output-on-failure -L net
-# Scenario leg, explicitly in Release: the Internet-scale scripts in --smoke
-# trim (10⁶-host memory gate, attack storms, multi-AS sweep, DNS NXDOMAIN
-# storm — each re-runs itself to verify byte-identical JSON) plus the
-# scenario property tests. Release only: the 10⁶-host provisioning loop is
-# what the gate measures, and sanitizer legs would spend minutes proving
-# nothing new about it.
-ctest --test-dir build-ci --output-on-failure -L scenario
-# DNS resolver leg, explicitly in Release: the wire codec, sharded
-# TTL/negative cache, domain-policy trie and upstream timeout/backoff suites
-# (bench_smoke_e7 — the 50k-name bytes/name + negative-bound gates — rides
-# the bench label above).
-ctest --test-dir build-ci --output-on-failure -L dns
-# Durability leg, explicitly in Release: journal framing under every
-# truncation point and bit flip, snapshot self-checksums, fault-injected
-# short-write/fsync failures and full AsState snapshot+journal recovery
-# (the kill_recover scenario's bit-identical verdict gate rides the
-# scenario label above).
-ctest --test-dir build-ci --output-on-failure -L persist
 # Forced-soft crypto leg, explicitly in Release: re-run the KAT suite with
 # the backend capped to the portable C implementation. The wide SIMD tiers
 # are equivalence-tested against soft in-process; this run is the converse
@@ -80,27 +74,6 @@ APNA_CRYPTO_BACKEND=soft ctest --test-dir build-ci --output-on-failure \
   -R '^crypto_kat_test$'
 
 run_config sanitize -DCMAKE_BUILD_TYPE=Debug -DAPNA_SANITIZE=ON -DAPNA_WERROR=ON
-# Wire-image property suites, explicitly under ASan/UBSan: PacketView::bind
-# and Packet::parse over truncations/mutations are exactly the code where
-# an out-of-bounds read would hide.
-ctest --test-dir build-sanitize --output-on-failure -L wire
-# Control-plane service fabric, explicitly under ASan/UBSan: the span codec
-# (MsgWriter/MsgReader truncation properties) and the pooled issuance path
-# are where a control-message bounds bug would hide.
-ctest --test-dir build-sanitize --output-on-failure -L services
-# Real-socket RX under ASan/UBSan: recvfrom into pooled storage, the
-# MSG_TRUNC oversize arm, and bind() over adversarial datagrams are exactly
-# where a syscall-boundary bounds bug would hide.
-ctest --test-dir build-sanitize --output-on-failure -L net
-# DNS resolver under ASan/UBSan: the name codec's per-byte truncation
-# properties, the arena-backed cache (size-class slabs, backward-shift
-# deletion) and the trie edge splits are where a bounds bug would hide.
-ctest --test-dir build-sanitize --output-on-failure -L dns
-# Durability layer under ASan/UBSan: replay_journal walks attacker-shaped
-# bytes (every truncation point, every bit flip) and the snapshot reader
-# parses self-described lengths — exactly where an out-of-bounds read or a
-# torn-frame over-read would hide.
-ctest --test-dir build-sanitize --output-on-failure -L persist
 
 echo "=== [tsan] configure"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAPNA_TSAN=ON \

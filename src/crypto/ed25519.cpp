@@ -1,24 +1,27 @@
 // Ed25519 over twisted Edwards curve -x^2 + y^2 = 1 + d x^2 y^2.
 //
 // Point arithmetic uses extended coordinates (X:Y:Z:T with T = XY/Z);
-// formulas add-2008-hwcd-3 / dbl-2008-hwcd specialized to a = -1. Curve
-// constants (d, 2d, base point) are derived at startup from first
-// principles (d = -121665/121666, By = 4/5) instead of being transcribed,
-// and validated by the RFC 8032 known-answer tests.
+// formulas add-2008-hwcd-3 / dbl-2008-hwcd specialized to a = -1. Each
+// formula stops before its last four products (GeCompleted), so a caller
+// that does not need T — a doubling followed by another doubling — skips
+// one multiplication. Addends are stored pre-processed: variable-base
+// tables in cached form (Y+X, Y-X, 2Z, 2d·T; 8 multiplications per
+// addition) and the fixed-base table in affine Niels form (y+x, y-x,
+// 2d·xy; 7). Curve constants (d, 2d, base point) are derived at startup
+// from first principles (d = -121665/121666, By = 4/5) instead of being
+// transcribed, and validated by the RFC 8032 known-answer tests.
 #include "crypto/ed25519.h"
 
 #include <cstring>
 #include <vector>
 
 #include "crypto/fe25519.h"
+#include "crypto/sc25519.h"
 #include "crypto/sha2.h"
 
 namespace apna::crypto {
 
 namespace {
-
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
 
 // ---- Curve constants (computed once) ---------------------------------------
 
@@ -41,37 +44,96 @@ const CurveConstants& constants() {
 
 // ---- Group elements ---------------------------------------------------------
 
+/// Extended coordinates: x = X/Z, y = Y/Z, T = XY/Z.
 struct Ge {
   Fe x, y, z, t;
 };
 
+/// Projective coordinates (X:Y:Z) — all a doubling reads.
+struct GeP2 {
+  Fe x, y, z;
+};
+
+/// A formula's result before its final products: the point is
+/// (E·F : G·H : F·G : E·H) in extended coordinates.
+struct GeCompleted {
+  Fe e, f, g, h;
+};
+
+/// Variable-base table entry: Y+X, Y-X, 2Z, 2d·T.
+struct GeCached {
+  Fe y_plus_x, y_minus_x, z2, t2d;
+};
+
+/// Fixed-base table entry, affine (Z = 1): y+x, y-x, 2d·xy.
+struct GeNiels {
+  Fe y_plus_x, y_minus_x, xy2d;
+};
+
 Ge ge_identity() { return Ge{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
 
-Ge ge_add(const Ge& p, const Ge& q) {
-  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  const Fe c = fe_mul(fe_mul(p.t, constants().d2), q.t);
-  const Fe d = fe_add(fe_mul(p.z, q.z), fe_mul(p.z, q.z));
-  const Fe e = fe_sub(b, a);
-  const Fe f = fe_sub(d, c);
-  const Fe g = fe_add(d, c);
-  const Fe h = fe_add(b, a);
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+Ge to_ext(const GeCompleted& c) {
+  return Ge{fe_mul(c.e, c.f), fe_mul(c.g, c.h), fe_mul(c.f, c.g),
+            fe_mul(c.e, c.h)};
 }
 
-Ge ge_double(const Ge& p) {
+GeP2 to_p2(const GeCompleted& c) {
+  return GeP2{fe_mul(c.e, c.f), fe_mul(c.g, c.h), fe_mul(c.f, c.g)};
+}
+
+GeP2 to_p2(const Ge& p) { return GeP2{p.x, p.y, p.z}; }
+
+GeCached to_cached(const Ge& p) {
+  return GeCached{fe_add(p.y, p.x), fe_sub(p.y, p.x), fe_add(p.z, p.z),
+                  fe_mul(p.t, constants().d2)};
+}
+
+/// p + q: A = (Y1-X1)(Y2-X2), B = (Y1+X1)(Y2+X2), C = T1·2d·T2,
+/// D = Z1·2Z2; E = B-A, F = D-C, G = D+C, H = B+A.
+GeCompleted ge_add(const Ge& p, const GeCached& q) {
+  const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
+  const Fe c = fe_mul(p.t, q.t2d);
+  const Fe d = fe_mul(p.z, q.z2);
+  return GeCompleted{fe_sub(b, a), fe_sub(d, c), fe_add(d, c), fe_add(b, a)};
+}
+
+/// p + q for an affine q: as ge_add with Z2 = 1, so D = 2·Z1.
+GeCompleted ge_madd(const Ge& p, const GeNiels& q) {
+  const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
+  const Fe c = fe_mul(p.t, q.xy2d);
+  const Fe d = fe_add(p.z, p.z);
+  return GeCompleted{fe_sub(b, a), fe_sub(d, c), fe_add(d, c), fe_add(b, a)};
+}
+
+/// 2p: A = X², B = Y², C = 2Z², E = (X+Y)² - A - B, G = B - A, F = G - C,
+/// H = -A - B (a = -1: D = -A, G = D + B, H = D - B).
+GeCompleted ge_dbl(const GeP2& p) {
   const Fe a = fe_sq(p.x);
   const Fe b = fe_sq(p.y);
   const Fe zz = fe_sq(p.z);
   const Fe c = fe_add(zz, zz);
   const Fe e = fe_sub(fe_sub(fe_sq(fe_add(p.x, p.y)), a), b);
-  const Fe g = fe_sub(b, a);          // a=-1: G = D + B with D = -A
+  const Fe g = fe_sub(b, a);
   const Fe f = fe_sub(g, c);
-  const Fe h = fe_neg(fe_add(a, b));  // H = D - B
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+  const Fe h = fe_neg(fe_add(a, b));
+  return GeCompleted{e, f, g, h};
+}
+
+/// 16p: three doublings without T, then one that restores it for the
+/// addition that follows.
+Ge ge_dbl4(const Ge& p) {
+  GeP2 r = to_p2(p);
+  for (int i = 0; i < 3; ++i) r = to_p2(ge_dbl(r));
+  return to_ext(ge_dbl(r));
 }
 
 Ge ge_neg(const Ge& p) { return Ge{fe_neg(p.x), p.y, p.z, fe_neg(p.t)}; }
+
+bool ge_is_identity(const GeP2& p) {
+  return fe_iszero(p.x) && fe_equal(p.y, p.z);
+}
 
 void ge_tobytes(std::uint8_t out[32], const Ge& p) {
   const Fe zinv = fe_invert(p.z);
@@ -81,10 +143,16 @@ void ge_tobytes(std::uint8_t out[32], const Ge& p) {
   if (fe_isnegative(x)) out[31] ^= 0x80;
 }
 
-/// Decompresses a point; returns false for non-curve encodings.
+/// Decompresses a point per RFC 8032 §5.1.3; returns false for y >= p,
+/// off-curve encodings and -0. A point that decodes re-encodes to `in`.
 bool ge_frombytes(Ge& out, const std::uint8_t in[32]) {
   const bool sign = (in[31] & 0x80) != 0;
   const Fe y = fe_frombytes(in);
+  std::uint8_t y_canonical[32];
+  fe_tobytes(y_canonical, y);
+  y_canonical[31] |= in[31] & 0x80;
+  if (std::memcmp(y_canonical, in, 32) != 0) return false;  // y >= p
+
   const Fe y2 = fe_sq(y);
   const Fe u = fe_sub(y2, fe_one());                       // y^2 - 1
   const Fe v = fe_add(fe_mul(y2, constants().d), fe_one());  // d y^2 + 1
@@ -109,30 +177,44 @@ bool ge_frombytes(Ge& out, const std::uint8_t in[32]) {
   return true;
 }
 
+/// Decodes a public key: ge_frombytes, and additionally rejects the eight
+/// points of small order ([8]A = identity). Under such a key k·A vanishes
+/// whenever A's order divides k, so (R, S) = (encode(B), 1) verifies for
+/// any such message and the signature proves possession of nothing.
+bool decode_public_key(Ge& out, const std::uint8_t in[32]) {
+  if (!ge_frombytes(out, in)) return false;
+  GeP2 p = to_p2(out);
+  for (int i = 0; i < 3; ++i) p = to_p2(ge_dbl(p));
+  return !ge_is_identity(p);
+}
+
+std::uint8_t nibble_at(const std::uint8_t s[32], int pos) {
+  const std::uint8_t byte = s[pos / 2];
+  return (pos % 2 == 1) ? static_cast<std::uint8_t>(byte >> 4)
+                        : static_cast<std::uint8_t>(byte & 0xf);
+}
+
+/// table[j-1] = j·p for j in [1, 15].
+void build_cached_table(GeCached table[15], const Ge& p) {
+  table[0] = to_cached(p);
+  Ge multiple = p;
+  for (int i = 1; i < 15; ++i) {
+    multiple = to_ext(ge_add(multiple, table[0]));
+    table[i] = to_cached(multiple);
+  }
+}
+
 /// Variable-base scalar multiplication, 4-bit fixed window.
 Ge ge_scalarmult(const Ge& p, const std::uint8_t scalar_le[32]) {
-  // Precompute 1..15 multiples of p.
-  Ge table[16];
-  table[0] = ge_identity();
-  table[1] = p;
-  for (int i = 2; i < 16; ++i) table[i] = ge_add(table[i - 1], p);
-
+  GeCached table[15];
+  build_cached_table(table, p);
   Ge r = ge_identity();
-  bool started = false;
   for (int i = 63; i >= 0; --i) {
-    const std::uint8_t byte = scalar_le[i / 2];
-    const std::uint8_t nib = (i % 2 == 1) ? (byte >> 4) : (byte & 0xf);
-    if (started) {
-      r = ge_double(ge_double(ge_double(ge_double(r))));
-    }
-    if (nib != 0) {
-      r = started ? ge_add(r, table[nib]) : table[nib];
-      started = true;
-    } else if (!started) {
-      continue;
-    }
+    r = ge_dbl4(r);
+    if (const std::uint8_t nib = nibble_at(scalar_le, i); nib != 0)
+      r = to_ext(ge_add(r, table[nib - 1]));
   }
-  return started ? r : ge_identity();
+  return r;
 }
 
 // ---- Base point and fixed-base table ---------------------------------------
@@ -153,22 +235,42 @@ const Ge& base_point() {
   return b;
 }
 
-// Fixed-base table: table[i][j-1] = j * 16^i * B, i in [0,64), j in [1,15].
-// Makes signing a sequence of ≤64 point additions (experiment E1 depends on
-// fast certificate issuance).
+// Fixed-base table: entry[i][j-1] = j * 16^i * B, i in [0,64), j in [1,15],
+// in affine Niels form. Makes signing a sequence of ≤64 mixed additions
+// (experiment E1 depends on fast certificate issuance).
 struct BaseTable {
-  Ge entry[64][15];
+  GeNiels entry[64][15];
 };
+
+/// Converts 15 extended points to affine Niels form with one shared
+/// inversion (Montgomery's trick): prefix[j] = z_0 ⋯ z_j, and walking back
+/// from (z_0 ⋯ z_14)^-1 peels one factor per point.
+void to_niels(GeNiels out[15], const Ge in[15]) {
+  Fe prefix[15];
+  Fe acc = fe_one();
+  for (int j = 0; j < 15; ++j) prefix[j] = acc = fe_mul(acc, in[j].z);
+  Fe inv = fe_invert(acc);
+  for (int j = 14; j >= 0; --j) {
+    const Fe zinv = j ? fe_mul(inv, prefix[j - 1]) : inv;
+    inv = fe_mul(inv, in[j].z);
+    const Fe x = fe_mul(in[j].x, zinv);
+    const Fe y = fe_mul(in[j].y, zinv);
+    out[j] = GeNiels{fe_add(y, x), fe_sub(y, x),
+                     fe_mul(fe_mul(x, y), constants().d2)};
+  }
+}
 
 const BaseTable& base_table() {
   static const BaseTable t = [] {
     BaseTable bt;
     Ge power = base_point();  // 16^i * B
     for (int i = 0; i < 64; ++i) {
-      bt.entry[i][0] = power;
-      for (int j = 1; j < 15; ++j)
-        bt.entry[i][j] = ge_add(bt.entry[i][j - 1], power);
-      power = ge_double(ge_double(ge_double(ge_double(power))));
+      const GeCached step = to_cached(power);
+      Ge row[15];
+      row[0] = power;
+      for (int j = 1; j < 15; ++j) row[j] = to_ext(ge_add(row[j - 1], step));
+      to_niels(bt.entry[i], row);
+      power = ge_dbl4(power);
     }
     return bt;
   }();
@@ -178,137 +280,30 @@ const BaseTable& base_table() {
 Ge ge_scalarmult_base(const std::uint8_t scalar_le[32]) {
   const BaseTable& bt = base_table();
   Ge r = ge_identity();
-  bool started = false;
   for (int i = 0; i < 64; ++i) {
-    const std::uint8_t byte = scalar_le[i / 2];
-    const std::uint8_t nib = (i % 2 == 0) ? (byte & 0xf) : (byte >> 4);
+    const std::uint8_t nib = nibble_at(scalar_le, i);
     if (nib == 0) continue;
-    const Ge& e = bt.entry[i][nib - 1];
-    r = started ? ge_add(r, e) : e;
-    started = true;
+    r = to_ext(ge_madd(r, bt.entry[i][nib - 1]));
   }
-  return started ? r : ge_identity();
+  return r;
 }
 
-// ---- Scalar arithmetic mod L ------------------------------------------------
-// L = 2^252 + 27742317777372353535851937790883648493
-//   = 0x1000...014DEF9DEA2F79CD65812631A5CF5D3ED
-
-constexpr u64 kL[4] = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL,
-                       0x0000000000000000ULL, 0x1000000000000000ULL};
-
-// 512-bit big integer as 8 little-endian 64-bit words.
-struct U512 {
-  u64 w[8] = {};
-};
-
-int u512_cmp_shifted(const U512& x, const u64 l[4], int shift_words,
-                     int shift_bits) {
-  // Compares x with L << (64*shift_words + shift_bits). L is 253 bits so the
-  // shifted value spans at most 5 words starting at shift_words.
-  u64 shifted[9] = {};
-  for (int i = 0; i < 4; ++i) {
-    shifted[shift_words + i] |= shift_bits ? (l[i] << shift_bits) : l[i];
-    if (shift_bits && shift_words + i + 1 < 9)
-      shifted[shift_words + i + 1] |= l[i] >> (64 - shift_bits);
-  }
-  for (int i = 8; i >= 0; --i) {
-    const u64 xi = (i < 8) ? x.w[i] : 0;
-    if (xi != shifted[i]) return xi < shifted[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-void u512_sub_shifted(U512& x, const u64 l[4], int shift_words,
-                      int shift_bits) {
-  u64 shifted[8] = {};
-  for (int i = 0; i < 4; ++i) {
-    if (shift_words + i < 8)
-      shifted[shift_words + i] |= shift_bits ? (l[i] << shift_bits) : l[i];
-    if (shift_bits && shift_words + i + 1 < 8)
-      shifted[shift_words + i + 1] |= l[i] >> (64 - shift_bits);
-  }
-  u64 borrow = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 xi = x.w[i];
-    const u64 t = xi - shifted[i];
-    const u64 b1 = xi < shifted[i] ? 1 : 0;
-    const u64 t2 = t - borrow;
-    const u64 b2 = t < borrow ? 1 : 0;
-    x.w[i] = t2;
-    borrow = b1 | b2;
-  }
-}
-
-/// x mod L by binary long division (x up to 512 bits).
-void u512_mod_l(U512& x) {
-  // L has bit length 253; highest useful shift is 512 - 253 = 259 bits.
-  for (int shift = 259; shift >= 0; --shift) {
-    const int sw = shift / 64, sb = shift % 64;
-    if (u512_cmp_shifted(x, kL, sw, sb) >= 0) u512_sub_shifted(x, kL, sw, sb);
-  }
-}
-
-void load_u512(U512& x, ByteSpan le_bytes) {
-  std::uint8_t buf[64] = {};
-  std::memcpy(buf, le_bytes.data(), std::min<std::size_t>(le_bytes.size(), 64));
-  for (int i = 0; i < 8; ++i) x.w[i] = load_le64(buf + 8 * i);
-}
-
-void store_scalar(std::uint8_t out[32], const U512& x) {
-  for (int i = 0; i < 4; ++i) store_le64(out + 8 * i, x.w[i]);
-}
-
-/// Reduces a 64-byte value (e.g. SHA-512 output) mod L.
-void sc_reduce(std::uint8_t out[32], ByteSpan wide) {
-  U512 x;
-  load_u512(x, wide);
-  u512_mod_l(x);
-  store_scalar(out, x);
-}
-
-/// out = (a * b + c) mod L, all 32-byte little-endian scalars.
-void sc_muladd(std::uint8_t out[32], const std::uint8_t a[32],
-               const std::uint8_t b[32], const std::uint8_t c[32]) {
-  u64 aw[4], bw[4];
-  for (int i = 0; i < 4; ++i) {
-    aw[i] = load_le64(a + 8 * i);
-    bw[i] = load_le64(b + 8 * i);
-  }
-  U512 x;
-  for (int i = 0; i < 4; ++i) {
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = (u128)aw[i] * bw[j] + x.w[i + j] + carry;
-      x.w[i + j] = (u64)cur;
-      carry = cur >> 64;
-    }
-    x.w[i + 4] += (u64)carry;
-  }
-  // Add c.
-  u128 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u128 cur = (u128)x.w[i] + (i < 4 ? load_le64(c + 8 * i) : 0) + carry;
-    x.w[i] = (u64)cur;
-    carry = cur >> 64;
-  }
-  u512_mod_l(x);
-  store_scalar(out, x);
-}
-
-/// True iff s (32-byte LE) is < L — canonical per RFC 8032 verification.
-bool sc_is_canonical(const std::uint8_t s[32]) {
-  for (int i = 3; i >= 0; --i) {
-    const u64 w = load_le64(s + 8 * i);
-    if (w != kL[i]) return w < kL[i];
-  }
-  return false;  // s == L
-}
+// ---- Signing and verification helpers --------------------------------------
 
 void clamp(std::uint8_t s[32]) {
   s[0] &= 248;
   s[31] &= 127;
   s[31] |= 64;
+}
+
+/// k = SHA512(R ‖ A ‖ msg) mod L.
+void challenge(std::uint8_t k[32], const std::uint8_t r[32],
+               const Ed25519PublicKey& pub, ByteSpan msg) {
+  Sha512 hk;
+  hk.update(ByteSpan(r, 32));
+  hk.update(ByteSpan(pub.data(), pub.size()));
+  hk.update(msg);
+  sc_reduce(k, hk.finish().data());
 }
 
 }  // namespace
@@ -335,22 +330,15 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
   Sha512 hr;
   hr.update(ByteSpan(h.data() + 32, 32));
   hr.update(msg);
-  const auto r_wide = hr.finish();
   std::uint8_t r[32];
-  sc_reduce(r, ByteSpan(r_wide.data(), r_wide.size()));
+  sc_reduce(r, hr.finish().data());
 
   const Ge r_point = ge_scalarmult_base(r);
   Ed25519Signature sig{};
   ge_tobytes(sig.data(), r_point);
 
-  // k = SHA512(R ‖ pub ‖ msg) mod L
-  Sha512 hk;
-  hk.update(ByteSpan(sig.data(), 32));
-  hk.update(ByteSpan(pub.data(), 32));
-  hk.update(msg);
-  const auto k_wide = hk.finish();
   std::uint8_t k[32];
-  sc_reduce(k, ByteSpan(k_wide.data(), k_wide.size()));
+  challenge(k, sig.data(), pub, msg);
 
   // S = (r + k*s) mod L
   sc_muladd(sig.data() + 32, k, s, r);
@@ -362,20 +350,15 @@ bool ed25519_verify(const Ed25519PublicKey& pub, ByteSpan msg,
   if (!sc_is_canonical(sig.data() + 32)) return false;
 
   Ge a;
-  if (!ge_frombytes(a, pub.data())) return false;
+  if (!decode_public_key(a, pub.data())) return false;
 
-  Sha512 hk;
-  hk.update(ByteSpan(sig.data(), 32));
-  hk.update(ByteSpan(pub.data(), 32));
-  hk.update(msg);
-  const auto k_wide = hk.finish();
   std::uint8_t k[32];
-  sc_reduce(k, ByteSpan(k_wide.data(), k_wide.size()));
+  challenge(k, sig.data(), pub, msg);
 
   // Check encode(S·B − k·A) == R.
   const Ge sb = ge_scalarmult_base(sig.data() + 32);
   const Ge ka = ge_scalarmult(ge_neg(a), k);
-  const Ge r_check = ge_add(sb, ka);
+  const Ge r_check = to_ext(ge_add(sb, to_cached(ka)));
   std::uint8_t r_enc[32];
   ge_tobytes(r_enc, r_check);
   return ct_equal(ByteSpan(r_enc, 32), ByteSpan(sig.data(), 32));
@@ -394,27 +377,18 @@ struct BatchEntry {
   std::uint8_t k[32];           // SHA512(R ‖ A ‖ msg) mod L
 };
 
-std::uint8_t nibble_at(const std::uint8_t s[32], int pos) {
-  const std::uint8_t byte = s[pos / 2];
-  return (pos % 2 == 1) ? static_cast<std::uint8_t>(byte >> 4)
-                        : static_cast<std::uint8_t>(byte & 0xf);
-}
-
-bool ge_is_identity(const Ge& p) {
-  return fe_iszero(p.x) && fe_equal(p.y, p.z);
-}
-
 /// Evaluates the random-linear-combination equation over entries[lo, hi):
 /// (Σ z_i S_i)·B + Σ (z_i k_i)·(−A_i) + Σ z_i·(−R_i) == identity, with
 /// fresh z_i drawn per call. A shared-doubling Straus multi-scalar walk:
-/// every point gets a 1..15 multiples table, then one pass over the 64
-/// nibble positions does 4 doublings per position for the WHOLE sum.
+/// every point gets a 1..15 multiples table (B reuses the first row of the
+/// fixed-base table), then one pass over the 64 nibble positions does 4
+/// doublings per position for the WHOLE sum.
 bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
                std::size_t hi, Rng& rng) {
   const std::size_t n = hi - lo;
-  const std::size_t m = 2 * n + 1;  // −A_i, −R_i pairs plus B
+  const std::size_t m = 2 * n;  // −A_i, −R_i pairs
 
-  std::vector<std::array<Ge, 15>> tables(m);
+  std::vector<std::array<GeCached, 15>> tables(m);
   std::vector<std::array<std::uint8_t, 32>> scalars(m);
 
   std::uint8_t sb_coeff[32] = {};  // Σ z_i S_i mod L
@@ -433,31 +407,22 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
     sc_muladd(scalars[2 * j].data(), z, e.k, zero32);   // z_i k_i
     std::memcpy(scalars[2 * j + 1].data(), z, 32);      // z_i
 
-    auto build = [](std::array<Ge, 15>& t, const Ge& p) {
-      t[0] = p;
-      for (int i = 1; i < 15; ++i) t[i] = ge_add(t[i - 1], p);
-    };
-    build(tables[2 * j], e.neg_a);
-    build(tables[2 * j + 1], e.neg_r);
+    build_cached_table(tables[2 * j].data(), e.neg_a);
+    build_cached_table(tables[2 * j + 1].data(), e.neg_r);
   }
-  scalars[m - 1] = std::to_array(sb_coeff);
-  tables[m - 1][0] = base_point();
-  for (int i = 1; i < 15; ++i)
-    tables[m - 1][i] = ge_add(tables[m - 1][i - 1], base_point());
+  const GeNiels* base_multiples = base_table().entry[0];  // j·B
 
   Ge acc = ge_identity();
-  bool started = false;
   for (int pos = 63; pos >= 0; --pos) {
-    if (started)
-      acc = ge_double(ge_double(ge_double(ge_double(acc))));
+    acc = ge_dbl4(acc);
     for (std::size_t j = 0; j < m; ++j) {
       const std::uint8_t nib = nibble_at(scalars[j].data(), pos);
-      if (nib == 0) continue;
-      acc = started ? ge_add(acc, tables[j][nib - 1]) : tables[j][nib - 1];
-      started = true;
+      if (nib != 0) acc = to_ext(ge_add(acc, tables[j][nib - 1]));
     }
+    const std::uint8_t nib = nibble_at(sb_coeff, pos);
+    if (nib != 0) acc = to_ext(ge_madd(acc, base_multiples[nib - 1]));
   }
-  return !started || ge_is_identity(acc);
+  return ge_is_identity(to_p2(acc));
 }
 
 /// Verifies entries[lo, hi): RLC first, bisecting on failure down to scalar
@@ -484,37 +449,35 @@ void batch_bisect(const std::vector<BatchEntry>& entries, std::size_t lo,
 
 bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items, bool* out,
                           Rng& rng) {
+  // A lone signature gains nothing from the combined equation: screening
+  // it and then re-verifying it at the bisection leaf would pay twice.
+  if (items.size() == 1) {
+    out[0] = ed25519_verify(*items[0].pub, items[0].msg, *items[0].sig);
+    return out[0];
+  }
+
   std::vector<BatchEntry> entries;
   entries.reserve(items.size());
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const Ed25519BatchItem& it = items[i];
     out[i] = false;
-    // Screens mirror the scalar rejects exactly. encode() only ever emits
-    // canonical valid-curve encodings, so bytes that fail to decode — or
-    // that decode but do not re-encode to themselves — can never equal
-    // encode(S·B − k·A): scalar verification rejects them too.
+    // Screens mirror the scalar rejects exactly: non-canonical S and
+    // public keys decode_public_key refuses. encode() only ever emits
+    // strictly decodable bytes, so an R that fails ge_frombytes can never
+    // equal encode(S·B − k·A): scalar verification rejects it too.
     if (!sc_is_canonical(it.sig->data() + 32)) continue;
     Ge a;
-    if (!ge_frombytes(a, it.pub->data())) continue;
+    if (!decode_public_key(a, it.pub->data())) continue;
     Ge r;
     if (!ge_frombytes(r, it.sig->data())) continue;
-    std::uint8_t r_reenc[32];
-    ge_tobytes(r_reenc, r);
-    if (std::memcmp(r_reenc, it.sig->data(), 32) != 0) continue;
 
     BatchEntry e;
     e.index = i;
     e.neg_a = ge_neg(a);
     e.neg_r = ge_neg(r);
     std::memcpy(e.s, it.sig->data() + 32, 32);
-
-    Sha512 hk;
-    hk.update(ByteSpan(it.sig->data(), 32));
-    hk.update(ByteSpan(it.pub->data(), 32));
-    hk.update(it.msg);
-    const auto k_wide = hk.finish();
-    sc_reduce(e.k, ByteSpan(k_wide.data(), k_wide.size()));
+    challenge(e.k, it.sig->data(), *it.pub, it.msg);
     entries.push_back(e);
   }
 

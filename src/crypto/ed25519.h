@@ -3,7 +3,18 @@
 // ASes sign EphID certificates and bootstrap messages with ed25519 (§V-A2:
 // "To create digital signatures for certificates, we use the ed25519
 // signature scheme"). Signing uses a precomputed fixed-base table so the MS
-// can certify EphIDs at high rate (experiment E1).
+// can certify EphIDs at high rate (experiment E1): j·16^i·B for i < 64,
+// j ≤ 15, stored in affine Niels form (y+x, y−x, 2d·xy; 115 KB, built on
+// first use), so a signature costs at most 64 seven-multiplication
+// additions and no doublings.
+//
+// Verification follows RFC 8032 §5.1.7 with the cofactorless equation, and
+// additionally refuses two kinds of public key: an encoding whose y is ≥ p
+// (§5.1.3 says such a decoding fails), and a point of small order
+// ([8]A = identity). Under a small-order key k·A vanishes whenever A's
+// order divides the challenge k, so (R, S) = (encode(B), 1) verifies with
+// no private key behind it — a Fig 3 proof of possession under such a key
+// proves nothing.
 #pragma once
 
 #include <array>
@@ -26,7 +37,8 @@ Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed);
 Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
                               const Ed25519PublicKey& pub, ByteSpan msg);
 
-/// Verifies a signature. Rejects malformed points and non-canonical S.
+/// Verifies a signature. Rejects non-canonical S, undecodable or
+/// non-canonical A, and A of small order.
 bool ed25519_verify(const Ed25519PublicKey& pub, ByteSpan msg,
                     const Ed25519Signature& sig);
 
@@ -41,8 +53,13 @@ struct Ed25519BatchItem {
 /// *items[i].sig) for every item, with the expensive part amortized.
 /// Returns true iff every signature verified.
 ///
+/// A batch of one is ed25519_verify itself (paced issuance runs width 1;
+/// screening a lone signature and then re-verifying it at the bisection
+/// leaf would pay twice).
+///
 /// How: after per-item screening that mirrors the scalar rejects exactly
-/// (non-canonical S; undecodable A; R whose bytes cannot be an encode()
+/// (non-canonical S; A that ed25519_verify refuses — undecodable,
+/// non-canonical or of small order; R whose bytes cannot be an encode()
 /// output), the survivors are checked with one random-linear-combination
 /// equation  (Σ z_i S_i)·B − Σ (z_i k_i)·A_i − Σ z_i·R_i == identity,
 /// evaluated by a shared-doubling multi-scalar multiplication: 252 point
@@ -53,7 +70,9 @@ struct Ed25519BatchItem {
 /// with probability 7/8; like every cofactorless batch equation in the
 /// literature, co-crafted torsion offsets that cancel across signatures
 /// remain accepted only with the RLC's negligible probability for the
-/// prime-order component.
+/// prime-order component. Keys of small order never reach the equation:
+/// their forgeries are pure torsion, and two with opposite offsets would
+/// cancel.
 ///
 /// On ANY batch-equation failure the sweep bisects recursively down to
 /// scalar ed25519_verify leaves, so the accept/reject set is bit-identical

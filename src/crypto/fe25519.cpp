@@ -1,121 +1,40 @@
 #include "crypto/fe25519.h"
 
-#include <cstring>
-
 namespace apna::crypto {
 
 namespace {
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
+using fe_detail::kMask;
+using fe_detail::u64;
 
-constexpr u64 kMask = (u64{1} << 51) - 1;
-
-// Adds the carry chain once: after this, limbs fit in 51 bits + epsilon.
-inline void carry_once(std::array<u64, 5>& h) {
-  u64 c;
-  c = h[0] >> 51; h[0] &= kMask; h[1] += c;
-  c = h[1] >> 51; h[1] &= kMask; h[2] += c;
-  c = h[2] >> 51; h[2] &= kMask; h[3] += c;
-  c = h[3] >> 51; h[3] &= kMask; h[4] += c;
-  c = h[4] >> 51; h[4] &= kMask; h[0] += c * 19;
+/// x^(2^n) by n successive squarings.
+Fe fe_sq_n(Fe x, int n) {
+  for (int i = 0; i < n; ++i) x = fe_sq(x);
+  return x;
 }
 
-/// Builds the little-endian byte representation of 2^k - c (k < 256, small c).
-void make_exponent(std::uint8_t out[32], int k, std::uint32_t c) {
-  std::memset(out, 0, 32);
-  out[k / 8] = static_cast<std::uint8_t>(1u << (k % 8));  // 2^k
-  // Subtract c with borrow.
-  std::uint64_t borrow = c;
-  for (int i = 0; i < 32 && borrow; ++i) {
-    const std::uint64_t cur = out[i];
-    const std::uint64_t sub = borrow & 0xff;
-    if (cur >= sub) {
-      out[i] = static_cast<std::uint8_t>(cur - sub);
-      borrow >>= 8;
-    } else {
-      out[i] = static_cast<std::uint8_t>(cur + 256 - sub);
-      borrow = (borrow >> 8) + 1;
-    }
-  }
+/// The shared prefix of both addition chains: x^(2^250 - 1), plus x^11
+/// for the inversion tail.
+struct ChainPrefix {
+  Fe x11;
+  Fe x2_250_1;
+};
+
+ChainPrefix chain_prefix(const Fe& x) {
+  const Fe x2 = fe_sq(x);
+  const Fe x9 = fe_mul(fe_sq_n(x2, 2), x);           // x^8 · x
+  const Fe x11 = fe_mul(x9, x2);
+  const Fe x2_5_1 = fe_mul(fe_sq(x11), x9);          // x^31 = x^(2^5-1)
+  const Fe x2_10_1 = fe_mul(fe_sq_n(x2_5_1, 5), x2_5_1);
+  const Fe x2_20_1 = fe_mul(fe_sq_n(x2_10_1, 10), x2_10_1);
+  const Fe x2_40_1 = fe_mul(fe_sq_n(x2_20_1, 20), x2_20_1);
+  const Fe x2_50_1 = fe_mul(fe_sq_n(x2_40_1, 10), x2_10_1);
+  const Fe x2_100_1 = fe_mul(fe_sq_n(x2_50_1, 50), x2_50_1);
+  const Fe x2_200_1 = fe_mul(fe_sq_n(x2_100_1, 100), x2_100_1);
+  const Fe x2_250_1 = fe_mul(fe_sq_n(x2_200_1, 50), x2_50_1);
+  return ChainPrefix{x11, x2_250_1};
 }
 
 }  // namespace
-
-Fe fe_zero() { return Fe{}; }
-
-Fe fe_one() {
-  Fe r;
-  r.v[0] = 1;
-  return r;
-}
-
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  carry_once(r.v);
-  return r;
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) {
-  // Add 2p before subtracting so limbs stay non-negative.
-  Fe r;
-  r.v[0] = a.v[0] + 0xFFFFFFFFFFFDAULL - b.v[0];
-  r.v[1] = a.v[1] + 0xFFFFFFFFFFFFEULL - b.v[1];
-  r.v[2] = a.v[2] + 0xFFFFFFFFFFFFEULL - b.v[2];
-  r.v[3] = a.v[3] + 0xFFFFFFFFFFFFEULL - b.v[3];
-  r.v[4] = a.v[4] + 0xFFFFFFFFFFFFEULL - b.v[4];
-  carry_once(r.v);
-  return r;
-}
-
-Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-            (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
-  Fe r;
-  u64 c;
-  r.v[0] = (u64)t0 & kMask; c = (u64)(t0 >> 51);
-  t1 += c;
-  r.v[1] = (u64)t1 & kMask; c = (u64)(t1 >> 51);
-  t2 += c;
-  r.v[2] = (u64)t2 & kMask; c = (u64)(t2 >> 51);
-  t3 += c;
-  r.v[3] = (u64)t3 & kMask; c = (u64)(t3 >> 51);
-  t4 += c;
-  r.v[4] = (u64)t4 & kMask; c = (u64)(t4 >> 51);
-  r.v[0] += c * 19;
-  c = r.v[0] >> 51; r.v[0] &= kMask; r.v[1] += c;
-  return r;
-}
-
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
-
-Fe fe_mul_small(const Fe& a, std::uint64_t s) {
-  Fe r;
-  u128 c = 0;
-  for (int i = 0; i < 5; ++i) {
-    const u128 t = (u128)a.v[i] * s + c;
-    r.v[i] = (u64)t & kMask;
-    c = t >> 51;
-  }
-  r.v[0] += (u64)c * 19;
-  carry_once(r.v);
-  return r;
-}
 
 Fe fe_frombytes(const std::uint8_t in[32]) {
   Fe r;
@@ -129,8 +48,8 @@ Fe fe_frombytes(const std::uint8_t in[32]) {
 
 void fe_tobytes(std::uint8_t out[32], const Fe& a) {
   std::array<u64, 5> h = a.v;
-  carry_once(h);
-  carry_once(h);
+  fe_detail::carry_once(h);
+  fe_detail::carry_once(h);
 
   // q = floor((h + 19) / 2^255) ∈ {0, 1}
   u64 q = (h[0] + 19) >> 51;
@@ -152,31 +71,15 @@ void fe_tobytes(std::uint8_t out[32], const Fe& a) {
   store_le64(out + 24, (h[3] >> 39) | (h[4] << 12));
 }
 
-Fe fe_pow(const Fe& x, const std::uint8_t exponent_le[32]) {
-  Fe result = fe_one();
-  bool started = false;
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if (started) result = fe_sq(result);
-      if ((exponent_le[byte] >> bit) & 1) {
-        result = started ? fe_mul(result, x) : x;
-        started = true;
-      }
-    }
-  }
-  return started ? result : fe_one();
-}
-
 Fe fe_invert(const Fe& x) {
-  std::uint8_t e[32];
-  make_exponent(e, 255, 21);  // p - 2 = 2^255 - 21
-  return fe_pow(x, e);
+  // x^(2^255 - 21) = (x^(2^250 - 1))^(2^5) · x^11
+  const ChainPrefix c = chain_prefix(x);
+  return fe_mul(fe_sq_n(c.x2_250_1, 5), c.x11);
 }
 
 Fe fe_pow2523(const Fe& x) {
-  std::uint8_t e[32];
-  make_exponent(e, 252, 3);  // (p - 5) / 8 = 2^252 - 3
-  return fe_pow(x, e);
+  // x^(2^252 - 3) = (x^(2^250 - 1))^(2^2) · x
+  return fe_mul(fe_sq_n(chain_prefix(x).x2_250_1, 2), x);
 }
 
 bool fe_iszero(const Fe& a) {
@@ -200,21 +103,11 @@ bool fe_equal(const Fe& a, const Fe& b) {
   return ct_equal(ByteSpan(ba, 32), ByteSpan(bb, 32));
 }
 
-void fe_cswap(Fe& a, Fe& b, std::uint64_t bit) {
-  const u64 mask = ~(bit - 1);  // all-ones iff bit == 1
-  for (int i = 0; i < 5; ++i) {
-    const u64 t = mask & (a.v[i] ^ b.v[i]);
-    a.v[i] ^= t;
-    b.v[i] ^= t;
-  }
-}
-
 const Fe& fe_sqrtm1() {
   static const Fe value = [] {
-    std::uint8_t e[32];
-    make_exponent(e, 253, 5);  // (p - 1) / 4 = 2^253 - 5
-    Fe two = fe_add(fe_one(), fe_one());
-    return fe_pow(two, e);
+    // 2^((p-1)/4) = 2^(2^253 - 5) = (2^(2^252 - 3))^2 · 2
+    const Fe two = fe_add(fe_one(), fe_one());
+    return fe_mul(fe_sq(fe_pow2523(two)), two);
   }();
   return value;
 }

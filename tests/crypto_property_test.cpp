@@ -14,6 +14,7 @@
 #include "crypto/rng.h"
 #include "crypto/sha2.h"
 #include "crypto/x25519.h"
+#include "ed25519_small_order.h"
 #include "util/hex.h"
 
 namespace apna::crypto {
@@ -569,7 +570,7 @@ TEST(Ed25519Batch, RandomizedCorruptionsMatchScalarExactly) {
     const std::size_t bad = rng.next_u64() % (n + 1);
     for (std::size_t k = 0; k < bad; ++k) {
       const std::size_t i = rng.next_u64() % n;
-      switch (rng.next_u64() % 5) {
+      switch (rng.next_u64() % 6) {
         case 0: f.sigs[i][rng.next_u64() % 32] ^= 1 << (rng.next_u64() % 8);
           break;  // corrupt R half
         case 1: f.sigs[i][32 + rng.next_u64() % 31] ^= 1; break;  // S half
@@ -581,6 +582,11 @@ TEST(Ed25519Batch, RandomizedCorruptionsMatchScalarExactly) {
           break;
         case 3: f.pubs[i][rng.next_u64() % 32] ^= 0x04; break;
         case 4: f.sigs[i][63] |= 0xe0; break;  // non-canonical S
+        case 5:  // a key that proves nothing, with its forgery
+          f.pubs[i] = test::small_order_key(
+              rng.next_u64() % test::kSmallOrderKeysHex.size());
+          f.sigs[i] = test::base_point_signature();
+          break;
       }
     }
     f.check_matches_scalar(zrng);

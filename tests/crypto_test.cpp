@@ -2,8 +2,15 @@
 //
 // Every primitive is anchored by published vectors (FIPS-197, SP 800-38A/D,
 // RFC 4493, RFC 4231, RFC 5869, RFC 7748, RFC 8032, RFC 8439) and then
-// exercised with parameterized roundtrip/tamper properties.
+// exercised with parameterized roundtrip/tamper properties. The Curve25519
+// arithmetic is additionally pinned by golden digests over 1,000 Ed25519
+// signatures and 256 X25519 secrets, and by slow reference oracles for the
+// scalar reduction and the field exponentiations.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "crypto/aead.h"
 #include "crypto/aes.h"
@@ -13,8 +20,10 @@
 #include "crypto/hmac.h"
 #include "crypto/modes.h"
 #include "crypto/rng.h"
+#include "crypto/sc25519.h"
 #include "crypto/sha2.h"
 #include "crypto/x25519.h"
+#include "ed25519_small_order.h"
 #include "util/hex.h"
 
 namespace apna::crypto {
@@ -488,6 +497,174 @@ TEST(Fe25519, SqrtM1SquaresToMinusOne) {
   EXPECT_TRUE(fe_equal(fe_sq(i), fe_neg(fe_one())));
 }
 
+/// Oracle: x^e by left-to-right square-and-multiply over the 256-bit
+/// little-endian exponent, squaring with fe_mul so it shares no code with
+/// the addition chains or fe_sq under test.
+Fe pow_oracle(const Fe& x, const Bytes& exponent_le) {
+  Fe result = fe_one();
+  for (int bit = 255; bit >= 0; --bit) {
+    result = fe_mul(result, result);
+    if ((exponent_le[bit / 8] >> (bit % 8)) & 1) result = fe_mul(result, x);
+  }
+  return result;
+}
+
+TEST(Fe25519, InvertAndPow2523MatchSquareAndMultiply) {
+  const Bytes p_minus_2 = must_hex(  // 2^255 - 21
+      "ebffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  const Bytes p_minus_5_over_8 = must_hex(  // 2^252 - 3
+      "fdffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0f");
+  std::vector<Bytes> inputs = {
+      Bytes(32, 0),  // 0
+      must_hex(      // 1
+          "0100000000000000000000000000000000000000000000000000000000000000"),
+      must_hex(      // p - 1
+          "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+  };
+  ChaChaRng rng(25519);
+  for (int i = 0; i < 64; ++i) inputs.push_back(rng.bytes(32));
+  for (const Bytes& in : inputs) {
+    const Fe x = fe_frombytes(in.data());
+    std::uint8_t got[32], want[32];
+    fe_tobytes(got, fe_invert(x));
+    fe_tobytes(want, pow_oracle(x, p_minus_2));
+    EXPECT_EQ(hex_encode(ByteSpan(got, 32)), hex_encode(ByteSpan(want, 32)))
+        << "invert " << hex_encode(in);
+    fe_tobytes(got, fe_pow2523(x));
+    fe_tobytes(want, pow_oracle(x, p_minus_5_over_8));
+    EXPECT_EQ(hex_encode(ByteSpan(got, 32)), hex_encode(ByteSpan(want, 32)))
+        << "pow2523 " << hex_encode(in);
+  }
+}
+
+// ---- Scalar arithmetic mod L -----------------------------------------------
+// Oracle: binary long division over 512-bit integers, the reduction the
+// scalar code used before its Barrett rewrite.
+
+constexpr std::uint64_t kOrderL[4] = {
+    0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL, 0, 0x1000000000000000ULL};
+
+struct U512 {
+  std::uint64_t w[8] = {};
+};
+
+/// L << (64 * words + bits), truncated to 9 words.
+std::array<std::uint64_t, 9> shifted_l(int words, int bits) {
+  std::array<std::uint64_t, 9> out{};
+  for (int i = 0; i < 4; ++i) {
+    out[words + i] |= bits ? (kOrderL[i] << bits) : kOrderL[i];
+    if (bits && words + i + 1 < 9)
+      out[words + i + 1] |= kOrderL[i] >> (64 - bits);
+  }
+  return out;
+}
+
+U512 mod_l_oracle(U512 x) {
+  for (int shift = 259; shift >= 0; --shift) {  // 512 - bitlen(L)
+    const auto l = shifted_l(shift / 64, shift % 64);
+    int cmp = 0;
+    for (int i = 8; i >= 0 && cmp == 0; --i) {
+      const std::uint64_t xi = i < 8 ? x.w[i] : 0;
+      if (xi != l[i]) cmp = xi < l[i] ? -1 : 1;
+    }
+    if (cmp < 0) continue;
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < 8; ++i) {
+      const std::uint64_t t = x.w[i] - l[i];
+      const std::uint64_t b1 = x.w[i] < l[i];
+      x.w[i] = t - borrow;
+      borrow = b1 | (t < borrow);
+    }
+  }
+  return x;
+}
+
+std::string scalar_hex(const U512& x) {
+  std::uint8_t out[32];
+  for (int i = 0; i < 4; ++i) store_le64(out + 8 * i, x.w[i]);
+  return hex_encode(ByteSpan(out, 32));
+}
+
+U512 load_wide(ByteSpan le) {
+  U512 x;
+  for (std::size_t i = 0; i < le.size(); ++i)
+    x.w[i / 8] |= std::uint64_t{le[i]} << (8 * (i % 8));
+  return x;
+}
+
+/// The byte forms of 0, L-1, L, L+1, 2L, 2^252 and 2^(8·width) - 1.
+std::vector<Bytes> scalar_edges(std::size_t width) {
+  const Bytes l = must_hex(
+      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  const Bytes two_l = must_hex(
+      "daa7ebb934c624b0ac39ef45bdf3bd2900000000000000000000000000000020");
+  auto widen = [&](Bytes b) {
+    b.resize(width, 0);
+    return b;
+  };
+  Bytes l_minus_1 = l, l_plus_1 = l;
+  l_minus_1[0] -= 1;
+  l_plus_1[0] += 1;
+  Bytes two_252(32, 0);
+  two_252[31] = 0x10;
+  return {Bytes(width, 0), widen(l_minus_1), widen(l), widen(l_plus_1),
+          widen(two_l),    widen(two_252),   Bytes(width, 0xff)};
+}
+
+TEST(Sc25519, ReduceMatchesLongDivision) {
+  std::vector<Bytes> inputs = scalar_edges(64);
+  ChaChaRng rng(252);
+  for (int i = 0; i < 10000; ++i) inputs.push_back(rng.bytes(64));
+  for (const Bytes& in : inputs) {
+    std::uint8_t got[32];
+    sc_reduce(got, in.data());
+    EXPECT_EQ(hex_encode(ByteSpan(got, 32)),
+              scalar_hex(mod_l_oracle(load_wide(in))))
+        << hex_encode(in);
+  }
+}
+
+TEST(Sc25519, MulAddMatchesLongDivision) {
+  const std::vector<Bytes> edges = scalar_edges(32);
+  std::vector<std::array<Bytes, 3>> inputs;
+  for (const Bytes& a : edges)
+    for (const Bytes& b : edges)
+      for (const Bytes& c : edges) inputs.push_back({a, b, c});
+  ChaChaRng rng(253);
+  for (int i = 0; i < 10000; ++i)
+    inputs.push_back({rng.bytes(32), rng.bytes(32), rng.bytes(32)});
+  for (const auto& [a, b, c] : inputs) {
+    // a · b + c as a 512-bit integer, schoolbook.
+    U512 x = load_wide(c);
+    const U512 aw = load_wide(a), bw = load_wide(b);
+    for (int i = 0; i < 4; ++i) {
+      unsigned __int128 carry = 0;
+      for (int j = 0; i + j < 8; ++j) {
+        const unsigned __int128 cur = (unsigned __int128)aw.w[i] *
+                                          (j < 4 ? bw.w[j] : 0) +
+                                      x.w[i + j] + carry;
+        x.w[i + j] = static_cast<std::uint64_t>(cur);
+        carry = cur >> 64;
+      }
+    }
+    std::uint8_t got[32];
+    sc_muladd(got, a.data(), b.data(), c.data());
+    EXPECT_EQ(hex_encode(ByteSpan(got, 32)), scalar_hex(mod_l_oracle(x)))
+        << hex_encode(a) << " " << hex_encode(b) << " " << hex_encode(c);
+  }
+}
+
+/// The challenge k = SHA512(R ‖ A ‖ msg) mod L, through the oracle.
+U512 challenge_oracle(const Ed25519Signature& sig, const Ed25519PublicKey& pub,
+                      ByteSpan msg) {
+  Sha512 h;
+  h.update(ByteSpan(sig.data(), 32));
+  h.update(pub);
+  h.update(msg);
+  const auto wide = h.finish();
+  return mod_l_oracle(load_wide(wide));
+}
+
 // ---- X25519 ----------------------------------------------------------------
 
 TEST(X25519, Rfc7748Vector1) {
@@ -547,6 +724,24 @@ TEST(X25519, RandomPairsAgree) {
     EXPECT_EQ(hex_encode(x25519_shared(kp1.priv, kp2.pub)),
               hex_encode(x25519_shared(kp2.priv, kp1.pub)));
   }
+}
+
+TEST(X25519, SharedSecretsMatchRecordedDigest) {
+  // SHA-512 over 256 shared secrets for random scalars and random u
+  // strings (top bit included), recorded before the field-arithmetic
+  // rewrite: the ladder shares fe_sq and fe_invert with Ed25519.
+  ChaChaRng rng(0x25519);
+  Sha512 digest;
+  for (int i = 0; i < 256; ++i) {
+    X25519PrivateKey priv{};
+    rng.fill(priv);
+    X25519PublicKey peer{};
+    rng.fill(peer);
+    digest.update(x25519_shared(priv, peer));
+  }
+  EXPECT_EQ(hex_encode(digest.finish()),
+            "8242f2c5a786a9fd34f6710034fb2c23e273d1a8288910df23539003187b8c28"
+            "0187d9dc064fb6d1493fd4925b286b47380fb4ee39929929c22f1d659ed16595");
 }
 
 // ---- Ed25519 ---------------------------------------------------------------
@@ -637,6 +832,67 @@ TEST(Ed25519, SignIsDeterministic) {
   auto kp = Ed25519KeyPair::generate(rng);
   const Bytes msg = to_bytes("deterministic");
   EXPECT_EQ(hex_encode(kp.sign(msg)), hex_encode(kp.sign(msg)));
+}
+
+TEST(Ed25519, SignaturesMatchRecordedDigest) {
+  // SHA-512 over the public keys and signatures of 1,000 (seed, message)
+  // pairs with message lengths 0-255, recorded before the arithmetic
+  // rewrite; every signature must also verify.
+  ChaChaRng rng(0xed25519);
+  Sha512 digest;
+  for (int i = 0; i < 1000; ++i) {
+    Ed25519Seed seed{};
+    rng.fill(seed);
+    const Bytes msg = rng.bytes(rng.next_u64() % 256);
+    const auto pub = ed25519_public_key(seed);
+    const auto sig = ed25519_sign(seed, pub, msg);
+    EXPECT_TRUE(ed25519_verify(pub, msg, sig)) << i;
+    digest.update(pub);
+    digest.update(sig);
+  }
+  EXPECT_EQ(hex_encode(digest.finish()),
+            "1f96421cc20d2e471905ab08879c683d352b2999f4f4e6ac0c138bb131a47220"
+            "ad28603ad1de17fbab77002d8870585cbc74d47e707f8352fe60402056cc70f5");
+}
+
+TEST(Ed25519, SmallOrderAndNonCanonicalKeysRejected) {
+  // For each key, grind the message until 8 divides the challenge k, so
+  // k·A is the identity and (encode(B), 1) satisfies S·B − k·A == R. Both
+  // verifiers must still refuse: the key proves possession of nothing.
+  const Ed25519Signature forged = test::base_point_signature();
+  ChaChaRng rng(8);
+  const auto honest_a = Ed25519KeyPair::generate(rng);
+  const auto honest_b = Ed25519KeyPair::generate(rng);
+  const Bytes honest_msg = to_bytes("honest");
+  const auto sig_a = honest_a.sign(honest_msg);
+  const auto sig_b = honest_b.sign(honest_msg);
+
+  for (std::size_t i = 0; i < test::kSmallOrderKeysHex.size(); ++i) {
+    const Ed25519PublicKey pub = test::small_order_key(i);
+    Bytes msg;
+    for (int ctr = 0;; ++ctr) {
+      msg = to_bytes("proof of possession " + std::to_string(ctr));
+      if (challenge_oracle(forged, pub, msg).w[0] % 8 == 0) break;
+    }
+    EXPECT_FALSE(ed25519_verify(pub, msg, forged))
+        << test::kSmallOrderKeysHex[i];
+
+    bool one = true;
+    const Ed25519BatchItem lone{&pub, msg, &forged};
+    EXPECT_FALSE(ed25519_verify_batch({&lone, 1}, &one, rng));
+    EXPECT_FALSE(one) << test::kSmallOrderKeysHex[i];
+
+    // Amid valid signatures, so the batch screen (not a lone-item
+    // shortcut) sees the key.
+    const Ed25519BatchItem mixed[3] = {{&honest_a.pub, honest_msg, &sig_a},
+                                       {&pub, msg, &forged},
+                                       {&honest_b.pub, honest_msg, &sig_b}};
+    bool out[3] = {};
+    EXPECT_FALSE(ed25519_verify_batch(mixed, out, rng));
+    EXPECT_TRUE(out[0]);
+    EXPECT_FALSE(out[1]) << test::kSmallOrderKeysHex[i];
+    EXPECT_TRUE(out[2]);
+  }
 }
 
 // ---- RNG -------------------------------------------------------------------

@@ -6,10 +6,12 @@
 
 #include "core/packet_auth.h"
 #include "crypto/x25519.h"
+#include "ed25519_small_order.h"
 #include "msg_bytes.h"
 #include "services/accountability_agent.h"
 #include "services/management_service.h"
 #include "services/registry_service.h"
+#include "services/service_runtime.h"
 #include "services/service_identity.h"
 #include "services/subscriber_registry.h"
 #include "util/hex.h"
@@ -250,6 +252,58 @@ TEST(ManagementService, PopSignatureOverWrongKeyRejected) {
       f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng).code(),
       Errc::bad_signature);
   EXPECT_EQ(f.ms.stats().rejected_bad_pop, 1u);
+}
+
+TEST(ManagementService, SmallOrderKeyPopRejected) {
+  // The identity point as the EphID signing key, "proved" with
+  // (R, S) = (encode(B), 1): k·A vanishes for every message, so a
+  // cofactorless check accepts it with no private key behind it. Refused
+  // on the scalar path (issue_into) and on the pooled batch sweep alike.
+  AsFixture f;
+  auto h = f.bootstrap(1, "password-1");
+  ASSERT_TRUE(h.ok());
+  auto make = [&](std::uint64_t nonce, bool forged) {
+    auto kp = core::EphIdKeyPair::generate(f.rng);
+    core::EphIdRequest req;
+    req.ephid_pub = kp.pub;
+    req.lifetime = core::EphIdLifetime::short_term;
+    if (forged) {
+      req.ephid_pub.sig = test::small_order_key(0);
+      req.pop_sig = test::base_point_signature();
+    } else {
+      req.pop_sig = kp.sign(req.pop_tbs());
+    }
+    return core::seal_control(h->keys, nonce, true, test::encoded(req));
+  };
+
+  const Bytes sealed = make(1, true);
+  wire::MsgWriter out(320);
+  EXPECT_EQ(f.ms.issue_into(h->ctrl, sealed, f.loop.now_seconds(), f.rng,
+                            f.ms.reserve_reply_nonces(1), out)
+                .code(),
+            Errc::bad_signature);
+  EXPECT_EQ(f.ms.stats().rejected_bad_pop, 1u);
+
+  // In a pooled chunk, between honest requests: the batch screen must
+  // refuse the key, not the combined equation (which it satisfies).
+  ServicePool::Config cfg;
+  cfg.threads = 1;
+  ServicePool pool(f.ms, nullptr, cfg);
+  std::vector<Bytes> requests;
+  for (std::uint64_t i = 0; i < 4; ++i) requests.push_back(make(2 + i, i == 1));
+  std::vector<ServicePool::IssueJob> jobs;
+  for (const Bytes& r : requests) jobs.push_back({h->ctrl, r});
+  std::vector<Result<Bytes>> results(jobs.size(),
+                                     Result<Bytes>(Errc::internal));
+  pool.process_issuance(jobs, f.loop.now_seconds(), results);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (i == 1)
+      EXPECT_EQ(results[i].code(), Errc::bad_signature);
+    else
+      EXPECT_TRUE(results[i].ok()) << i;
+  }
+  EXPECT_EQ(f.ms.stats().rejected_bad_pop, 2u);
+  EXPECT_EQ(f.ms.stats().issued, 3u);
 }
 
 TEST(ManagementService, ExpiredControlEphIdRejected) {
