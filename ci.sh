@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification in three configurations.
 #
-#   1. Release with warnings-as-errors for all APNA targets
+#   1. Release with warnings-as-errors for all APNA targets, plus every
+#      src/ header compiled on its own
 #   2. ASan + UBSan (Debug)
 #   3. ThreadSanitizer over the router/core concurrency tests, the
 #      control-plane pool test, the crypto-labelled suites (per-slot DRBG
@@ -59,6 +60,13 @@ run_config() {
 #     bytes and the snapshot reader's self-described lengths. Each is where
 #     an out-of-bounds read would hide.
 run_config ci       -DCMAKE_BUILD_TYPE=Release -DAPNA_WERROR=ON
+# Header self-containment, explicitly in the Release leg: every header
+# under src/ must compile on its own, so no translation unit builds only
+# because another header happened to be included first.
+echo "=== [ci] header self-containment"
+find src -name '*.h' -print0 |
+  xargs -0 -P "${jobs}" -I{} "${CXX:-g++}" -std=c++20 -fsyntax-only -Isrc \
+    -include {} -x c++ /dev/null
 # Benchmark self-test, explicitly in the Release leg: the perfbench/
 # program links seal_control, open_control, decode_msg and
 # ForwardingPool::Config, so a library API change that breaks it fails CI

@@ -127,16 +127,4 @@ void EphIdCodec::open_batch_gather(const std::uint8_t* const* ephids16,
   }
 }
 
-void EphIdCodec::open_batch(const EphId* ephids, std::size_t n,
-                            EphIdPlain* plain, std::uint8_t* ok) const {
-  constexpr std::size_t kChunk = 64;
-  const std::uint8_t* ptrs[kChunk];
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    for (std::size_t i = 0; i < m; ++i)
-      ptrs[i] = ephids[base + i].bytes.data();
-    open_batch_gather(ptrs, m, plain + base, ok + base);
-  }
-}
-
 }  // namespace apna::core

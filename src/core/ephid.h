@@ -51,21 +51,17 @@ class EphIdCodec {
   /// (forged/corrupted EphID, or an EphID of a different AS).
   Result<EphIdPlain> open(const EphId& ephid) const;
 
-  /// Batched open for the forwarding fast path: authenticates and decrypts
-  /// `n` EphIDs with two gathered AES passes (one for the CBC-MAC tags, one
-  /// for the CTR keystream) instead of 2n single-block calls, letting the
-  /// AES-NI backend pipeline 8 blocks in flight. `ok[i]` is nonzero iff
-  /// `ephids[i]` is authentic, in which case `plain[i]` holds its contents.
-  /// Verdicts agree exactly with per-element open().
-  void open_batch(const EphId* ephids, std::size_t n, EphIdPlain* plain,
-                  std::uint8_t* ok) const;
-
-  /// Miss-list (gather/scatter) form: `ephids16[i]` points at the i-th
-  /// 16-byte EphID wherever it lies — typically straight into the packet
-  /// wire images of a burst's flow-cache MISSES, so the AES sweep touches
-  /// only the EphIDs that actually need crypto and the dense copy into an
-  /// EphId array disappears. Same verdict contract as open_batch (which is
-  /// now a thin wrapper over this form).
+  /// Batched open for the forwarding fast path, in gather/scatter form:
+  /// `ephids16[i]` points at the i-th 16-byte EphID wherever it lies —
+  /// typically straight into the packet wire images of a burst's
+  /// flow-cache MISSES, so the AES sweep touches only the EphIDs that
+  /// actually need crypto and nothing is copied into an EphId array first.
+  /// Authenticates and decrypts with two gathered AES passes (one for the
+  /// CBC-MAC tags, one for the CTR keystream) instead of 2n single-block
+  /// calls, letting the hardware tiers pipeline 8-16 blocks in flight.
+  /// `ok[i]` is nonzero iff the i-th EphID is authentic, in which case
+  /// `plain[i]` holds its contents. Verdicts agree exactly with
+  /// per-element open().
   void open_batch_gather(const std::uint8_t* const* ephids16, std::size_t n,
                          EphIdPlain* plain, std::uint8_t* ok) const;
 

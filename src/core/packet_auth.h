@@ -16,13 +16,17 @@
 //    construction-side code that stamps before seal()ing.
 //  * batched forms — a burst of views. They take PRE-SCHEDULED AesCmac keys
 //    (the HostDb pre-schedules kHA-mac exactly for this), so the AES key
-//    schedule is paid once per host instead of once per packet. Batched
-//    verdicts agree bit-for-bit with the scalar functions — tested
+//    schedule is paid once per host instead of once per packet. The router's
+//    one classify kernel runs its MAC stage through verify_packet_macs at
+//    every burst size, down to a burst of one. Batched verdicts agree
+//    bit-for-bit with the scalar functions — tested
 //    (router_concurrency_test) and required, since the fast path and the
-//    single-threaded path must drop the same packets.
+//    single-threaded simulator path must drop the same packets.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 #include <span>
 
 #include "crypto/modes.h"
@@ -86,27 +90,40 @@ inline bool verify_packet_mac(const crypto::AesCmac& mac_key,
 
 /// One element of a verification burst. Packets in a burst may belong to
 /// different hosts, so each carries its own pre-scheduled key (borrowed —
-/// the caller keeps the HostRecord alive for the duration of the call).
-/// The view pointer aliases the caller's burst; nothing is copied.
+/// the caller keeps the key's owner alive for the duration of the call).
+/// The view pointer aliases the caller's burst; nothing is copied. Plain
+/// pointers with no default member initializers, so the kernel's per-call
+/// stack array of jobs costs nothing until a job is written.
 struct PacketMacJob {
-  const wire::PacketView* pkt = nullptr;
-  const crypto::AesCmac* key = nullptr;  // null ⇒ verdict 0 (no key, drop)
+  const wire::PacketView* pkt;
+  const crypto::AesCmac* key;  // null ⇒ verdict 0 (no key, drop)
 };
 
 /// Batched Fig 4 MAC check: verdicts[i] = verify_packet_mac(*jobs[i].key,
 /// *jobs[i].pkt). Requires verdicts.size() >= jobs.size().
 ///
-/// This is the fused pipeline's per-packet MAC stage: instead of running
+/// This is the classify kernel's per-packet MAC stage: instead of running
 /// each packet's CMAC chain serially (latency-bound — each AES round waits
-/// on the previous), the burst's chains are interleaved 8 lanes at a time
-/// through crypto::aes_cmac_many, keeping the AES unit saturated. Each
-/// packet still gets its own full CMAC under its own host key; verdicts
-/// are bit-identical to the scalar verify_packet_mac (pinned by
-/// router_concurrency_test / crypto_property_test).
+/// on the previous), the burst's chains are interleaved through
+/// crypto::aes_cmac_many (16 lanes on avx2 / vaes_avx512, 8 on aesni),
+/// keeping the AES unit saturated; bursts too small to fill a pass run as
+/// serial chains. Each packet still gets its own full CMAC under its own
+/// host key; verdicts are bit-identical to the scalar verify_packet_mac
+/// (pinned by router_concurrency_test / crypto_property_test).
 inline void verify_packet_macs(std::span<const PacketMacJob> jobs,
                                std::span<std::uint8_t> verdicts) {
+  if (jobs.size() < crypto::kCmacMinLanes) {
+    // Too few chains for an interleaved pass: the serial check, without
+    // building the lane arrays below.
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      verdicts[i] = jobs[i].key != nullptr && jobs[i].pkt != nullptr &&
+                            verify_packet_mac(*jobs[i].key, *jobs[i].pkt)
+                        ? 1
+                        : 0;
+    return;
+  }
   constexpr std::size_t kChunk = 32;
-  std::uint8_t pre[kChunk][wire::Packet::kMacPreambleMax];
+  std::uint8_t pre[kChunk][wire::Packet::kMacPreambleMax + 15];
   crypto::CmacJob cjobs[kChunk];
   std::array<std::uint8_t, 16> tags[kChunk];
   std::size_t at[kChunk];
@@ -120,9 +137,15 @@ inline void verify_packet_macs(std::span<const PacketMacJob> jobs,
         verdicts[base + i] = 0;  // no key ⇒ drop
         continue;
       }
+      // Stage the preamble plus the payload's first bytes up to a block
+      // boundary: every lane then starts with whole blocks, and the
+      // interleave needs no pass for a block straddling the two spans.
       const std::size_t pn = job.pkt->write_mac_preamble(pre[n]);
-      cjobs[n] = crypto::CmacJob{job.key, ByteSpan(pre[n], pn),
-                                 job.pkt->payload()};
+      const ByteSpan payload = job.pkt->payload();
+      const std::size_t head = std::min((16 - pn % 16) % 16, payload.size());
+      if (head > 0) std::memcpy(pre[n] + pn, payload.data(), head);
+      cjobs[n] = crypto::CmacJob{job.key, ByteSpan(pre[n], pn + head),
+                                 payload.subspan(head)};
       at[n++] = base + i;
     }
     crypto::aes_cmac_many(std::span<const crypto::CmacJob>(cjobs, n), tags);

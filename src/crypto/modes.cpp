@@ -1,5 +1,6 @@
 #include "crypto/modes.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace apna::crypto {
@@ -179,21 +180,26 @@ constexpr std::size_t kCmacLanesMax = 16;
 /// four contiguous block runs: [a's full blocks][one staged straddle
 /// block][b's full blocks][one staged final block]. The RFC 4493 subkey
 /// treatment is folded into the staged final block, so absorbing the
-/// extents in order with the raw CBC kernel IS the full CMAC.
+/// extents in order with the raw CBC kernel IS the full CMAC. No default
+/// member initializers: walks live in a per-call stack array, and init()
+/// sets every field a lane reads.
 struct CmacLaneWalk {
-  std::array<std::uint8_t, 16> x{};
-  const std::uint8_t* rk = nullptr;
-  const std::uint8_t* ext_ptr[4] = {};
-  std::size_t ext_blocks[4] = {};
-  int ext = 0;
-  std::size_t off = 0;
+  const Aes128* aes;
+  std::array<std::uint8_t, 16> x;
+  const std::uint8_t* ext_ptr[4];
+  std::size_t ext_blocks[4];
+  int ext;
+  std::size_t off;
   std::uint8_t straddle[16];
   std::uint8_t final_blk[16];
 
-  void init(const CmacJob& job, const std::uint8_t* rk_in,
+  void init(const CmacJob& job, const Aes128& lane_aes,
             const std::array<std::uint8_t, 16>& k1,
             const std::array<std::uint8_t, 16>& k2) {
-    rk = rk_in;
+    aes = &lane_aes;
+    x = {};
+    ext = 0;
+    off = 0;
     const ByteSpan a = job.a;
     const ByteSpan b = job.b;
     const std::size_t total = a.size() + b.size();
@@ -206,27 +212,33 @@ struct CmacLaneWalk {
     ext_blocks[0] = a_full;
     std::size_t consumed = 16 * a_full;
 
+    ext_ptr[1] = straddle;
+    ext_blocks[1] = 0;
     if (consumed < 16 * full && consumed < a.size()) {
       // One straddle block mixing a's tail with b's head.
       const std::size_t a_rem = a.size() - consumed;
       std::memcpy(straddle, a.data() + consumed, a_rem);
       std::memcpy(straddle + a_rem, b.data(), 16 - a_rem);
-      ext_ptr[1] = straddle;
       ext_blocks[1] = 1;
       consumed += 16;
     }
+    ext_ptr[2] = b.data();
+    ext_blocks[2] = 0;
     if (consumed < 16 * full) {
       // b's remaining full blocks, read in place.
       ext_ptr[2] = b.data() + (consumed - a.size());
       ext_blocks[2] = full - consumed / 16;
     }
     // Final block: complete blocks XOR K1, padded blocks XOR K2.
-    const std::size_t fin = total - 16 * full;  // 0 (empty input) or 1..16
+    const std::size_t pos = 16 * full;
+    const std::size_t fin = total - pos;  // 0 (empty input) or 1..16
     std::uint8_t raw[16] = {};
-    for (std::size_t i = 0; i < fin; ++i) {
-      const std::size_t pos = 16 * full + i;
-      raw[i] = pos < a.size() ? a[pos] : b[pos - a.size()];
-    }
+    const std::size_t from_a =
+        pos < a.size() ? std::min(fin, a.size() - pos) : 0;
+    if (from_a > 0) std::memcpy(raw, a.data() + pos, from_a);
+    if (fin > from_a)
+      std::memcpy(raw + from_a, b.data() + (pos + from_a - a.size()),
+                  fin - from_a);
     const bool complete = total > 0 && fin == 16;
     if (!complete) raw[fin] = 0x80;
     const std::array<std::uint8_t, 16>& sub = complete ? k1 : k2;
@@ -234,6 +246,7 @@ struct CmacLaneWalk {
       final_blk[i] = static_cast<std::uint8_t>(raw[i] ^ sub[i]);
     ext_ptr[3] = final_blk;
     ext_blocks[3] = 1;
+    skip_empty();
   }
 
   void skip_empty() {
@@ -242,12 +255,21 @@ struct CmacLaneWalk {
       off = 0;
     }
   }
-  bool done() {
+  /// Advances past `blocks` absorbed blocks; true once the lane is done.
+  bool advance(std::size_t blocks) {
+    off += blocks;
     skip_empty();
     return ext == 4;
   }
   std::size_t run() const { return ext_blocks[ext] - off; }
   const std::uint8_t* ptr() const { return ext_ptr[ext] + 16 * off; }
+
+  /// Absorbs what is left of the lane on its key's 1-chain kernel.
+  void finish_serial() {
+    for (; ext < 4; ++ext, off = 0)
+      if (off < ext_blocks[ext])
+        aes->cbc_mac_absorb(x.data(), ptr(), run());
+  }
 };
 
 }  // namespace
@@ -259,69 +281,59 @@ void aes_cmac_many(std::span<const CmacJob> jobs,
   while (base < jobs.size()) {
     // Scan the next run of hardware-backed keys (stopping at any soft-tier
     // key) and track the narrowest tier: the whole group must use a kernel
-    // every lane's key supports.
-    std::size_t hw = 0;
+    // every lane's key supports. The aesni tier carries 8 chains at most.
+    std::size_t n = 0;
     Backend group = Backend::vaes_avx512;
-    while (hw < kCmacLanesMax && base + hw < jobs.size()) {
-      const Backend t = jobs[base + hw].key->aes_.tier();
+    while (n < kCmacLanesMax && base + n < jobs.size()) {
+      const Backend t = jobs[base + n].key->aes_.tier();
       if (t == Backend::soft) break;
       group = std::min(group, t);
-      ++hw;
+      ++n;
     }
-    if (hw < 2) {
-      // Soft-tier key or a lone hardware job: the scalar reference path.
-      tags[base] = jobs[base].key->mac2(jobs[base].a, jobs[base].b);
-      ++base;
+    if (group < Backend::avx2) n = std::min(n, std::size_t{8});
+    if (n < kCmacMinLanes) {
+      // A soft-tier key, or too few chains to fill an interleaved pass:
+      // the serial chain.
+      const std::size_t m = std::max(n, std::size_t{1});
+      for (std::size_t j = 0; j < m; ++j)
+        tags[base + j] = jobs[base + j].key->mac2(jobs[base + j].a,
+                                                  jobs[base + j].b);
+      base += m;
       continue;
     }
-    // 16 lanes when a wide kernel exists and there are enough jobs to beat
-    // two 8-wide sweeps; otherwise the aesni 8-chain kernel.
-    const std::size_t width =
-        (group >= Backend::avx2 && hw > 8) ? std::size_t{16} : std::size_t{8};
-    const std::size_t n = std::min(hw, width);
 
     CmacLaneWalk walk[kCmacLanesMax];
+    std::uint8_t live[kCmacLanesMax];  // lanes still absorbing, in order
     for (std::size_t j = 0; j < n; ++j) {
       const AesCmac& key = *jobs[base + j].key;
-      walk[j].init(jobs[base + j], key.aes_.round_key_bytes(), key.k1_,
-                   key.k2_);
+      walk[j].init(jobs[base + j], key.aes_, key.k1_, key.k2_);
+      live[j] = static_cast<std::uint8_t>(j);
     }
+    std::size_t nlive = n;
 
-    // Lockstep scheduler: every pass absorbs the largest run all still-
-    // active lanes can sustain contiguously; finished (and padding) lanes
-    // duplicate an active lane, their wasted work riding in the latency
-    // shadow of the real chains.
-    for (;;) {
-      bool active[kCmacLanesMax] = {};
-      std::size_t run = 0, pad_src = width;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (walk[j].done()) continue;
-        active[j] = true;
-        const std::size_t r = walk[j].run();
-        if (pad_src == width) {
-          pad_src = j;
-          run = r;
-        } else {
-          run = std::min(run, r);
-        }
-      }
-      if (pad_src == width) break;  // all lanes finished
+    // Lockstep passes: each absorbs the longest run every live lane can
+    // sustain contiguously, 16 chains wide while more than 8 live on a
+    // wide tier, else 8 wide. Padding lanes duplicate the first live lane
+    // into a scratch state. Once fewer than kCmacMinLanes remain, the
+    // stragglers finish one after another instead of being padded.
+    while (nlive >= kCmacMinLanes) {
+      const std::size_t width =
+          (nlive > 8 && group >= Backend::avx2) ? std::size_t{16}
+                                                : std::size_t{8};
+      std::size_t run = walk[live[0]].run();
+      for (std::size_t k = 1; k < nlive; ++k)
+        run = std::min(run, walk[live[k]].run());
 
       const std::uint8_t* rk[kCmacLanesMax];
       std::uint8_t* xs[kCmacLanesMax];
       const std::uint8_t* dp[kCmacLanesMax];
       std::uint8_t dummy_x[16];
-      std::memcpy(dummy_x, walk[pad_src].x.data(), 16);
+      std::memcpy(dummy_x, walk[live[0]].x.data(), 16);
       for (std::size_t l = 0; l < width; ++l) {
-        if (l < n && active[l]) {
-          rk[l] = walk[l].rk;
-          xs[l] = walk[l].x.data();
-          dp[l] = walk[l].ptr();
-        } else {
-          rk[l] = walk[pad_src].rk;
-          xs[l] = dummy_x;
-          dp[l] = walk[pad_src].ptr();
-        }
+        CmacLaneWalk& w = walk[live[l < nlive ? l : 0]];
+        rk[l] = w.aes->round_key_bytes();
+        xs[l] = l < nlive ? w.x.data() : dummy_x;
+        dp[l] = w.ptr();
       }
       if (width == 16) {
         if (group == Backend::vaes_avx512)
@@ -331,9 +343,12 @@ void aes_cmac_many(std::span<const CmacJob> jobs,
       } else {
         detail::aesni_cbcmac_absorb_8(rk, xs, dp, run);
       }
-      for (std::size_t j = 0; j < n; ++j)
-        if (active[j]) walk[j].off += run;
+      std::size_t keep = 0;
+      for (std::size_t k = 0; k < nlive; ++k)
+        if (!walk[live[k]].advance(run)) live[keep++] = live[k];
+      nlive = keep;
     }
+    for (std::size_t k = 0; k < nlive; ++k) walk[live[k]].finish_serial();
     for (std::size_t j = 0; j < n; ++j) tags[base + j] = walk[j].x;
     base += n;
   }

@@ -73,15 +73,26 @@ struct CmacJob {
   ByteSpan b;
 };
 
+/// Fewest live CBC chains an interleaved aes_cmac_many pass is worth. On
+/// vaes_avx512 an 8-lane pass costs about as much as four single-chain
+/// blocks and a 16-lane pass about five and a half; with the per-lane
+/// staging on top, packet MACs of 128-512 B gain nothing below six live
+/// chains, so fewer run one after another instead of padded out to a
+/// kernel width.
+inline constexpr std::size_t kCmacMinLanes = 6;
+
 /// Computes tags[i] == jobs[i].key->mac2(jobs[i].a, jobs[i].b) for every
 /// job — but interleaves independent CBC chains through the AES unit. The
 /// lane width follows the narrowest tier in each group of consecutive
-/// hardware-backed keys: 16 chains on avx2 / vaes_avx512
+/// hardware-backed keys: up to 16 chains on avx2 / vaes_avx512
 /// (detail::{avx2,vaes}_cbcmac_absorb_16), 8 on plain aesni
 /// (detail::aesni_cbcmac_absorb_8). A lone CBC chain is latency-bound;
 /// many keep the unit saturated, so a burst of per-packet MACs (Fig 4's
-/// one-MAC-per-packet) costs a fraction of the serial sweep. Tags are
-/// bit-identical to the scalar mac2 on every tier (pinned by
+/// one-MAC-per-packet) costs a fraction of the serial sweep. Groups of
+/// fewer than kCmacMinLanes jobs, and the straggler lanes left once
+/// shorter inputs finish, run as serial chains instead of padded lanes,
+/// so a burst of one to five MACs costs what the serial loop does. Tags
+/// are bit-identical to the scalar mac2 on every tier (pinned by
 /// crypto_property_test); soft-tier keys take the scalar loop.
 void aes_cmac_many(std::span<const CmacJob> jobs,
                    std::array<std::uint8_t, 16>* tags);

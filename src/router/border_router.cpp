@@ -1,7 +1,7 @@
 #include "router/border_router.h"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 
 namespace apna::router {
 
@@ -78,36 +78,6 @@ inline void prefetch_ro(const void* p) {
 constexpr std::size_t kPrefetchAhead = 4;
 }  // namespace
 
-Errc BorderRouter::outgoing_checks(const wire::PacketView& pkt,
-                                   core::ExpTime now, core::FlowCache* cache,
-                                   std::uint64_t gen) const {
-  if (pkt.wire_size() > cfg_.mtu) return Errc::too_big;
-  if (cfg_.mode == Mode::baseline || cache == nullptr)
-    return check_outgoing(pkt, now).code();
-
-  core::EphId src;
-  src.bytes = pkt.src_ephid();
-  if (const core::FlowCache::Entry* e = cache->find(src, gen)) {
-    // Memoized EphID verdict: only the clock edge and the per-packet MAC
-    // (never cached, §IV-D2) remain.
-    if (e->exp_time < now) return Errc::expired;
-    return core::verify_packet_mac(*e->cmac, pkt) ? Errc::ok : Errc::bad_mac;
-  }
-  // Miss: the uncached Fig 4 sequence, with the ingredients kept for
-  // insertion. Check ORDER is identical to check_outgoing.
-  auto plain = as_.codec.open(src);
-  if (!plain) return Errc::decrypt_failed;
-  if (plain->exp_time < now) return Errc::expired;
-  if (as_.revoked.is_revoked(src) || as_.revoked.is_hid_revoked(plain->hid))
-    return Errc::revoked;
-  const auto host = as_.host_db.find(plain->hid);
-  if (!host) return Errc::unknown_host;
-  // The EphID-level verdict is cacheable whatever this packet's MAC says:
-  // the MAC is per-packet and re-verified on every hit.
-  cache->insert(src, plain->hid, plain->exp_time, gen, host->cmac);
-  return core::verify_packet_mac(*host->cmac, pkt) ? Errc::ok : Errc::bad_mac;
-}
-
 void BorderRouter::finish_outgoing_classify(
     std::span<const wire::PacketView> burst, std::span<Verdict> verdicts,
     Stats& stats) const {
@@ -124,8 +94,18 @@ void BorderRouter::finish_outgoing_classify(
 
 void BorderRouter::classify_outgoing_burst(
     std::span<const wire::PacketView> burst, core::ExpTime now,
-    std::span<Verdict> verdicts, Stats& stats, bool batched,
-    core::FlowCache* cache) const {
+    std::span<Verdict> verdicts, Stats& stats, core::FlowCache* cache) const {
+  if (cfg_.mode == Mode::baseline) {
+    // E11's plain-IP router: MTU and header sanity, no crypto.
+    for (std::size_t i = 0; i < burst.size(); ++i)
+      verdicts[i] = Verdict{burst[i].wire_size() > cfg_.mtu
+                                ? Errc::too_big
+                                : check_baseline(burst[i]).code(),
+                            false, 0};
+    finish_outgoing_classify(burst, verdicts, stats);
+    return;
+  }
+
   // One generation per burst: entries verified mid-burst are stamped with
   // the generation observed HERE, so a revocation racing the burst leaves
   // them conservatively stale (same visibility contract as the striped
@@ -133,41 +113,30 @@ void BorderRouter::classify_outgoing_burst(
   // revocation; every packet of the NEXT burst sees it).
   const std::uint64_t gen = cache ? as_.epoch.current() : 0;
 
-  if (cfg_.mode == Mode::baseline || !batched) {
-    for (std::size_t i = 0; i < burst.size(); ++i)
-      verdicts[i] = Verdict{outgoing_checks(burst[i], now, cache, gen), false,
-                            0};
-    finish_outgoing_classify(burst, verdicts, stats);
-    return;
-  }
-
-  // Fused batch pipeline, one pass per chunk: probe the flow cache, gather
-  // the misses, run ONE widened AES sweep over the misses only, striped
-  // checks for the misses, then a single batched packet-CMAC stage that
-  // covers hits and verified misses together (hits skip EphID crypto and
-  // the table stripes but never the per-packet MAC). Chunking keeps every
-  // gather buffer on the stack; check ORDER stays identical to
-  // check_outgoing so both paths produce the same error codes.
+  // One pass per chunk: probe the flow cache, gather the misses, run ONE
+  // widened AES sweep over the misses only, striped checks for the misses,
+  // then a single batched packet-CMAC stage that covers hits and verified
+  // misses together (hits skip EphID crypto and the table stripes but
+  // never the per-packet MAC). Chunking keeps every gather buffer on the
+  // stack; check ORDER is identical to check_outgoing, so both produce the
+  // same error codes. The buffers declared here are plain pointers and
+  // indices, so a burst of one pays for one slot, not 32; the miss-only
+  // buffers exist only in chunks that have misses.
   constexpr std::size_t kChunk = 32;
-  const core::FlowCache::Entry* hits[kChunk];
   const std::uint8_t* miss_eph[kChunk];  // gather list into the wire images
   std::size_t miss_at[kChunk];
-  core::EphIdPlain plain[kChunk];
-  std::uint8_t id_ok[kChunk];
-  // HostRecord copies keep the pre-scheduled cmac shared_ptr alive while
-  // the verify jobs borrow raw pointers to it.
-  std::optional<core::HostRecord> recs[kChunk];
   core::PacketMacJob jobs[kChunk];
   std::size_t job_at[kChunk];
   std::uint8_t mac_ok[kChunk];
-  std::size_t fresh[kChunk];  // miss indices whose EphID fully verified
 
   for (std::size_t base = 0; base < burst.size(); base += kChunk) {
     const std::size_t m = std::min(kChunk, burst.size() - base);
 
-    // Stage 1 — probe. Warm the next packets' EphID bytes and cache
-    // buckets a few slots ahead of use.
-    std::size_t nmiss = 0;
+    // Stage 1 — probe. Warm the next packets' EphID bytes a few slots
+    // ahead of use. A hit queues its MAC job at once, borrowing the
+    // entry's key schedule (no insert runs before the MAC stage, so no
+    // eviction can free it).
+    std::size_t nmiss = 0, njobs = 0;
     for (std::size_t i = 0; i < m; ++i) {
       if (i + kPrefetchAhead < m) {
         const wire::PacketView& ahead = burst[base + i + kPrefetchAhead];
@@ -176,7 +145,6 @@ void BorderRouter::classify_outgoing_burst(
       const wire::PacketView& pkt = burst[base + i];
       Verdict& v = verdicts[base + i];
       v = Verdict{};
-      hits[i] = nullptr;
       if (pkt.wire_size() > cfg_.mtu) {
         v.err = Errc::too_big;
         continue;
@@ -188,7 +156,8 @@ void BorderRouter::classify_outgoing_burst(
           if (e->exp_time < now) {
             v.err = Errc::expired;
           } else {
-            hits[i] = e;  // MAC still pending (stage 4)
+            jobs[njobs] = core::PacketMacJob{&pkt, e->cmac.get()};
+            job_at[njobs++] = base + i;
           }
           continue;
         }
@@ -197,12 +166,31 @@ void BorderRouter::classify_outgoing_burst(
       miss_at[nmiss++] = i;
     }
 
+    // The batched packet-CMAC stage for every job queued so far.
+    const auto verify_macs = [&] {
+      core::verify_packet_macs(
+          std::span<const core::PacketMacJob>(jobs, njobs),
+          std::span<std::uint8_t>(mac_ok, njobs));
+      for (std::size_t j = 0; j < njobs; ++j)
+        if (!mac_ok[j]) verdicts[job_at[j]].err = Errc::bad_mac;
+    };
+    if (nmiss == 0) {
+      verify_macs();
+      continue;
+    }
+
     // Stage 2 — one widened AES sweep over the misses only, gathered
     // straight from the wire images.
+    core::EphIdPlain plain[kChunk];
+    std::uint8_t id_ok[kChunk];
     as_.codec.open_batch_gather(miss_eph, nmiss, plain, id_ok);
 
     // Stage 3 — striped lookups for the misses, stripe heads prefetched
-    // ahead of use.
+    // ahead of use. A verified miss queues its MAC job under the key the
+    // host table returned; miss_key owns that key while the job borrows
+    // it and until the cache insert after the MAC stage.
+    std::shared_ptr<const crypto::AesCmac> miss_key[kChunk];
+    std::size_t fresh[kChunk];  // miss indices whose EphID fully verified
     std::size_t nfresh = 0;
     for (std::size_t j = 0; j < nmiss; ++j) {
       if (j + kPrefetchAhead < nmiss) {
@@ -214,7 +202,6 @@ void BorderRouter::classify_outgoing_burst(
       }
       const std::size_t i = miss_at[j];
       Verdict& v = verdicts[base + i];
-      recs[j].reset();
       core::EphId src;
       src.bytes = burst[base + i].src_ephid();
       if (!id_ok[j]) {
@@ -224,131 +211,58 @@ void BorderRouter::classify_outgoing_burst(
       } else if (as_.revoked.is_revoked(src) ||
                  as_.revoked.is_hid_revoked(plain[j].hid)) {
         v.err = Errc::revoked;
-      } else if (!(recs[j] = as_.host_db.find(plain[j].hid))) {
+      } else if (auto host = as_.host_db.find(plain[j].hid); !host) {
         v.err = Errc::unknown_host;
       } else {
+        miss_key[j] = std::move(host->cmac);
+        jobs[njobs] = core::PacketMacJob{&burst[base + i], miss_key[j].get()};
+        job_at[njobs++] = base + i;
         fresh[nfresh++] = j;
       }
     }
 
-    // Stage 4 — one batched packet-CMAC stage for everything still alive:
-    // cache hits borrow the entry's key schedule, fresh misses the copied
-    // HostRecord's. MAC offsets are prefetched while the job list builds.
-    std::size_t njobs = 0;
-    for (std::size_t j = 0; j < nfresh; ++j) {
-      const std::size_t i = miss_at[fresh[j]];
-      const wire::PacketView& pkt = burst[base + i];
-      prefetch_ro(pkt.bytes().data() + wire::kOffMac);
-      jobs[njobs] = core::PacketMacJob{&pkt, recs[fresh[j]]->cmac.get()};
-      job_at[njobs++] = base + i;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (hits[i] == nullptr) continue;
-      const wire::PacketView& pkt = burst[base + i];
-      prefetch_ro(pkt.bytes().data() + wire::kOffMac);
-      jobs[njobs] = core::PacketMacJob{&pkt, hits[i]->cmac.get()};
-      job_at[njobs++] = base + i;
-    }
-    core::verify_packet_macs(std::span<const core::PacketMacJob>(jobs, njobs),
-                             std::span<std::uint8_t>(mac_ok, njobs));
-    for (std::size_t j = 0; j < njobs; ++j)
-      if (!mac_ok[j]) verdicts[job_at[j]].err = Errc::bad_mac;
+    // Stage 4 — one batched packet-CMAC stage for hits and fresh misses.
+    verify_macs();
 
     // Stage 5 — insert the fresh EphID verdicts AFTER the MAC batch ran,
     // so an insertion's eviction can never free a key schedule a pending
     // job still borrows. Inserted whatever the packet's own MAC said: the
     // EphID-level verdict is independent of the per-packet MAC.
     if (cache) {
-      for (std::size_t j = 0; j < nfresh; ++j) {
-        const std::size_t mj = fresh[j];
+      for (std::size_t k = 0; k < nfresh; ++k) {
+        const std::size_t j = fresh[k];
         core::EphId src;
-        src.bytes = burst[base + miss_at[mj]].src_ephid();
-        cache->insert(src, plain[mj].hid, plain[mj].exp_time, gen,
-                      recs[mj]->cmac);
+        src.bytes = burst[base + miss_at[j]].src_ephid();
+        cache->insert(src, plain[j].hid, plain[j].exp_time, gen,
+                      std::move(miss_key[j]));
       }
     }
   }
   finish_outgoing_classify(burst, verdicts, stats);
 }
 
-void BorderRouter::ingress_checks(const wire::PacketView& pkt,
-                                  core::ExpTime now, core::FlowCache* cache,
-                                  std::uint64_t gen, Verdict& v) const {
-  core::EphId dst;
-  dst.bytes = pkt.dst_ephid();
-  if (cache) {
-    if (const core::FlowCache::Entry* e = cache->find(dst, gen)) {
-      // Ingress hits skip ALL crypto — there is no per-packet MAC check at
-      // the destination AS (Fig 4 top).
-      if (e->exp_time < now) {
-        v.err = Errc::expired;
-      } else {
-        v.hid = e->hid;
-      }
-      return;
-    }
-  }
-  auto plain = as_.codec.open(dst);
-  if (!plain) {
-    v.err = Errc::decrypt_failed;
-    return;
-  }
-  if (plain->exp_time < now) {
-    v.err = Errc::expired;
-    return;
-  }
-  if (as_.revoked.is_revoked(dst) || as_.revoked.is_hid_revoked(plain->hid)) {
-    v.err = Errc::revoked;
-    return;
-  }
-  // find (not contains): the copied record's cmac makes the entry usable
-  // for EGRESS hits of the same EphID too — one cache serves both
-  // directions.
-  const auto host = as_.host_db.find(plain->hid);
-  if (!host) {
-    v.err = Errc::unknown_host;
-    return;
-  }
-  v.hid = plain->hid;
-  if (cache)
-    cache->insert(dst, plain->hid, plain->exp_time, gen, host->cmac);
-}
-
 void BorderRouter::classify_ingress_burst(
     std::span<const wire::PacketView> burst, core::ExpTime now,
-    std::span<Verdict> verdicts, Stats& stats, bool batched,
-    core::FlowCache* cache) const {
-  const std::uint64_t gen = cache ? as_.epoch.current() : 0;
-
-  if (cfg_.mode == Mode::baseline || !batched) {
+    std::span<Verdict> verdicts, Stats& stats, core::FlowCache* cache) const {
+  if (cfg_.mode == Mode::baseline) {
+    // E11's plain-IP router: deliver by the raw destination identifier.
     for (std::size_t i = 0; i < burst.size(); ++i) {
-      const wire::PacketView& pkt = burst[i];
       Verdict& v = verdicts[i];
       v = Verdict{};
-      if (pkt.dst_aid() != as_.aid) continue;  // transit, no crypto
+      if (burst[i].dst_aid() != as_.aid) continue;  // transit
       v.local = true;
-      if (cfg_.mode == Mode::baseline || cache == nullptr) {
-        auto hid = check_incoming(pkt, now);
-        if (hid) {
-          v.hid = *hid;
-        } else {
-          v.err = hid.error().code;
-        }
-      } else {
-        ingress_checks(pkt, now, cache, gen, v);
-      }
-      if (v.err != Errc::ok) count_drop(stats, v.err);
+      v.hid = *check_incoming(burst[i], now);
     }
     return;
   }
+  const std::uint64_t gen = cache ? as_.epoch.current() : 0;
 
-  // Fused ingress pipeline: transit packets skip crypto entirely (design
-  // choice 3); locally-destined packets probe the flow cache, and only the
-  // misses reach the widened AES sweep and the striped tables.
+  // Transit packets skip crypto entirely (design choice 3); locally-
+  // destined packets probe the flow cache, and only the misses reach the
+  // widened AES sweep and the striped tables. Cache hits skip all crypto:
+  // there is no per-packet MAC check at the destination AS (Fig 4 top).
   constexpr std::size_t kChunk = 32;
   const std::uint8_t* miss_eph[kChunk];
-  core::EphIdPlain plain[kChunk];
-  std::uint8_t id_ok[kChunk];
   std::size_t miss_at[kChunk];
 
   for (std::size_t base = 0; base < burst.size(); base += kChunk) {
@@ -382,8 +296,11 @@ void BorderRouter::classify_ingress_burst(
       miss_eph[nmiss] = pkt.bytes().data() + wire::kOffDstEphid;
       miss_at[nmiss++] = i;
     }
+    if (nmiss == 0) continue;
 
     // Stage 2 — widened AES sweep over the misses only.
+    core::EphIdPlain plain[kChunk];
+    std::uint8_t id_ok[kChunk];
     as_.codec.open_batch_gather(miss_eph, nmiss, plain, id_ok);
 
     // Stage 3 — striped checks + insertion (no MAC stage at ingress, so
@@ -413,11 +330,12 @@ void BorderRouter::classify_ingress_burst(
         } else {
           v.err = Errc::unknown_host;
         }
-      } else if (const auto host = as_.host_db.find(plain[j].hid)) {
-        // find (not contains): the copied record's cmac makes the fresh
-        // entry usable for EGRESS hits of the same EphID too.
+      } else if (auto host = as_.host_db.find(plain[j].hid)) {
+        // find (not contains): the record's cmac makes the fresh entry
+        // usable for EGRESS hits of the same EphID too.
         v.hid = plain[j].hid;
-        cache->insert(dst, plain[j].hid, plain[j].exp_time, gen, host->cmac);
+        cache->insert(dst, plain[j].hid, plain[j].exp_time, gen,
+                      std::move(host->cmac));
       } else {
         v.err = Errc::unknown_host;
       }

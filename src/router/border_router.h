@@ -28,20 +28,22 @@
 //    ownership of one packet, run the checks, the forwarding actions AND
 //    the control-plane niceties (ICMP feedback, path stamping) on the
 //    event-loop thread. check_outgoing()/check_incoming() are its
-//    side-effect-free cores, benchmarked by E2.
+//    side-effect-free cores, benchmarked by E2/E11 and used by the tests as
+//    the Fig 4 reference.
 //
 //  * The concurrent fast path: classify_*_burst() runs the same checks over
 //    a std::span<const wire::PacketView> burst from ANY number of worker
 //    threads — all AS state it touches is lock-striped (core/sharded.h) or
 //    immutable, and outcome counters go to a caller-owned Stats (one per
-//    worker, merged on read). Verdicts are then turned into forwarding
+//    worker, merged on read). There is one classify kernel, the fused
+//    chunk pipeline, for every burst size from one packet up: EphID
+//    authentication runs through EphIdCodec::open_batch_gather and MAC
+//    verification through verify_packet_macs, with verdicts identical to
+//    the per-packet checks. Verdicts are then turned into forwarding
 //    actions by apply_*_verdicts() on a single thread (the callbacks —
-//    simulator event loop — are not thread-safe). With `batched` set, EphID
-//    authentication and MAC verification run through the batched kernels
-//    (EphIdCodec::open_batch, verify_packet_macs); verdicts are identical
-//    to the scalar path either way. The concurrent path does not emit ICMP
-//    feedback (a real line-rate device punts error signalling off the fast
-//    path the same way).
+//    simulator event loop — are not thread-safe). The concurrent path does
+//    not emit ICMP feedback (a real line-rate device punts error
+//    signalling off the fast path the same way).
 //
 // router/forwarding_pool.h packages the classify/apply split into an
 // M-worker pool; Mode::baseline implements a plain IPv4-style router (AID
@@ -199,32 +201,34 @@ class BorderRouter {
   /// when configured) over a burst of views. Drop reasons are counted into
   /// the caller-owned `stats` (passes are counted by
   /// apply_outgoing_verdicts or by the caller). Safe to call from many
-  /// threads concurrently; `batched` selects the fused batch pipeline
-  /// (identical verdicts either way). Allocation-free.
+  /// threads concurrently. Allocation-free.
   ///
   /// `cache` (optional, caller-owned, NOT thread-safe — one per worker
   /// thread) memoizes verified EphID verdicts: a generation-valid hit
   /// skips the EphID decrypt+auth and both striped lookups, but NEVER the
-  /// per-packet MAC (§IV-D2). With `batched` the burst runs as one fused
-  /// pass per chunk: probe cache → gather misses → one widened AES sweep
-  /// over misses only → striped checks for misses → batched packet-CMAC
-  /// for hits and verified misses together → insert fresh verdicts (after
-  /// the MAC batch, so an eviction can never invalidate a borrowed key
-  /// schedule mid-chunk). Verdicts are bit-identical with and without the
-  /// cache, including bursts that straddle a revocation: every revocation
-  /// bumps AsState::epoch, so stale entries miss and re-verify against the
-  /// striped tables (pinned by flow_cache_test / router_concurrency_test).
+  /// per-packet MAC (§IV-D2). The burst runs as one fused pass per chunk
+  /// of 32: probe cache → gather misses → one widened AES sweep over misses
+  /// only → striped checks for misses → batched packet-CMAC for hits and
+  /// verified misses together → insert fresh verdicts (after the MAC
+  /// batch, so an eviction can never invalidate a borrowed key schedule
+  /// mid-chunk). Verdicts equal the per-packet reference — MTU, then
+  /// check_outgoing, then the replay filter — at every burst size, with
+  /// and without the cache, including bursts that straddle a revocation:
+  /// every revocation bumps AsState::epoch, so stale entries miss and
+  /// re-verify against the striped tables (pinned by the KernelOracle
+  /// tests in router_concurrency_test, flow_cache_test and scenario_test).
+  /// Mode::baseline runs E11's plain-IP check per packet instead.
   void classify_outgoing_burst(std::span<const wire::PacketView> burst,
                                core::ExpTime now, std::span<Verdict> verdicts,
-                               Stats& stats, bool batched = true,
+                               Stats& stats,
                                core::FlowCache* cache = nullptr) const;
 
-  /// Ingress twin: transit detection + Fig 4 top checks for local packets.
-  /// Cache hits skip all crypto (ingress has no per-packet MAC check — the
-  /// MAC is verified at the source AS).
+  /// Ingress twin: transit detection + Fig 4 top checks for local packets
+  /// (check_incoming's verdicts). Cache hits skip all crypto (ingress has
+  /// no per-packet MAC check — the MAC is verified at the source AS).
   void classify_ingress_burst(std::span<const wire::PacketView> burst,
                               core::ExpTime now, std::span<Verdict> verdicts,
-                              Stats& stats, bool batched = true,
+                              Stats& stats,
                               core::FlowCache* cache = nullptr) const;
 
   /// Executes the forwarding actions for a classified egress burst on the
@@ -296,21 +300,10 @@ class BorderRouter {
     if (!icmp_armed()) return;
     maybe_icmp_error(make_quote(offending), type, code);
   }
-  /// Shared tail of both classify paths: replay filter + drop accounting.
+  /// Egress classify tail: replay filter + drop accounting.
   void finish_outgoing_classify(std::span<const wire::PacketView> burst,
                                 std::span<Verdict> verdicts,
                                 Stats& stats) const;
-  /// MTU + Fig 4 checks for one egress packet (the scalar classify kernel;
-  /// replay filtering and accounting happen in finish_outgoing_classify).
-  /// With a cache, hits skip straight to the per-packet MAC and verified
-  /// misses are inserted under `gen`.
-  Errc outgoing_checks(const wire::PacketView& pkt, core::ExpTime now,
-                       core::FlowCache* cache, std::uint64_t gen) const;
-  /// Scalar ingress kernel for one locally-destined packet (cache-aware
-  /// twin of check_incoming; fills v.hid on success).
-  void ingress_checks(const wire::PacketView& pkt, core::ExpTime now,
-                      core::FlowCache* cache, std::uint64_t gen,
-                      Verdict& v) const;
 
   core::AsState& as_;
   Callbacks cb_;

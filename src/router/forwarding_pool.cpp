@@ -34,14 +34,12 @@ ForwardingPool::~ForwardingPool() {
 
 void ForwardingPool::classify(Slot& s,
                               std::span<const wire::PacketView> burst,
-                              core::ExpTime now, bool ingress, bool batched,
+                              core::ExpTime now, bool ingress,
                               std::span<BorderRouter::Verdict> out) {
   if (ingress) {
-    br_.classify_ingress_burst(burst, now, out, s.stats, batched,
-                               s.cache.get());
+    br_.classify_ingress_burst(burst, now, out, s.stats, s.cache.get());
   } else {
-    br_.classify_outgoing_burst(burst, now, out, s.stats, batched,
-                                s.cache.get());
+    br_.classify_outgoing_burst(burst, now, out, s.stats, s.cache.get());
   }
 }
 
@@ -50,14 +48,13 @@ void ForwardingPool::run_ring(std::size_t slot) {
   const wire::PacketView* burst;
   BorderRouter::Verdict* verdicts;
   core::ExpTime now;
-  bool ingress, batched;
+  bool ingress;
   {
     std::lock_guard lock(mu_);
     burst = burst_;
     verdicts = verdicts_;
     now = now_;
     ingress = ingress_;
-    batched = batched_;
   }
   if (s.ring.empty()) return;
   std::lock_guard slot_lock(s.mu);
@@ -66,7 +63,7 @@ void ForwardingPool::run_ring(std::size_t slot) {
   s.gather.clear();
   for (const std::uint32_t idx : s.ring) s.gather.push_back(burst[idx]);
   s.scratch.resize(s.ring.size());
-  classify(s, s.gather, now, ingress, batched, s.scratch);
+  classify(s, s.gather, now, ingress, s.scratch);
   // Scatter back to burst order. Rings partition the burst, so no two
   // slots ever write the same verdict index.
   for (std::size_t j = 0; j < s.ring.size(); ++j)
@@ -93,12 +90,11 @@ void ForwardingPool::process_burst(std::span<const wire::PacketView> burst,
                                    core::ExpTime now, bool ingress) {
   if (burst.empty()) return;
   verdict_buf_.resize(burst.size());
-  const bool batched = batched_for(burst.size());
   if (cfg_.threads == 1) {
     // One processing context: there is only one cache, so steering has
     // nothing to separate — classify the whole burst in place.
     std::lock_guard slot_lock(slots_[0].mu);
-    classify(slots_[0], burst, now, ingress, batched, verdict_buf_);
+    classify(slots_[0], burst, now, ingress, verdict_buf_);
   } else {
     // Scatter the burst into per-worker RX rings by flow hash BEFORE
     // publishing the burst: the workers are quiescent between bursts, and
@@ -116,7 +112,6 @@ void ForwardingPool::process_burst(std::span<const wire::PacketView> burst,
       verdicts_ = verdict_buf_.data();
       now_ = now;
       ingress_ = ingress;
-      batched_ = batched;
       ++burst_seq_;
       workers_pending_ = cfg_.threads - 1;
     }

@@ -24,7 +24,8 @@
 //    background workers plus the calling thread, which processes ring 0
 //    like any worker while it waits. threads == 1 means no background
 //    workers and no rings at all: the caller classifies the whole burst in
-//    place under one uncontended slot lock.
+//    place under one uncontended slot lock. Every pool shape and burst
+//    size runs the same kernel, so there is nothing else to configure.
 //  * Each processing context owns a Stats slot; stats() merges the slots
 //    (plus the action-phase counters) on read, taking each slot's lock, so
 //    it is safe to call concurrently with processing.
@@ -47,30 +48,10 @@ namespace apna::router {
 
 class ForwardingPool {
  public:
-  /// Which classify kernel runs inside the workers. The verdicts are
-  /// identical for every choice; only the per-packet cost differs.
-  enum class Kernel {
-    /// Pick per burst: the batched kernels win when there is real
-    /// parallelism and enough packets to fill the gather buffers, but on
-    /// one thread with small bursts the gather/scatter overhead loses to
-    /// the scalar loop (BENCH_e2: batched 0.95-0.98x scalar at 1 thread
-    /// pre-fusion) — so auto selects scalar for threads == 1 or bursts
-    /// below batch_min_burst.
-    auto_select,
-    scalar,
-    batched,
-  };
-
   struct Config {
     /// Total processing threads (calling thread included). 0 → one per
     /// hardware thread.
     std::size_t threads = 0;
-    /// Kernel selection (see Kernel). Explicit Kernel::batched is how a
-    /// single-threaded driver opts into the fused cached pipeline.
-    Kernel kernel = Kernel::auto_select;
-    /// Auto threshold: bursts smaller than this run scalar under
-    /// Kernel::auto_select (covered by router_test.KernelAutoSelection).
-    std::size_t batch_min_burst = 128;
     /// Per-worker verified-flow cache capacity (entries); 0 disables the
     /// caches. Each processing context owns its own core::FlowCache — no
     /// locks, no cross-thread sharing; revocations invalidate via
@@ -108,17 +89,6 @@ class ForwardingPool {
   /// Total processing threads (callers + workers).
   std::size_t threads() const { return cfg_.threads; }
 
-  /// The auto_select decision for a burst of `burst_packets` under this
-  /// pool's configuration (public so the threshold is unit-testable).
-  bool batched_for(std::size_t burst_packets) const {
-    switch (cfg_.kernel) {
-      case Kernel::scalar: return false;
-      case Kernel::batched: return true;
-      case Kernel::auto_select: break;
-    }
-    return cfg_.threads > 1 && burst_packets >= cfg_.batch_min_burst;
-  }
-
  private:
   void process_burst(std::span<const wire::PacketView> burst, core::ExpTime now,
                      bool ingress);
@@ -151,7 +121,7 @@ class ForwardingPool {
   /// One classify pass over `burst` against slot `s`'s stats and cache
   /// (caller holds s.mu).
   void classify(Slot& s, std::span<const wire::PacketView> burst,
-                core::ExpTime now, bool ingress, bool batched,
+                core::ExpTime now, bool ingress,
                 std::span<BorderRouter::Verdict> out);
 
   BorderRouter& br_;
@@ -167,7 +137,6 @@ class ForwardingPool {
   BorderRouter::Verdict* verdicts_ = nullptr;
   core::ExpTime now_ = 0;
   bool ingress_ = false;
-  bool batched_ = true;  // this burst's kernel choice (batched_for)
   std::uint64_t burst_seq_ = 0;       // burst generation
   std::size_t workers_pending_ = 0;   // rings not yet completed
   bool stop_ = false;

@@ -528,8 +528,7 @@ void Engine::do_replay_tamper(const Phase& p, PhaseReport& r) {
     }
     for (const wire::PacketBuf& buf : bufs) views.push_back(buf.view());
     verdicts.assign(views.size(), router::BorderRouter::Verdict{});
-    rbr.classify_outgoing_burst(views, now_, verdicts, replay_extra_, true,
-                                nullptr);
+    rbr.classify_outgoing_burst(views, now_, verdicts, replay_extra_);
     for (const auto& v : verdicts)
       if (v.err == Errc::ok) ++replay_extra_.forwarded_out;
     r.packets += views.size();
@@ -743,8 +742,7 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
       for (const wire::PacketBuf& buf : fwd_bufs) views.push_back(buf.view());
       std::vector<router::BorderRouter::Verdict> verdicts(views.size());
       router::BorderRouter::Stats scratch;
-      probe_br.classify_outgoing_burst(views, now_, verdicts, scratch, true,
-                                       nullptr);
+      probe_br.classify_outgoing_burst(views, now_, verdicts, scratch);
       Bytes fp;
       fp.reserve(verdicts.size());
       for (const auto& v : verdicts)
@@ -1110,17 +1108,17 @@ MultiAsReport run_multi_as(const MultiAsConfig& cfg) {
         views.push_back(bufs.back().view());
       }
       verdicts.assign(views.size(), router::BorderRouter::Verdict{});
-      src.br->classify_outgoing_burst(views, kNow, verdicts, sink, true);
+      src.br->classify_outgoing_burst(views, kNow, verdicts, sink);
       for (const auto& v : verdicts) {
         if (v.err == Errc::ok) ++rep.forwarded_out;
         else ++rep.total_drops;
       }
       verdicts.assign(views.size(), router::BorderRouter::Verdict{});
-      mid.br->classify_ingress_burst(views, kNow, verdicts, sink, true);
+      mid.br->classify_ingress_burst(views, kNow, verdicts, sink);
       for (const auto& v : verdicts)
         if (v.err == Errc::ok && !v.local) ++rep.transited;
       verdicts.assign(views.size(), router::BorderRouter::Verdict{});
-      dst.br->classify_ingress_burst(views, kNow, verdicts, sink, true);
+      dst.br->classify_ingress_burst(views, kNow, verdicts, sink);
       for (const auto& v : verdicts) {
         if (v.err == Errc::ok && v.local) ++rep.delivered_in;
         else if (v.err != Errc::ok) ++rep.total_drops;

@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(Lengths, CmacLengthSweep,
                                            255, 256, 1000, 1460, 4096));
 
 TEST(CmacManyProperty, InterleavedLanesMatchScalarAcrossShapes) {
-  // aes_cmac_many interleaves up to 8 chains with DIFFERENT keys and
+  // aes_cmac_many interleaves up to 16 chains with DIFFERENT keys and
   // lockstep-retires lanes of different lengths; every (a, b) extent shape
   // (empty input, a-only, straddle, b-only, complete vs padded final
   // block) must produce the scalar mac2 tag bit-for-bit.
@@ -452,6 +452,37 @@ TEST(BackendTiers, CmacManyMixedTierGroupsMatchScalar) {
   for (std::size_t i = 0; i < kJobs; ++i)
     EXPECT_EQ(hex_encode(tags[i]), hex_encode(keys[i].mac2(as[i], bs[i])))
         << "job " << i << " tier " << keys[i].backend();
+}
+
+TEST(BackendTiers, CmacManyEveryJobCountMatchesMac2) {
+  // Every job count from 1 to 33 on every compiled tier: the serial path
+  // for groups too small to interleave, both lane widths, a ragged tail
+  // group, and straggler lanes that finish serially once the shorter IMIX
+  // inputs (128 / 512 / 1518 B frames, in an unbalanced order) retire.
+  ChaChaRng rng(818);
+  constexpr std::size_t kMaxJobs = 33;
+  const std::size_t frames[] = {128, 1518, 128, 512, 128, 128, 512,
+                                128, 128,  1518, 128, 512, 128};
+  for (const Aes128::Backend tier : compiled_tiers()) {
+    std::vector<AesCmac> keys;
+    keys.reserve(kMaxJobs);
+    std::vector<Bytes> as, bs;
+    for (std::size_t i = 0; i < kMaxJobs; ++i) {
+      keys.emplace_back(rng.bytes(16), tier);
+      as.push_back(rng.bytes(40 + (i % 4) * 4));  // packet MAC preambles
+      bs.push_back(rng.bytes(frames[i % std::size(frames)] - 52));
+    }
+    std::vector<CmacJob> jobs;
+    for (std::size_t i = 0; i < kMaxJobs; ++i)
+      jobs.push_back(CmacJob{&keys[i], as[i], bs[i]});
+    for (std::size_t n = 1; n <= kMaxJobs; ++n) {
+      std::vector<std::array<std::uint8_t, 16>> tags(n);
+      aes_cmac_many(std::span<const CmacJob>(jobs.data(), n), tags.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hex_encode(tags[i]), hex_encode(keys[i].mac2(as[i], bs[i])))
+            << keys[i].backend() << " jobs " << n << " job " << i;
+    }
+  }
 }
 
 TEST(BackendTiers, ChaChaWideKernelsMatchScalarBlocks) {

@@ -2,7 +2,7 @@
 // pipelines of router/border_router.cpp):
 //  * FlowCache container behavior: hit/miss, same-key refresh, stale-gen
 //    invalidation, bounded capacity with earliest-expiry eviction;
-//  * verdict equivalence — cached (fused and scalar kernels) vs uncached
+//  * verdict equivalence — cached (cold and warm) vs uncached
 //    classification over randomized bursts, bit-identical including the
 //    drop arms;
 //  * expiry at the clock edge: a cached verdict flips to Errc::expired at
@@ -154,19 +154,19 @@ struct SealedBurst {
 
 using Verdicts = std::vector<router::BorderRouter::Verdict>;
 
-Verdicts classify_out(RouterFixture& f, const SealedBurst& burst, bool batched,
+Verdicts classify_out(RouterFixture& f, const SealedBurst& burst,
                       FlowCache* cache) {
   Verdicts v(burst.views.size());
   router::BorderRouter::Stats stats;
-  f.br->classify_outgoing_burst(burst.views, f.now, v, stats, batched, cache);
+  f.br->classify_outgoing_burst(burst.views, f.now, v, stats, cache);
   return v;
 }
 
-Verdicts classify_in(RouterFixture& f, const SealedBurst& burst, bool batched,
+Verdicts classify_in(RouterFixture& f, const SealedBurst& burst,
                      FlowCache* cache) {
   Verdicts v(burst.views.size());
   router::BorderRouter::Stats stats;
-  f.br->classify_ingress_burst(burst.views, f.now, v, stats, batched, cache);
+  f.br->classify_ingress_burst(burst.views, f.now, v, stats, cache);
   return v;
 }
 
@@ -218,26 +218,20 @@ SealedBurst random_egress_burst(RouterFixture& f, std::size_t n,
 
 TEST(FlowCacheEquivalence, RandomizedEgressBurstsMatchUncached) {
   RouterFixture f;
-  FlowCache fused_cache(1024);
-  FlowCache scalar_cache(1024);
+  FlowCache cache(1024);
 
   for (int round = 0; round < 8; ++round) {
     SealedBurst burst = random_egress_burst(f, 192);
-    const Verdicts uncached = classify_out(f, burst, true, nullptr);
-    const Verdicts uncached_scalar = classify_out(f, burst, false, nullptr);
-    // Cold AND warm rounds against the SAME caches: both first-seen and
+    const Verdicts uncached = classify_out(f, burst, nullptr);
+    // Cold AND warm rounds against the SAME cache: both first-seen and
     // memoized verdicts must agree with the uncached reference.
-    const Verdicts fused = classify_out(f, burst, true, &fused_cache);
-    const Verdicts fused_warm = classify_out(f, burst, true, &fused_cache);
-    const Verdicts scalar = classify_out(f, burst, false, &scalar_cache);
-    expect_same_verdicts(uncached, uncached_scalar, "scalar-ref");
-    expect_same_verdicts(uncached, fused, "fused-cold");
-    expect_same_verdicts(uncached, fused_warm, "fused-warm");
-    expect_same_verdicts(uncached, scalar, "scalar-cached");
+    const Verdicts cold = classify_out(f, burst, &cache);
+    const Verdicts warm = classify_out(f, burst, &cache);
+    expect_same_verdicts(uncached, cold, "cold");
+    expect_same_verdicts(uncached, warm, "warm");
   }
   // The flow repeats must actually have hit.
-  EXPECT_GT(fused_cache.stats().hits, 0u);
-  EXPECT_GT(scalar_cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST(FlowCacheEquivalence, RandomizedIngressBurstsMatchUncached) {
@@ -260,13 +254,11 @@ TEST(FlowCacheEquivalence, RandomizedIngressBurstsMatchUncached) {
         burst.push(f.ingress_packet(f.as.codec.issue(hid, f.now - 3, f.rng)));
       }
     }
-    const Verdicts uncached = classify_in(f, burst, true, nullptr);
-    const Verdicts fused = classify_in(f, burst, true, &cache);
-    const Verdicts fused_warm = classify_in(f, burst, true, &cache);
-    const Verdicts scalar = classify_in(f, burst, false, &cache);
-    expect_same_verdicts(uncached, fused, "ingress-cold");
-    expect_same_verdicts(uncached, fused_warm, "ingress-warm");
-    expect_same_verdicts(uncached, scalar, "ingress-scalar");
+    const Verdicts uncached = classify_in(f, burst, nullptr);
+    const Verdicts cold = classify_in(f, burst, &cache);
+    const Verdicts warm = classify_in(f, burst, &cache);
+    expect_same_verdicts(uncached, cold, "ingress-cold");
+    expect_same_verdicts(uncached, warm, "ingress-warm");
   }
   EXPECT_GT(cache.stats().hits, 0u);
 }
@@ -280,20 +272,19 @@ TEST(FlowCacheEquivalence, ExpiryFlipsAtTheClockEdge) {
   burst.push(f.egress_packet(3, eph));
 
   // Warm the cache while the EphID is valid.
-  EXPECT_EQ(classify_out(f, burst, true, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, burst, &cache)[0].err, Errc::ok);
   ASSERT_GT(cache.stats().insertions, 0u);
 
   // now == exp: still valid (the uncached check is exp < now).
   f.now = exp;
-  EXPECT_EQ(classify_out(f, burst, true, &cache)[0].err, Errc::ok);
-  EXPECT_EQ(classify_out(f, burst, true, nullptr)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, burst, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, burst, nullptr)[0].err, Errc::ok);
 
   // One tick later the cached verdict must flip exactly like the uncached
   // one — served from the cache (no re-verification resurrects it).
   f.now = exp + 1;
-  EXPECT_EQ(classify_out(f, burst, true, &cache)[0].err, Errc::expired);
-  EXPECT_EQ(classify_out(f, burst, true, nullptr)[0].err, Errc::expired);
-  EXPECT_EQ(classify_out(f, burst, false, &cache)[0].err, Errc::expired);
+  EXPECT_EQ(classify_out(f, burst, &cache)[0].err, Errc::expired);
+  EXPECT_EQ(classify_out(f, burst, nullptr)[0].err, Errc::expired);
 }
 
 TEST(FlowCacheEquivalence, RevocationInvalidatesInstantly) {
@@ -303,17 +294,16 @@ TEST(FlowCacheEquivalence, RevocationInvalidatesInstantly) {
   SealedBurst burst;
   burst.push(f.egress_packet(5, eph));
 
-  EXPECT_EQ(classify_out(f, burst, true, &cache)[0].err, Errc::ok);
-  EXPECT_EQ(classify_out(f, burst, true, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, burst, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, burst, &cache)[0].err, Errc::ok);
   const std::uint64_t hits_before = cache.stats().hits;
   EXPECT_GT(hits_before, 0u);
 
   // Fig 5: the AA revokes the EphID. The very next classify must drop —
   // the bumped epoch makes the cached verdict unreachable.
   f.as.revoked.revoke_ephid(eph, f.now + 900, 5);
-  EXPECT_EQ(classify_out(f, burst, true, &cache)[0].err, Errc::revoked);
-  EXPECT_EQ(classify_out(f, burst, false, &cache)[0].err, Errc::revoked);
-  EXPECT_EQ(classify_out(f, burst, true, nullptr)[0].err, Errc::revoked);
+  EXPECT_EQ(classify_out(f, burst, &cache)[0].err, Errc::revoked);
+  EXPECT_EQ(classify_out(f, burst, nullptr)[0].err, Errc::revoked);
 }
 
 TEST(FlowCacheEquivalence, HidRevocationAndHostChurnInvalidate) {
@@ -325,23 +315,23 @@ TEST(FlowCacheEquivalence, HidRevocationAndHostChurnInvalidate) {
   b9.push(f.egress_packet(9, e9));
   b11.push(f.egress_packet(11, e11));
 
-  EXPECT_EQ(classify_out(f, b9, true, &cache)[0].err, Errc::ok);
-  EXPECT_EQ(classify_out(f, b11, true, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, b9, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, b11, &cache)[0].err, Errc::ok);
 
   // §VIII-G2 escalation: the HID itself is revoked.
   f.as.revoked.revoke_hid(9);
-  EXPECT_EQ(classify_out(f, b9, true, &cache)[0].err, Errc::revoked);
+  EXPECT_EQ(classify_out(f, b9, &cache)[0].err, Errc::revoked);
 
   // Host de-registration: the cached verdict for host 11 dies with it.
   f.as.host_db.erase(11);
-  EXPECT_EQ(classify_out(f, b11, true, &cache)[0].err, Errc::unknown_host);
+  EXPECT_EQ(classify_out(f, b11, &cache)[0].err, Errc::unknown_host);
 
   // Re-enrollment with the same keys: verdicts recover and re-cache.
   HostRecord rec;
   rec.hid = 11;
   rec.keys = f.host_keys[10];
   f.as.host_db.upsert(rec);
-  EXPECT_EQ(classify_out(f, b11, true, &cache)[0].err, Errc::ok);  // re-cached
+  EXPECT_EQ(classify_out(f, b11, &cache)[0].err, Errc::ok);  // re-cached
 
   // kHA replacement: the packet was MAC'd under the old key, so the
   // refreshed verdict must reject it — a cache that kept serving the old
@@ -351,8 +341,8 @@ TEST(FlowCacheEquivalence, HidRevocationAndHostChurnInvalidate) {
   rec.keys = HostAsKeys::derive(seed);
   rec.cmac = nullptr;
   f.as.host_db.upsert(rec);  // key replacement bumps the epoch
-  EXPECT_EQ(classify_out(f, b11, true, &cache)[0].err, Errc::bad_mac);
-  EXPECT_EQ(classify_out(f, b11, true, nullptr)[0].err, Errc::bad_mac);
+  EXPECT_EQ(classify_out(f, b11, &cache)[0].err, Errc::bad_mac);
+  EXPECT_EQ(classify_out(f, b11, nullptr)[0].err, Errc::bad_mac);
 }
 
 TEST(FlowCacheEquivalence, RevocationStraddlingRandomizedBursts) {
@@ -364,8 +354,8 @@ TEST(FlowCacheEquivalence, RevocationStraddlingRandomizedBursts) {
   std::vector<EphId> flows;
   SealedBurst burst = random_egress_burst(f, 256, &flows);
 
-  expect_same_verdicts(classify_out(f, burst, true, nullptr),
-                       classify_out(f, burst, true, &cache), "pre-revoke");
+  expect_same_verdicts(classify_out(f, burst, nullptr),
+                       classify_out(f, burst, &cache), "pre-revoke");
 
   for (int wave = 0; wave < 6; ++wave) {
     // Revoke a couple of live flows (and one HID) between bursts.
@@ -373,11 +363,9 @@ TEST(FlowCacheEquivalence, RevocationStraddlingRandomizedBursts) {
     const Hid h2 = 1 + (f.rng.next_u32() % RouterFixture::kHosts);
     f.as.revoked.revoke_ephid(flows[h1 - 1], f.now + 900, h1);
     if (wave == 3) f.as.revoked.revoke_hid(h2);
-    const Verdicts uncached = classify_out(f, burst, true, nullptr);
-    const Verdicts fused = classify_out(f, burst, true, &cache);
-    const Verdicts scalar = classify_out(f, burst, false, &cache);
-    expect_same_verdicts(uncached, fused, "straddle-fused");
-    expect_same_verdicts(uncached, scalar, "straddle-scalar");
+    const Verdicts uncached = classify_out(f, burst, nullptr);
+    const Verdicts cached = classify_out(f, burst, &cache);
+    expect_same_verdicts(uncached, cached, "straddle");
   }
   EXPECT_GT(cache.stats().stale_gen, 0u);  // the straddles actually stale'd
 }
@@ -391,13 +379,13 @@ TEST(FlowCacheEquivalence, ForgedFingerprintCollisionCannotBorrowVerdict) {
   const EphId real = f.as.codec.issue(2, f.now + 900, f.rng);
   SealedBurst good;
   good.push(f.egress_packet(2, real));
-  EXPECT_EQ(classify_out(f, good, true, &cache)[0].err, Errc::ok);
+  EXPECT_EQ(classify_out(f, good, &cache)[0].err, Errc::ok);
 
   EphId forged = real;
   forged.bytes[12] ^= 0xff;  // same first 8 bytes, different MAC tail
   SealedBurst bad;
   bad.push(f.egress_packet(2, forged));
-  EXPECT_EQ(classify_out(f, bad, true, &cache)[0].err, Errc::decrypt_failed);
+  EXPECT_EQ(classify_out(f, bad, &cache)[0].err, Errc::decrypt_failed);
 }
 
 }  // namespace

@@ -5,16 +5,21 @@
 //    revokes EphIDs/HIDs, churns host_info and purges expired entries;
 //  * the sharded replay filter's at-most-once guarantee under full-overlap
 //    parallel accepts;
-//  * ForwardingPool per-thread stats merged on read, validated against a
-//    single-threaded reference run;
-//  * bit-for-bit determinism of the batched kernels (EphID open_batch,
-//    verify_packet_macs, classify_*_burst) against their scalar twins.
+//  * ForwardingPool per-thread stats merged on read, validated against the
+//    per-packet simulator path (on_outgoing);
+//  * bit-for-bit agreement of the batched primitives (EphID
+//    open_batch_gather, verify_packet_macs) with their scalar twins, and of
+//    the one classify kernel with the per-packet Fig 4 reference (MTU, then
+//    check_outgoing / check_incoming, then the replay filter) at every
+//    burst size from 1 to 65, cached and uncached.
 //
 // Iteration counts are sized for the TSan leg of ci.sh (bounded runtime).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -268,8 +273,7 @@ TEST(ShardedState, ConcurrentClassifyOverSharedViewBurst) {
       std::vector<BorderRouter::Verdict> verdicts(views.size());
       BorderRouter::Stats stats;
       for (int i = 0; i < kIters && !failed.load(); ++i) {
-        br->classify_outgoing_burst(views, f.now, verdicts, stats,
-                                    /*batched=*/(t % 2) == 0);
+        br->classify_outgoing_burst(views, f.now, verdicts, stats);
         // The structurally-bad packets must fail under every interleaving.
         if (verdicts[40].err != Errc::bad_mac) failed.store(true);
         if (verdicts[41].err != Errc::decrypt_failed) failed.store(true);
@@ -335,7 +339,6 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
       BorderRouter::Stats stats;
       for (int i = 0; i < kIters && !failed.load(); ++i) {
         br->classify_outgoing_burst(burst.views, f.now, verdicts, stats,
-                                    /*batched=*/(t % 2) == 0,
                                     caches[t].get());
         for (core::Hid hid = 1; hid <= kStable; ++hid)
           if (verdicts[hid - 1].err != Errc::ok) failed.store(true);
@@ -376,8 +379,7 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
   // uncached verdicts bit-for-bit (all revocations visible).
   std::vector<BorderRouter::Verdict> ref(burst.views.size());
   BorderRouter::Stats ref_stats;
-  br->classify_outgoing_burst(burst.views, f.now, ref, ref_stats,
-                              /*batched=*/true, nullptr);
+  br->classify_outgoing_burst(burst.views, f.now, ref, ref_stats);
   for (core::Hid hid = kStable + 1; hid <= kRevoked; ++hid)
     EXPECT_EQ(static_cast<int>(ref[hid - 1].err),
               static_cast<int>(Errc::revoked));
@@ -385,7 +387,7 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
     std::vector<BorderRouter::Verdict> got(burst.views.size());
     BorderRouter::Stats stats;
     br->classify_outgoing_burst(burst.views, f.now, got, stats,
-                                /*batched=*/(t % 2) == 0, caches[t].get());
+                                caches[t].get());
     for (std::size_t i = 0; i < burst.views.size(); ++i)
       EXPECT_EQ(static_cast<int>(got[i].err), static_cast<int>(ref[i].err))
           << "cache " << t << " packet " << i;
@@ -404,20 +406,19 @@ TEST(ForwardingPool, MergedStatsMatchSingleThreadedReference) {
 
   ForwardingPool::Config pool_cfg;
   pool_cfg.threads = 4;  // flow-hash steering across 4 rings
-  pool_cfg.kernel = ForwardingPool::Kernel::batched;
   ForwardingPool pool(*pooled_br, pool_cfg);
 
   constexpr int kRounds = 50;
-  BorderRouter::Stats ref_stats;
   for (int round = 0; round < kRounds; ++round) {
     pool.process_outgoing(burst.views, f.now);
-    std::vector<BorderRouter::Verdict> verdicts(burst.views.size());
-    reference_br->classify_outgoing_burst(burst.views, f.now, verdicts,
-                                          ref_stats, /*batched=*/false);
-    reference_br->apply_outgoing_verdicts(burst.views, verdicts, ref_stats);
+    // The per-packet reference: the simulator path runs the MTU check,
+    // check_outgoing and the replay filter on each packet.
+    for (const wire::PacketView& v : burst.views)
+      reference_br->on_outgoing(wire::PacketBuf::copy_of(v));
   }
 
   const auto merged = pool.stats();
+  const auto ref_stats = reference_br->stats();
   EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
   EXPECT_EQ(merged.drop_bad_mac, ref_stats.drop_bad_mac);
   EXPECT_EQ(merged.drop_bad_ephid, ref_stats.drop_bad_ephid);
@@ -457,15 +458,13 @@ TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
   pool_cfg.threads = 4;
   ForwardingPool pool(*pooled_br, pool_cfg);
 
-  BorderRouter::Stats ref_stats;
   for (int round = 0; round < 10; ++round) {
     pool.process_outgoing(burst.views, f.now);
-    std::vector<BorderRouter::Verdict> verdicts(burst.views.size());
-    reference_br->classify_outgoing_burst(burst.views, f.now, verdicts,
-                                          ref_stats, /*batched=*/false);
-    reference_br->apply_outgoing_verdicts(burst.views, verdicts, ref_stats);
+    for (const wire::PacketView& v : burst.views)
+      reference_br->on_outgoing(wire::PacketBuf::copy_of(v));
   }
   const auto merged = pool.stats();
+  const auto ref_stats = reference_br->stats();
   EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
   EXPECT_EQ(merged.total_drops(), ref_stats.total_drops());
 
@@ -511,9 +510,9 @@ TEST(ForwardingPool, IngressDeliversAndTransits) {
   EXPECT_EQ(stats.drop_bad_ephid, 1u);
 }
 
-// ---- Batched kernels agree with their scalar twins ---------------------------
+// ---- Batched primitives agree with their scalar twins ------------------------
 
-TEST(BatchDeterminism, EphIdOpenBatchEqualsScalar) {
+TEST(BatchDeterminism, EphIdOpenBatchGatherEqualsScalar) {
   ConcurrencyFixture f;
   // 77 exercises the chunk remainder (32 + 32 + 13).
   constexpr std::size_t kN = 77;
@@ -527,9 +526,13 @@ TEST(BatchDeterminism, EphIdOpenBatchEqualsScalar) {
       if (i % 5 == 0) ids[i].bytes[2] ^= 1;  // corrupted ciphertext
     }
   }
+  // The gather form reads each EphID in place through its byte pointer,
+  // as the classify kernel does over the wire images.
+  std::vector<const std::uint8_t*> ptrs(kN);
+  for (std::size_t i = 0; i < kN; ++i) ptrs[i] = ids[i].bytes.data();
   std::vector<core::EphIdPlain> plain(kN);
   std::vector<std::uint8_t> ok(kN);
-  f.as.codec.open_batch(ids.data(), kN, plain.data(), ok.data());
+  f.as.codec.open_batch_gather(ptrs.data(), kN, plain.data(), ok.data());
   for (std::size_t i = 0; i < kN; ++i) {
     const auto scalar = f.as.codec.open(ids[i]);
     ASSERT_EQ(ok[i] != 0, scalar.ok()) << "element " << i;
@@ -574,58 +577,213 @@ TEST(BatchDeterminism, MacVerifyBatchedEqualsScalar) {
   EXPECT_EQ(verdicts.back(), 0u);
 }
 
-TEST(BatchDeterminism, ClassifyBatchedEqualsScalar) {
+// ---- The per-packet Fig 4 reference ------------------------------------------
+
+/// What the classify kernel must reproduce for every egress packet: the
+/// MTU check, then check_outgoing, then the §VIII-D replay filter. The
+/// reference keeps its own replay filter, configured like the router's and
+/// fed the same packet sequence.
+class EgressReference {
+ public:
+  explicit EgressReference(const BorderRouter& br)
+      : br_(br),
+        replay_(core::ShardedReplayFilter::Config{
+            br.config().replay_shards, 1024,
+            core::ReplayWindow::StartPolicy::grace}) {}
+
+  Errc operator()(const wire::PacketView& pkt, core::ExpTime now) {
+    if (pkt.wire_size() > br_.config().mtu) return Errc::too_big;
+    if (const Errc e = br_.check_outgoing(pkt, now).code(); e != Errc::ok)
+      return e;
+    if (br_.config().replay_filter && pkt.has_nonce()) {
+      core::EphId src;
+      src.bytes = pkt.src_ephid();
+      if (!replay_.accept(src, pkt.nonce())) return Errc::replayed;
+    }
+    return Errc::ok;
+  }
+
+ private:
+  const BorderRouter& br_;
+  core::ShardedReplayFilter replay_;
+};
+
+/// The ingress twin: transit for other ASes, else check_incoming.
+BorderRouter::Verdict ingress_reference(const BorderRouter& br,
+                                        const wire::PacketView& pkt,
+                                        core::ExpTime now) {
+  BorderRouter::Verdict v;
+  if (pkt.dst_aid() != br.aid()) return v;
+  v.local = true;
+  if (auto hid = br.check_incoming(pkt, now)) {
+    v.hid = *hid;
+  } else {
+    v.err = hid.error().code;
+  }
+  return v;
+}
+
+// ---- The one classify kernel against the per-packet reference ----------------
+
+/// A pool of egress packets covering every drop arm — bad MAC, forged,
+/// expired, revoked EphID, revoked HID, unknown host, too big, replayed —
+/// between valid packets of repeating flows (the cacheable case), with
+/// payloads from 40 B to 900 B so MAC lanes of a burst retire unevenly.
+SealedBurst oracle_egress_pool(ConcurrencyFixture& f, std::size_t mtu) {
+  std::vector<core::EphId> flows;
+  for (core::Hid hid = 1; hid <= 12; ++hid)
+    flows.push_back(f.as.codec.issue(hid, f.now + 900, f.rng));
+  const core::EphId revoked = f.as.codec.issue(13, f.now + 900, f.rng);
+  f.as.revoked.revoke_ephid(revoked, f.now + 900, 13);
+  const core::EphId hid_revoked = f.as.codec.issue(14, f.now + 900, f.rng);
+  f.as.revoked.revoke_hid(14);
+  const std::size_t payloads[] = {40, 200, 520, 900, 40, 120};
+
+  SealedBurst pool;
+  for (std::size_t i = 0; i < 97; ++i) {
+    const core::Hid hid = static_cast<core::Hid>(1 + i % flows.size());
+    wire::Packet pkt = f.outgoing_packet(hid, flows[hid - 1]);
+    pkt.payload = f.rng.bytes(payloads[i % std::size(payloads)]);
+    switch (i % 11) {
+      case 1: pkt.src_ephid = f.as.codec.issue(hid, f.now - 1, f.rng).bytes;
+        break;  // expired
+      case 3: f.rng.fill(MutByteSpan(pkt.src_ephid.data(), 16)); break;
+      case 5: pkt.src_ephid = revoked.bytes; break;
+      case 6: pkt.src_ephid = hid_revoked.bytes; break;
+      case 7:  // unknown host, MAC'd under a known host's key
+        pkt.src_ephid =
+            f.as.codec.issue(kHosts + 100, f.now + 900, f.rng).bytes;
+        break;
+      case 8: pkt.payload = f.rng.bytes(mtu); break;  // too big
+      case 9: pkt.set_nonce(7); break;  // same nonce, same source: replayed
+      default: break;
+    }
+    core::stamp_packet_mac(
+        crypto::AesCmac(ByteSpan(f.host_keys[hid - 1].mac.data(), 16)), pkt);
+    if (i % 11 == 4) pkt.mac[0] ^= 1;  // bad MAC
+    pool.push(pkt);
+  }
+  return pool;
+}
+
+/// The ingress pool: local destinations (repeating, so the cache hits),
+/// transit, forged, expired, revoked and unknown-host destinations.
+SealedBurst oracle_ingress_pool(ConcurrencyFixture& f) {
+  std::vector<core::EphId> flows;
+  for (core::Hid hid = 1; hid <= 12; ++hid)
+    flows.push_back(f.as.codec.issue(hid, f.now + 900, f.rng));
+  const core::EphId revoked = f.as.codec.issue(13, f.now + 900, f.rng);
+  f.as.revoked.revoke_ephid(revoked, f.now + 900, 13);
+
+  SealedBurst pool;
+  for (std::size_t i = 0; i < 97; ++i) {
+    wire::Packet pkt = f.incoming_packet(flows[i % flows.size()]);
+    switch (i % 7) {
+      case 1: pkt.dst_aid = 64999; break;  // transit
+      case 2: f.rng.fill(MutByteSpan(pkt.dst_ephid.data(), 16)); break;
+      case 3: pkt.dst_ephid = f.as.codec.issue(3, f.now - 1, f.rng).bytes;
+        break;  // expired
+      case 4: pkt.dst_ephid = revoked.bytes; break;
+      case 5:
+        pkt.dst_ephid =
+            f.as.codec.issue(kHosts + 100, f.now + 900, f.rng).bytes;
+        break;  // unknown host
+      default: break;
+    }
+    pool.push(pkt);
+  }
+  return pool;
+}
+
+/// Burst `size` of the pool, rotated by size so every arm lands at every
+/// chunk position across the sweep.
+std::vector<wire::PacketView> oracle_burst(const SealedBurst& pool,
+                                           std::size_t size) {
+  std::vector<wire::PacketView> burst;
+  for (std::size_t i = 0; i < size; ++i)
+    burst.push_back(pool.views[(size * 13 + i) % pool.views.size()]);
+  return burst;
+}
+
+class KernelOracle : public ::testing::TestWithParam<BorderRouter::Mode> {};
+
+TEST_P(KernelOracle, EgressEqualsPerPacketReferenceAtEveryBurstSize) {
+  // Bursts of 1 to 65 cover every tail-chunk length and the 32 and 64
+  // chunk boundaries. Each size runs uncached, then cached cold, then
+  // cached warm against one cache, on a fresh router whose replay filter
+  // evolves in step with the reference's.
   ConcurrencyFixture f;
   BorderRouter::Config cfg;
+  cfg.mode = GetParam();
   cfg.replay_filter = true;
-  cfg.mtu = 256;  // small MTU so the too_big arm fires for some payloads
-  auto batched_br = f.make_router(cfg);
-  auto scalar_br = f.make_router(cfg);
-
-  auto pkts = mixed_egress_burst(f, 1);
-  pkts[0].payload = f.rng.bytes(400);  // oversize after the MTU change
-  core::stamp_packet_mac(
-      crypto::AesCmac(ByteSpan(f.host_keys[0].mac.data(), 16)), pkts[0]);
-  const SealedBurst sealed(pkts);
-  const auto& burst = sealed.views;
-
-  std::vector<BorderRouter::Verdict> vb(burst.size());
-  std::vector<BorderRouter::Verdict> vs(burst.size());
-  BorderRouter::Stats sb, ss;
-  batched_br->classify_outgoing_burst(burst, f.now, vb, sb, /*batched=*/true);
-  scalar_br->classify_outgoing_burst(burst, f.now, vs, ss, /*batched=*/false);
-
-  for (std::size_t i = 0; i < burst.size(); ++i)
-    EXPECT_EQ(static_cast<int>(vb[i].err), static_cast<int>(vs[i].err))
-        << "egress packet " << i;
-  EXPECT_EQ(sb.total_drops(), ss.total_drops());
-  EXPECT_GT(sb.total_drops(), 0u);
-
-  // Ingress twin.
-  SealedBurst in_burst;
-  for (core::Hid hid = 1; hid <= 20; ++hid) {
-    const auto eph = f.as.codec.issue(
-        hid, hid % 4 == 0 ? f.now - 1 : f.now + 900, f.rng);
-    in_burst.push(f.incoming_packet(eph));
+  cfg.mtu = 1024;
+  const SealedBurst pool = oracle_egress_pool(f, cfg.mtu);
+  std::uint64_t drops = 0;
+  for (std::size_t size = 1; size <= 65; ++size) {
+    const std::vector<wire::PacketView> burst = oracle_burst(pool, size);
+    auto br = f.make_router(cfg);
+    EgressReference reference(*br);
+    core::FlowCache cache(256);
+    for (const char* leg : {"uncached", "cold", "warm"}) {
+      core::FlowCache* c = leg[0] == 'u' ? nullptr : &cache;
+      std::vector<BorderRouter::Verdict> got(size);
+      BorderRouter::Stats stats;
+      br->classify_outgoing_burst(burst, f.now, got, stats, c);
+      std::uint64_t want_drops = 0;
+      for (std::size_t i = 0; i < size; ++i) {
+        const Errc want = reference(burst[i], f.now);
+        if (want != Errc::ok) ++want_drops;
+        EXPECT_EQ(static_cast<int>(got[i].err), static_cast<int>(want))
+            << leg << " burst " << size << " packet " << i;
+      }
+      EXPECT_EQ(stats.total_drops(), want_drops)
+          << leg << " burst " << size;
+      drops += want_drops;
+    }
   }
-  {
-    wire::Packet transit;
-    transit.src_aid = 64513;
-    transit.dst_aid = 64999;
-    in_burst.push(transit);
-  }
-  std::vector<BorderRouter::Verdict> ivb(in_burst.views.size());
-  std::vector<BorderRouter::Verdict> ivs(in_burst.views.size());
-  BorderRouter::Stats isb, iss;
-  batched_br->classify_ingress_burst(in_burst.views, f.now, ivb, isb, true);
-  scalar_br->classify_ingress_burst(in_burst.views, f.now, ivs, iss, false);
-  for (std::size_t i = 0; i < in_burst.views.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(ivb[i].err), static_cast<int>(ivs[i].err))
-        << "ingress packet " << i;
-    EXPECT_EQ(ivb[i].local, ivs[i].local);
-    EXPECT_EQ(ivb[i].hid, ivs[i].hid);
+  EXPECT_GT(drops, 0u);
+}
+
+TEST_P(KernelOracle, IngressEqualsPerPacketReferenceAtEveryBurstSize) {
+  ConcurrencyFixture f;
+  BorderRouter::Config cfg;
+  cfg.mode = GetParam();
+  const SealedBurst pool = oracle_ingress_pool(f);
+  auto br = f.make_router(cfg);
+  for (std::size_t size = 1; size <= 65; ++size) {
+    const std::vector<wire::PacketView> burst = oracle_burst(pool, size);
+    core::FlowCache cache(256);
+    for (const char* leg : {"uncached", "cold", "warm"}) {
+      core::FlowCache* c = leg[0] == 'u' ? nullptr : &cache;
+      std::vector<BorderRouter::Verdict> got(size);
+      BorderRouter::Stats stats;
+      br->classify_ingress_burst(burst, f.now, got, stats, c);
+      std::uint64_t want_drops = 0;
+      for (std::size_t i = 0; i < size; ++i) {
+        const BorderRouter::Verdict want =
+            ingress_reference(*br, burst[i], f.now);
+        if (want.err != Errc::ok) ++want_drops;
+        EXPECT_EQ(static_cast<int>(got[i].err), static_cast<int>(want.err))
+            << leg << " burst " << size << " packet " << i;
+        EXPECT_EQ(got[i].local, want.local)
+            << leg << " burst " << size << " packet " << i;
+        EXPECT_EQ(got[i].hid, want.hid)
+            << leg << " burst " << size << " packet " << i;
+      }
+      EXPECT_EQ(stats.total_drops(), want_drops)
+          << leg << " burst " << size;
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, KernelOracle,
+                         ::testing::Values(BorderRouter::Mode::apna,
+                                           BorderRouter::Mode::baseline),
+                         [](const auto& info) {
+                           return info.param == BorderRouter::Mode::apna
+                                      ? std::string("apna")
+                                      : std::string("baseline");
+                         });
 
 }  // namespace
 }  // namespace apna::router

@@ -4,7 +4,6 @@
 
 #include "core/packet_auth.h"
 #include "router/border_router.h"
-#include "router/forwarding_pool.h"
 
 namespace apna::router {
 namespace {
@@ -301,46 +300,6 @@ TEST(BorderRouterBaseline, ForwardsWithoutChecks) {
   br.on_ingress(in.seal());
   ASSERT_EQ(internal.size(), 1u);
   EXPECT_EQ(internal[0].first, 7u);
-}
-
-// ---- ForwardingPool kernel auto-selection --------------------------------------------
-
-TEST(ForwardingPoolKernel, AutoSelectsScalarForOneThreadOrSmallBursts) {
-  BrFixture f;
-  ForwardingPool::Config cfg;
-  cfg.batch_min_burst = 128;
-
-  // 1 thread: scalar regardless of burst size (the pre-fusion BENCH_e2
-  // regression — batched 0.95-0.98x scalar on one core).
-  cfg.threads = 1;
-  {
-    ForwardingPool pool(*f.br, cfg);
-    EXPECT_FALSE(pool.batched_for(64));
-    EXPECT_FALSE(pool.batched_for(128));
-    EXPECT_FALSE(pool.batched_for(4096));
-  }
-  // Multi-thread: batched once the burst reaches the threshold.
-  cfg.threads = 4;
-  {
-    ForwardingPool pool(*f.br, cfg);
-    EXPECT_FALSE(pool.batched_for(0));
-    EXPECT_FALSE(pool.batched_for(127));
-    EXPECT_TRUE(pool.batched_for(128));
-    EXPECT_TRUE(pool.batched_for(4096));
-  }
-  // Explicit kernels override the heuristic in both directions.
-  cfg.threads = 1;
-  cfg.kernel = ForwardingPool::Kernel::batched;
-  {
-    ForwardingPool pool(*f.br, cfg);
-    EXPECT_TRUE(pool.batched_for(1));
-  }
-  cfg.threads = 4;
-  cfg.kernel = ForwardingPool::Kernel::scalar;
-  {
-    ForwardingPool pool(*f.br, cfg);
-    EXPECT_FALSE(pool.batched_for(4096));
-  }
 }
 
 // ---- Pure pipelines (used by bench E2) -----------------------------------------------

@@ -150,8 +150,8 @@ TEST(ScenarioSoak, CachedVerdictsMatchUncachedAcross10kRevocations) {
     std::vector<router::BorderRouter::Verdict> cached(views.size());
     std::vector<router::BorderRouter::Verdict> uncached(views.size());
     router::BorderRouter::Stats cs, us;
-    f.br->classify_outgoing_burst(views, f.now, cached, cs, true, &cache);
-    f.br->classify_outgoing_burst(views, f.now, uncached, us, true, nullptr);
+    f.br->classify_outgoing_burst(views, f.now, cached, cs, &cache);
+    f.br->classify_outgoing_burst(views, f.now, uncached, us);
     for (std::size_t i = 0; i < views.size(); ++i) {
       ASSERT_EQ(static_cast<int>(cached[i].err),
                 static_cast<int>(uncached[i].err))
