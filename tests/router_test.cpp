@@ -1,6 +1,9 @@
 // Border-router tests: every abort arm of the Fig 4 pipelines, transit
-// behaviour, MTU/ICMP feedback, and the baseline mode.
+// behaviour, MTU/ICMP feedback (every §VIII-B arm, decoded and
+// MAC-verified), and the baseline mode.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/packet_auth.h"
 #include "router/border_router.h"
@@ -17,6 +20,7 @@ struct BrFixture {
   std::vector<wire::PacketBuf> external;
   std::vector<std::pair<core::Hid, wire::PacketBuf>> internal;
   bool external_fails = false;
+  bool internal_fails = false;
 
   std::unique_ptr<BorderRouter> br;
 
@@ -40,11 +44,24 @@ struct BrFixture {
     };
     cb.deliver_internal = [this](core::Hid hid,
                                  wire::PacketBuf p) -> Result<void> {
+      if (internal_fails) return Result<void>(Errc::unknown_host, "injected");
       internal.emplace_back(hid, std::move(p));
       return Result<void>::success();
     };
     cb.now = [this] { return now; };
     br = std::make_unique<BorderRouter>(as, std::move(cb));
+  }
+
+  /// Gives the router its own EphID and MAC key, so it can emit ICMP.
+  RouterIdentity install_identity() {
+    RouterIdentity rid;
+    rid.aid = as.aid;
+    rid.ephid = make_ephid(99, now + 900);
+    crypto::SharedSecret s{};
+    rng.fill(MutByteSpan(s.data(), 32));
+    rid.mac_key = core::HostAsKeys::derive(s).mac;
+    br->set_identity(rid);
+    return rid;
   }
 
   core::EphId make_ephid(core::Hid hid, core::ExpTime exp) {
@@ -267,6 +284,133 @@ TEST(BorderRouterIn, TransitNoRouteCounted) {
   pkt.dst_aid = 64999;
   f.br->on_ingress(pkt.seal());
   EXPECT_EQ(f.br->stats().drop_no_route, 1u);
+}
+
+// ---- ICMP feedback (§VIII-B) ----------------------------------------------------------
+
+/// Checks one emitted ICMP packet: sent from the router's EphID to the
+/// offender's source, MAC'd under the router identity's key like any host
+/// packet, carrying `type`/`code` and the offender's 48-byte header.
+void expect_icmp(const wire::PacketBuf& icmp, const RouterIdentity& rid,
+                 const wire::PacketView& offending, core::IcmpType type,
+                 std::uint32_t code) {
+  const wire::PacketView& v = icmp.view();
+  EXPECT_EQ(v.proto(), wire::NextProto::icmp);
+  EXPECT_EQ(v.src_aid(), rid.aid);
+  EXPECT_EQ(v.src_ephid(), rid.ephid.bytes);
+  EXPECT_EQ(v.dst_aid(), offending.src_aid());
+  EXPECT_EQ(v.dst_ephid(), offending.src_ephid());
+  EXPECT_TRUE(core::verify_packet_mac(
+      crypto::AesCmac(ByteSpan(rid.mac_key.data(), 16)), v));
+  auto msg = core::decode_msg<core::IcmpMessage>(v.payload());
+  ASSERT_TRUE(msg.ok());
+  EXPECT_EQ(msg->type, type);
+  EXPECT_EQ(msg->code, code);
+  ASSERT_EQ(msg->data.size(), wire::kApnaHeaderSize);
+  EXPECT_TRUE(std::equal(msg->data.begin(), msg->data.end(),
+                         offending.bytes().begin()));
+}
+
+TEST(BorderRouterIcmp, FailedSendGetsDestUnreachable0ViaIngress) {
+  // The egress send fails: the local sender hears about it through the
+  // ingress pipeline (its source EphID is checked like any destination).
+  BrFixture f;
+  const RouterIdentity rid = f.install_identity();
+  f.external_fails = true;
+  const auto src = f.make_ephid(f.host_hid, f.now + 900);
+  const wire::PacketBuf pkt = f.outgoing_packet(src).seal();
+  f.br->on_outgoing(wire::PacketBuf::copy_of(pkt.view()));
+  EXPECT_EQ(f.br->stats().drop_no_route, 1u);
+  EXPECT_EQ(f.br->stats().forwarded_out, 0u);
+  EXPECT_EQ(f.br->stats().icmp_sent, 1u);
+  EXPECT_EQ(f.br->stats().delivered_in, 1u);
+  ASSERT_EQ(f.internal.size(), 1u);
+  EXPECT_EQ(f.internal[0].first, f.host_hid);
+  expect_icmp(f.internal[0].second, rid, pkt.view(),
+              core::IcmpType::dest_unreachable, 0);
+}
+
+TEST(BorderRouterIcmp, LocalIngressDropGetsDestUnreachable1External) {
+  // An expired destination EphID from a remote AS: the feedback leaves the
+  // AS towards the remote sender.
+  BrFixture f;
+  const RouterIdentity rid = f.install_identity();
+  const auto dst = f.make_ephid(f.host_hid, f.now - 10);
+  const wire::PacketBuf pkt = f.incoming_packet(dst).seal();
+  f.br->on_ingress(wire::PacketBuf::copy_of(pkt.view()));
+  EXPECT_EQ(f.br->stats().drop_expired, 1u);
+  EXPECT_EQ(f.br->stats().icmp_sent, 1u);
+  EXPECT_TRUE(f.internal.empty());
+  ASSERT_EQ(f.external.size(), 1u);
+  expect_icmp(f.external[0], rid, pkt.view(),
+              core::IcmpType::dest_unreachable, 1);
+}
+
+TEST(BorderRouterIcmp, FailedDeliveryGetsDestUnreachable2External) {
+  BrFixture f;
+  const RouterIdentity rid = f.install_identity();
+  f.internal_fails = true;
+  const auto dst = f.make_ephid(f.host_hid, f.now + 900);
+  const wire::PacketBuf pkt = f.incoming_packet(dst).seal();
+  f.br->on_ingress(wire::PacketBuf::copy_of(pkt.view()));
+  EXPECT_EQ(f.br->stats().drop_unknown_host, 1u);
+  EXPECT_EQ(f.br->stats().delivered_in, 0u);
+  EXPECT_EQ(f.br->stats().icmp_sent, 1u);
+  ASSERT_EQ(f.external.size(), 1u);
+  expect_icmp(f.external[0], rid, pkt.view(),
+              core::IcmpType::dest_unreachable, 2);
+}
+
+TEST(BorderRouterIcmp, NoFeedbackAboutAnIcmpPacket) {
+  // No ICMP storms: an offending ICMP packet is dropped silently on every
+  // arm that would otherwise answer it.
+  BrFixture f;
+  f.install_identity();
+  wire::Packet in = f.incoming_packet(f.make_ephid(f.host_hid, f.now - 10));
+  in.proto = wire::NextProto::icmp;
+  f.br->on_ingress(in.seal());
+  EXPECT_EQ(f.br->stats().drop_expired, 1u);
+
+  f.internal_fails = true;
+  in = f.incoming_packet(f.make_ephid(f.host_hid, f.now + 900));
+  in.proto = wire::NextProto::icmp;
+  f.br->on_ingress(in.seal());
+  EXPECT_EQ(f.br->stats().drop_unknown_host, 1u);
+
+  f.external_fails = true;
+  wire::Packet out =
+      f.outgoing_packet(f.make_ephid(f.host_hid, f.now + 900));
+  out.proto = wire::NextProto::icmp;
+  core::stamp_packet_mac(
+      crypto::AesCmac(ByteSpan(f.host_keys.mac.data(), 16)), out);
+  f.br->on_outgoing(out.seal());
+  EXPECT_EQ(f.br->stats().drop_no_route, 1u);
+
+  EXPECT_EQ(f.br->stats().icmp_sent, 0u);
+  EXPECT_TRUE(f.external.empty());
+  EXPECT_TRUE(f.internal.empty());
+}
+
+TEST(BorderRouterIcmp, NoFeedbackWithoutAnIdentity) {
+  // The fixture's router has no identity: every feedback arm stays silent.
+  BrFixture f;
+  f.br->on_ingress(
+      f.incoming_packet(f.make_ephid(f.host_hid, f.now - 10)).seal());
+  f.internal_fails = true;
+  f.br->on_ingress(
+      f.incoming_packet(f.make_ephid(f.host_hid, f.now + 900)).seal());
+  wire::Packet big =
+      f.outgoing_packet(f.make_ephid(f.host_hid, f.now + 900));
+  big.payload = f.rng.bytes(f.br->config().mtu);
+  f.br->on_outgoing(big.seal());
+  f.external_fails = true;
+  f.br->on_outgoing(
+      f.outgoing_packet(f.make_ephid(f.host_hid, f.now + 900)).seal());
+  EXPECT_EQ(f.br->stats().drop_too_big, 1u);
+  EXPECT_EQ(f.br->stats().total_drops(), 4u);
+  EXPECT_EQ(f.br->stats().icmp_sent, 0u);
+  EXPECT_TRUE(f.external.empty());
+  EXPECT_TRUE(f.internal.empty());
 }
 
 // ---- Baseline mode (E11) -------------------------------------------------------------
