@@ -62,7 +62,7 @@ Result<void> BorderRouter::check_baseline(const wire::PacketView& pkt) const {
   return Result<void>::success();
 }
 
-// ---- Concurrent fast path ---------------------------------------------------
+// ---- Classify ---------------------------------------------------------------
 
 namespace {
 /// Portable prefetch shim for the pipeline look-aheads.
@@ -344,56 +344,71 @@ void BorderRouter::classify_ingress_burst(
   }
 }
 
-bool BorderRouter::send_external_stamped(wire::PacketBuf pkt, Stats& stats) {
-  if (!cb_.send_external) return true;  // checks-only driver
-  if (cfg_.stamp_path) {
+// ---- Act --------------------------------------------------------------------
+
+bool BorderRouter::hand_off(std::span<const wire::PacketView> burst,
+                            std::span<wire::PacketBuf> owned, std::size_t i,
+                            std::optional<core::Hid> hid,
+                            std::optional<std::uint32_t> unreachable_code,
+                            Stats& stats) {
+  if (hid ? !cb_.deliver_internal : !cb_.send_external) return true;
+  const bool feedback = unreachable_code && icmp_armed();
+  // A moved buffer takes its view with it, so the feedback quote is
+  // snapshotted first, and only when feedback can fire. A pooled copy (the
+  // caller keeps the burst — no heap allocation in steady state; see
+  // BufferPool) leaves the view live to quote after a failure.
+  IcmpQuote quote;
+  wire::PacketBuf pkt;
+  if (owned.empty()) {
+    pkt = wire::PacketBuf::copy_of(burst[i]);
+  } else {
+    if (feedback) quote = make_quote(burst[i]);
+    pkt = std::move(owned[i]);
+  }
+  Result<void> done = Result<void>::success();
+  if (hid) {
+    done = cb_.deliver_internal(*hid, std::move(pkt));
+  } else {
     // §VIII-C: splice this AS's AID into (a pooled copy of) the stamp
     // list. The only in-flight modification a router makes.
-    pkt = wire::append_path_stamp(pkt.view(), as_.aid);
+    if (cfg_.stamp_path) pkt = wire::append_path_stamp(pkt.view(), as_.aid);
+    done = cb_.send_external(std::move(pkt));
   }
-  if (auto sent = cb_.send_external(std::move(pkt)); !sent) {
-    count_drop(stats, sent.error().code);
-    return false;
-  }
-  return true;
-}
-
-bool BorderRouter::forward_view(const wire::PacketView& pkt, Stats& stats) {
-  if (!cb_.send_external) return true;
-  // The caller owns the burst, so the handoff is one pooled copy (recycled
-  // storage — no heap allocation in steady state; see BufferPool).
-  return send_external_stamped(wire::PacketBuf::copy_of(pkt), stats);
+  if (done) return true;
+  count_drop(stats, done.error().code);
+  if (feedback)
+    send_icmp(owned.empty() ? make_quote(burst[i]) : quote,
+              core::IcmpType::dest_unreachable, *unreachable_code, stats);
+  return false;
 }
 
 void BorderRouter::apply_outgoing_verdicts(
     std::span<const wire::PacketView> burst, std::span<const Verdict> verdicts,
-    Stats& stats) {
+    Stats& stats, std::span<wire::PacketBuf> owned) {
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    if (verdicts[i].err != Errc::ok) continue;  // already counted
-    if (forward_view(burst[i], stats)) ++stats.forwarded_out;
+    if (verdicts[i].err == Errc::too_big) {
+      send_icmp(burst[i], core::IcmpType::packet_too_big,
+                static_cast<std::uint32_t>(cfg_.mtu), stats);
+    } else if (verdicts[i].err == Errc::ok &&
+               hand_off(burst, owned, i, std::nullopt, 0, stats)) {
+      ++stats.forwarded_out;
+    }
   }
 }
 
 void BorderRouter::apply_ingress_verdicts(
     std::span<const wire::PacketView> burst, std::span<const Verdict> verdicts,
-    Stats& stats) {
+    Stats& stats, std::span<wire::PacketBuf> owned) {
   for (std::size_t i = 0; i < burst.size(); ++i) {
     const Verdict& v = verdicts[i];
-    if (v.err != Errc::ok) continue;
     if (!v.local) {
       // Transit: "simply forward packets to the next AS on the path".
-      if (forward_view(burst[i], stats)) ++stats.transited;
-      continue;
-    }
-    if (!cb_.deliver_internal) {
+      if (hand_off(burst, owned, i, std::nullopt, std::nullopt, stats))
+        ++stats.transited;
+    } else if (v.err != Errc::ok) {
+      send_icmp(burst[i], core::IcmpType::dest_unreachable, 1, stats);
+    } else if (hand_off(burst, owned, i, v.hid, 2, stats)) {
       ++stats.delivered_in;
-      continue;
-    }
-    if (auto ok = cb_.deliver_internal(v.hid, wire::PacketBuf::copy_of(burst[i]));
-        ok) {
-      ++stats.delivered_in;
-    } else {
-      count_drop(stats, ok.error().code);
     }
   }
 }
@@ -426,9 +441,8 @@ BorderRouter::IcmpQuote BorderRouter::make_quote(
   return q;
 }
 
-void BorderRouter::maybe_icmp_error(const IcmpQuote& offending,
-                                    core::IcmpType type, std::uint32_t code) {
-  if (!cfg_.send_icmp_errors || ident_.ephid.is_zero()) return;
+void BorderRouter::send_icmp(const IcmpQuote& offending, core::IcmpType type,
+                             std::uint32_t code, Stats& stats) {
   if (offending.proto == wire::NextProto::icmp) return;  // no ICMP storms
 
   // §VIII-B: feedback goes to the source EphID in the offending packet,
@@ -446,81 +460,30 @@ void BorderRouter::maybe_icmp_error(const IcmpQuote& offending,
   wire::PacketBuf buf = pw.finish();
   core::stamp_packet_mac(crypto::AesCmac(ByteSpan(ident_.mac_key.data(), 16)),
                          buf);
-  ++stats_.icmp_sent;
+  ++stats.icmp_sent;
 
   if (offending.src_aid == as_.aid) {
     // The offender is local: deliver the feedback internally.
-    on_ingress(std::move(buf));
+    ingress_one(std::move(buf), stats);
   } else if (cb_.send_external) {
     (void)cb_.send_external(std::move(buf));
   }
 }
 
-// ---- Single-threaded simulator path -----------------------------------------
+// ---- Simulator entry points -------------------------------------------------
 
 void BorderRouter::on_outgoing(wire::PacketBuf pkt) {
-  const core::ExpTime now = cb_.now();
-  const wire::PacketView& v = pkt.view();
-
-  // Drop paths quote straight from the live view — no per-packet copy.
-  if (v.wire_size() > cfg_.mtu) {
-    ++stats_.drop_too_big;
-    maybe_icmp_error(v, core::IcmpType::packet_too_big,
-                     static_cast<std::uint32_t>(cfg_.mtu));
-    return;
-  }
-  if (auto ok = check_outgoing(v, now); !ok) {
-    count_drop(ok.error().code);
-    return;
-  }
-  // §VIII-D (future-work extension): filter replays at the source AS, where
-  // packets are already attributed to a sender.
-  if (cfg_.replay_filter && v.has_nonce()) {
-    core::EphId src;
-    src.bytes = v.src_ephid();
-    if (auto fresh = replay_filter_.accept(src, v.nonce()); !fresh) {
-      ++stats_.drop_replayed;
-      return;
-    }
-  }
-  // The send consumes the buffer, so the post-move failure feedback needs
-  // a snapshot — taken only when ICMP can actually fire.
-  IcmpQuote quote;
-  if (icmp_armed()) quote = make_quote(v);
-  if (!send_external_stamped(std::move(pkt), stats_)) {
-    maybe_icmp_error(quote, core::IcmpType::dest_unreachable, 0);
-    return;
-  }
-  ++stats_.forwarded_out;
+  const std::span<const wire::PacketView> one(&pkt.view(), 1);
+  Verdict v;
+  classify_outgoing_burst(one, cb_.now(), std::span(&v, 1), stats_);
+  apply_outgoing_verdicts(one, std::span(&v, 1), stats_, std::span(&pkt, 1));
 }
 
-void BorderRouter::on_ingress(wire::PacketBuf pkt) {
-  const core::ExpTime now = cb_.now();
-  const wire::PacketView& v = pkt.view();
-  if (v.dst_aid() != as_.aid) {
-    // Transit: "simply forward packets to the next AS on the path".
-    if (send_external_stamped(std::move(pkt), stats_)) ++stats_.transited;
-    return;
-  }
-  auto hid = check_incoming(v, now);
-  if (!hid) {
-    count_drop(hid.error().code);
-    maybe_icmp_error(v, core::IcmpType::dest_unreachable, 1);
-    return;
-  }
-  if (!cb_.deliver_internal) {
-    ++stats_.delivered_in;
-    return;
-  }
-  // Delivery consumes the buffer; snapshot for the post-move failure arm.
-  IcmpQuote quote;
-  if (icmp_armed()) quote = make_quote(v);
-  if (auto ok = cb_.deliver_internal(*hid, std::move(pkt)); !ok) {
-    count_drop(ok.error().code);
-    maybe_icmp_error(quote, core::IcmpType::dest_unreachable, 2);
-    return;
-  }
-  ++stats_.delivered_in;
+void BorderRouter::ingress_one(wire::PacketBuf pkt, Stats& stats) {
+  const std::span<const wire::PacketView> one(&pkt.view(), 1);
+  Verdict v;
+  classify_ingress_burst(one, cb_.now(), std::span(&v, 1), stats);
+  apply_ingress_verdicts(one, std::span(&v, 1), stats, std::span(&pkt, 1));
 }
 
 }  // namespace apna::router

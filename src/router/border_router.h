@@ -19,40 +19,39 @@
 // packet (pinned by tests/alloc_count_test and bench_e2). The only copies
 // left are the explicit ones: append_path_stamp (when Config::stamp_path is
 // on) splices a pooled buffer, and apply_*_verdicts makes one pooled
-// copy_of per forwarded view because the caller retains burst ownership.
+// copy_of per forwarded view when the caller keeps ownership of the burst.
 // PacketView::to_owned() does not appear on the forwarding path at all.
 //
-// Two data paths share the same checks:
+// One data path, in two phases:
 //
-//  * The single-threaded simulator path: on_outgoing()/on_ingress() take
-//    ownership of one packet, run the checks, the forwarding actions AND
-//    the control-plane niceties (ICMP feedback, path stamping) on the
-//    event-loop thread. check_outgoing()/check_incoming() are its
-//    side-effect-free cores, benchmarked by E2/E11 and used by the tests as
-//    the Fig 4 reference.
-//
-//  * The concurrent fast path: classify_*_burst() runs the same checks over
-//    a std::span<const wire::PacketView> burst from ANY number of worker
+//  * Classify: classify_*_burst() runs the checks over a
+//    std::span<const wire::PacketView> burst from ANY number of worker
 //    threads — all AS state it touches is lock-striped (core/sharded.h) or
 //    immutable, and outcome counters go to a caller-owned Stats (one per
 //    worker, merged on read). There is one classify kernel, the fused
 //    chunk pipeline, for every burst size from one packet up: EphID
 //    authentication runs through EphIdCodec::open_batch_gather and MAC
-//    verification through verify_packet_macs, with verdicts identical to
-//    the per-packet checks. Verdicts are then turned into forwarding
-//    actions by apply_*_verdicts() on a single thread (the callbacks —
-//    simulator event loop — are not thread-safe). The concurrent path does
-//    not emit ICMP feedback (a real line-rate device punts error
-//    signalling off the fast path the same way).
+//    verification through verify_packet_macs.
 //
-// router/forwarding_pool.h packages the classify/apply split into an
-// M-worker pool; Mode::baseline implements a plain IPv4-style router (AID
-// longest-match stand-in) for E11.
+//  * Act: apply_*_verdicts() turns the verdicts into forwarding actions on
+//    one thread (the callbacks — simulator event loop — are not
+//    thread-safe): send, deliver, transit, the §VIII-C path stamp, drop
+//    accounting, and the §VIII-B ICMP feedback once set_identity() has
+//    installed an identity.
+//
+// The simulator's on_outgoing()/on_ingress() run one owned packet through
+// both phases as a burst of one, moving its buffer; router/forwarding_pool.h
+// runs them over caller-owned bursts, classifying on M workers.
+// check_outgoing()/check_incoming() are the per-packet Fig 4 reference:
+// the tests' oracle for the kernel, and what E2/E11 time per packet.
+// Mode::baseline implements a plain IPv4-style router (AID longest-match
+// stand-in) for E11.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 
 #include "core/as_state.h"
@@ -149,7 +148,6 @@ class BorderRouter {
   struct Config {
     Mode mode = Mode::apna;
     std::size_t mtu = 1518;          // link MTU for PMTUD (§II-C)
-    bool send_icmp_errors = true;    // unreachable / packet-too-big feedback
     /// §VIII-C extension: append this AS's AID to forwarded packets so
     /// on-path ASes can be authorized for shutoff requests.
     bool stamp_path = false;
@@ -157,8 +155,6 @@ class BorderRouter {
     /// source AS's egress ("ideally replayed packets should be filtered
     /// near [the] replay location").
     bool replay_filter = false;
-    /// Stripe count for the per-source replay-window table.
-    std::size_t replay_shards = core::kDefaultShardCount;
   };
 
   BorderRouter(core::AsState& as, Callbacks cb, Config cfg)
@@ -166,14 +162,16 @@ class BorderRouter {
         cb_(std::move(cb)),
         cfg_(cfg),
         replay_filter_(core::ShardedReplayFilter::Config{
-            cfg.replay_shards, 1024,
+            core::kDefaultShardCount, 1024,
             core::ReplayWindow::StartPolicy::grace}) {}
   BorderRouter(core::AsState& as, Callbacks cb)
       : BorderRouter(as, std::move(cb), Config()) {}
 
+  /// Installs the router's own EphID and MAC key; from then on the action
+  /// phase sends ICMP feedback (§VIII-B). Without one it sends none.
   void set_identity(RouterIdentity ident) { ident_ = ident; }
 
-  // ---- Pure pipelines (benchmarked) ----------------------------------------
+  // ---- Pure pipelines (benchmarked) -----------------------------------------
 
   /// Fig 4 bottom. Returns ok when the packet may leave the AS.
   /// Thread-safe: touches only immutable keys and lock-striped tables.
@@ -188,9 +186,9 @@ class BorderRouter {
   /// Baseline (plain-IP-style) pipeline: header sanity only.
   Result<void> check_baseline(const wire::PacketView& pkt) const;
 
-  // ---- Concurrent fast path (classify on M threads, apply on one) ----------
+  // ---- Classify (any number of threads) -------------------------------------
 
-  /// One packet's outcome on the concurrent fast path.
+  /// One packet's outcome of the classify phase.
   struct Verdict {
     Errc err = Errc::ok;  // ok ⇒ forward / deliver / transit
     bool local = false;   // ingress only: deliver to `hid` vs transit
@@ -231,24 +229,33 @@ class BorderRouter {
                               Stats& stats,
                               core::FlowCache* cache = nullptr) const;
 
+  // ---- Act (one thread) -----------------------------------------------------
+
   /// Executes the forwarding actions for a classified egress burst on the
-  /// CALLING thread (the callbacks are single-threaded): send_external for
-  /// every passing packet (path-stamped when configured). The burst views
-  /// stay caller-owned, so each forwarded packet is handed off as one
-  /// pooled copy_of (no heap allocation in steady state; no copy at all
-  /// when no send callback is installed). Successes count into
-  /// `stats.forwarded_out`, send failures into `stats.drop_no_route`.
+  /// CALLING thread (the callbacks are single-threaded), in burst order:
+  /// send_external for every passing packet (path-stamped when
+  /// configured), packet-too-big feedback for every too_big verdict, and
+  /// dest-unreachable 0 when a send fails. With `owned` (one buffer per
+  /// view) each forwarded buffer is moved; without it the burst stays
+  /// caller-owned and each forwarded packet is handed off as one pooled
+  /// copy_of (no heap allocation in steady state; no copy at all when no
+  /// send callback is installed). Successes count into
+  /// `stats.forwarded_out`, failed sends into their drop counter, and
+  /// feedback into `stats.icmp_sent`.
   void apply_outgoing_verdicts(std::span<const wire::PacketView> burst,
                                std::span<const Verdict> verdicts,
-                               Stats& stats);
+                               Stats& stats,
+                               std::span<wire::PacketBuf> owned = {});
 
   /// Ingress twin: deliver_internal for local verdicts, send_external for
-  /// transits.
+  /// transits; dest-unreachable 1 for a local drop and 2 for a failed
+  /// delivery.
   void apply_ingress_verdicts(std::span<const wire::PacketView> burst,
                               std::span<const Verdict> verdicts,
-                              Stats& stats);
+                              Stats& stats,
+                              std::span<wire::PacketBuf> owned = {});
 
-  // ---- Forwarding entry points (single-threaded simulator path) ------------
+  // ---- Simulator entry points (a burst of one) ------------------------------
 
   /// Packet from a local host headed out of the AS. Takes ownership: a
   /// passing packet's buffer is moved, unmodified, to send_external.
@@ -257,7 +264,7 @@ class BorderRouter {
   /// Packet arriving from a neighbor AS (or looped back for local
   /// delivery): destination AS check, then deliver or transit — again
   /// moving the same buffer.
-  void on_ingress(wire::PacketBuf pkt);
+  void on_ingress(wire::PacketBuf pkt) { ingress_one(std::move(pkt), stats_); }
 
   const Stats& stats() const { return stats_; }
   core::Aid aid() const { return as_.aid; }
@@ -274,32 +281,29 @@ class BorderRouter {
     std::size_t header_len = 0;
   };
   IcmpQuote make_quote(const wire::PacketView& pkt) const;
-  /// True when this router can emit ICMP at all — gates the one pre-move
-  /// quote snapshot so the common path never pays it needlessly.
-  bool icmp_armed() const {
-    return cfg_.send_icmp_errors && !ident_.ephid.is_zero();
-  }
+  bool icmp_armed() const { return !ident_.ephid.is_zero(); }
 
   static void count_drop(Stats& stats, Errc code);
-  void count_drop(Errc code) { count_drop(stats_, code); }
-  /// The one egress action both data paths share: optional §VIII-C path
-  /// stamp, send_external, and drop accounting on failure. Consumes the
-  /// buffer. Returns true when the packet went out (the caller counts the
-  /// success); a missing callback counts as sent (checks-only drivers).
-  /// Keeping this single keeps the simulator and concurrent paths'
-  /// counters in lockstep.
-  bool send_external_stamped(wire::PacketBuf pkt, Stats& stats);
-  /// Burst-shape egress: pooled copy_of + send_external_stamped. No copy
-  /// (and unconditional success) when no send callback is installed.
-  bool forward_view(const wire::PacketView& pkt, Stats& stats);
-  void maybe_icmp_error(const IcmpQuote& offending, core::IcmpType type,
-                        std::uint32_t code);
-  /// Pre-move convenience: quotes straight from the still-live view.
-  void maybe_icmp_error(const wire::PacketView& offending,
-                        core::IcmpType type, std::uint32_t code) {
-    if (!icmp_armed()) return;
-    maybe_icmp_error(make_quote(offending), type, code);
+  /// Hands packet i to deliver_internal(*hid), or to send_external (path
+  /// stamped when configured) when `hid` is empty: owned[i] moved when the
+  /// caller passed owned buffers, else one pooled copy_of. A failed
+  /// handoff counts its drop and, when `unreachable_code` is set, answers
+  /// the sender. Returns true when the packet went out; a missing callback
+  /// counts as out (checks-only drivers).
+  bool hand_off(std::span<const wire::PacketView> burst,
+                std::span<wire::PacketBuf> owned, std::size_t i,
+                std::optional<core::Hid> hid,
+                std::optional<std::uint32_t> unreachable_code, Stats& stats);
+  /// §VIII-B: answers the offender's source from the router's EphID. A
+  /// local offender hears it through the ingress pipeline.
+  void send_icmp(const IcmpQuote& offending, core::IcmpType type,
+                 std::uint32_t code, Stats& stats);
+  void send_icmp(const wire::PacketView& offending, core::IcmpType type,
+                 std::uint32_t code, Stats& stats) {
+    if (icmp_armed()) send_icmp(make_quote(offending), type, code, stats);
   }
+  /// One owned packet through the ingress phases, counted into `stats`.
+  void ingress_one(wire::PacketBuf pkt, Stats& stats);
   /// Egress classify tail: replay filter + drop accounting.
   void finish_outgoing_classify(std::span<const wire::PacketView> burst,
                                 std::span<Verdict> verdicts,

@@ -493,7 +493,6 @@ void Engine::do_replay_tamper(const Phase& p, PhaseReport& r) {
   cb.now = [this] { return now_; };
   router::BorderRouter::Config rc;
   rc.replay_filter = true;
-  rc.send_icmp_errors = false;
   router::BorderRouter rbr(*as_, std::move(cb), rc);
 
   const auto ws = build_working_set(std::min<std::size_t>(cfg_.active_flows, 64));
@@ -734,9 +733,7 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
         return Result<void>::success();
       };
       cb.now = [this] { return now_; };
-      router::BorderRouter::Config rc;
-      rc.send_icmp_errors = false;
-      router::BorderRouter probe_br(*as_, std::move(cb), rc);
+      router::BorderRouter probe_br(*as_, std::move(cb));
       std::vector<wire::PacketView> views;
       views.reserve(fwd_bufs.size());
       for (const wire::PacketBuf& buf : fwd_bufs) views.push_back(buf.view());

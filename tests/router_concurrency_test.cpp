@@ -6,7 +6,8 @@
 //  * the sharded replay filter's at-most-once guarantee under full-overlap
 //    parallel accepts;
 //  * ForwardingPool per-thread stats merged on read, validated against the
-//    per-packet simulator path (on_outgoing);
+//    per-packet Fig 4 reference, and its ICMP feedback held byte-for-byte
+//    to the simulator path's (on_outgoing / on_ingress);
 //  * bit-for-bit agreement of the batched primitives (EphID
 //    open_batch_gather, verify_packet_macs) with their scalar twins, and of
 //    the one classify kernel with the per-packet Fig 4 reference (MTU, then
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,6 +205,66 @@ TEST(ShardedReplayFilterTest, AtMostOnceUnderFullContention) {
   for (std::size_t i = 0; i < accepted.size(); ++i)
     EXPECT_EQ(accepted[i].load(), 1) << "pair " << i;
   EXPECT_EQ(filter.size(), kSources);
+}
+
+// ---- The per-packet Fig 4 reference ------------------------------------------
+
+/// What the classify kernel must reproduce for every egress packet: the
+/// MTU check, then check_outgoing, then the §VIII-D replay filter. The
+/// reference keeps its own replay filter, configured like the router's and
+/// fed the same packet sequence.
+class EgressReference {
+ public:
+  explicit EgressReference(const BorderRouter& br)
+      : br_(br),
+        replay_(core::ShardedReplayFilter::Config{
+            core::kDefaultShardCount, 1024,
+            core::ReplayWindow::StartPolicy::grace}) {}
+
+  Errc operator()(const wire::PacketView& pkt, core::ExpTime now) {
+    if (pkt.wire_size() > br_.config().mtu) return Errc::too_big;
+    if (const Errc e = br_.check_outgoing(pkt, now).code(); e != Errc::ok)
+      return e;
+    if (br_.config().replay_filter && pkt.has_nonce()) {
+      core::EphId src;
+      src.bytes = pkt.src_ephid();
+      if (!replay_.accept(src, pkt.nonce())) return Errc::replayed;
+    }
+    return Errc::ok;
+  }
+
+ private:
+  const BorderRouter& br_;
+  core::ShardedReplayFilter replay_;
+};
+
+/// The ingress twin: transit for other ASes, else check_incoming.
+BorderRouter::Verdict ingress_reference(const BorderRouter& br,
+                                        const wire::PacketView& pkt,
+                                        core::ExpTime now) {
+  BorderRouter::Verdict v;
+  if (pkt.dst_aid() != br.aid()) return v;
+  v.local = true;
+  if (auto hid = br.check_incoming(pkt, now)) {
+    v.hid = *hid;
+  } else {
+    v.err = hid.error().code;
+  }
+  return v;
+}
+
+/// Counts one reference verdict the way the router's Stats counts it.
+void tally(BorderRouter::Stats& s, Errc e) {
+  switch (e) {
+    case Errc::ok: ++s.forwarded_out; break;
+    case Errc::expired: ++s.drop_expired; break;
+    case Errc::revoked: ++s.drop_revoked; break;
+    case Errc::unknown_host: ++s.drop_unknown_host; break;
+    case Errc::bad_mac: ++s.drop_bad_mac; break;
+    case Errc::too_big: ++s.drop_too_big; break;
+    case Errc::replayed: ++s.drop_replayed; break;
+    default: ++s.drop_bad_ephid; break;
+  }
 }
 
 // ---- ForwardingPool ----------------------------------------------------------
@@ -400,7 +462,7 @@ TEST(ForwardingPool, MergedStatsMatchSingleThreadedReference) {
   BorderRouter::Config cfg;
   cfg.replay_filter = true;
   auto pooled_br = f.make_router(cfg);
-  auto reference_br = f.make_router(cfg);
+  EgressReference reference(*pooled_br);
 
   const SealedBurst burst(mixed_egress_burst(f, 1));
 
@@ -409,16 +471,14 @@ TEST(ForwardingPool, MergedStatsMatchSingleThreadedReference) {
   ForwardingPool pool(*pooled_br, pool_cfg);
 
   constexpr int kRounds = 50;
+  BorderRouter::Stats ref_stats;
   for (int round = 0; round < kRounds; ++round) {
     pool.process_outgoing(burst.views, f.now);
-    // The per-packet reference: the simulator path runs the MTU check,
-    // check_outgoing and the replay filter on each packet.
     for (const wire::PacketView& v : burst.views)
-      reference_br->on_outgoing(wire::PacketBuf::copy_of(v));
+      tally(ref_stats, reference(v, f.now));
   }
 
   const auto merged = pool.stats();
-  const auto ref_stats = reference_br->stats();
   EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
   EXPECT_EQ(merged.drop_bad_mac, ref_stats.drop_bad_mac);
   EXPECT_EQ(merged.drop_bad_ephid, ref_stats.drop_bad_ephid);
@@ -447,7 +507,7 @@ SealedBurst repeated_flow_burst(ConcurrencyFixture& f,
 TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
   ConcurrencyFixture f;
   auto pooled_br = f.make_router();
-  auto reference_br = f.make_router();
+  EgressReference reference(*pooled_br);
 
   std::vector<core::EphId> flows;
   for (core::Hid hid = 1; hid <= 16; ++hid)
@@ -458,13 +518,13 @@ TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
   pool_cfg.threads = 4;
   ForwardingPool pool(*pooled_br, pool_cfg);
 
+  BorderRouter::Stats ref_stats;
   for (int round = 0; round < 10; ++round) {
     pool.process_outgoing(burst.views, f.now);
     for (const wire::PacketView& v : burst.views)
-      reference_br->on_outgoing(wire::PacketBuf::copy_of(v));
+      tally(ref_stats, reference(v, f.now));
   }
   const auto merged = pool.stats();
-  const auto ref_stats = reference_br->stats();
   EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
   EXPECT_EQ(merged.total_drops(), ref_stats.total_drops());
 
@@ -508,6 +568,163 @@ TEST(ForwardingPool, IngressDeliversAndTransits) {
   EXPECT_EQ(stats.delivered_in, 16u);
   EXPECT_EQ(stats.transited, 8u);
   EXPECT_EQ(stats.drop_bad_ephid, 1u);
+}
+
+/// A router with its own identity over the fixture's AS whose callbacks
+/// record every ICMP packet it emits, in emission order: the wire bytes and
+/// where they went (0 for send_external, else the HID delivered to). Sends
+/// towards kUnroutable and deliveries to kUndeliverable fail, so every
+/// feedback arm fires.
+struct IcmpRecorder {
+  static constexpr core::Aid kUnroutable = 64998;
+  static constexpr core::Hid kUndeliverable = 5;
+  std::vector<std::pair<core::Hid, Bytes>> icmp;
+  std::unique_ptr<BorderRouter> br;
+
+  IcmpRecorder(ConcurrencyFixture& f, const RouterIdentity& rid) {
+    BorderRouter::Callbacks cb;
+    cb.send_external = [this](wire::PacketBuf p) -> Result<void> {
+      if (p.view().dst_aid() == kUnroutable)
+        return Result<void>(Errc::no_route, "unroutable");
+      record(0, p);
+      return Result<void>::success();
+    };
+    cb.deliver_internal = [this](core::Hid hid,
+                                 wire::PacketBuf p) -> Result<void> {
+      if (hid == kUndeliverable)
+        return Result<void>(Errc::unknown_host, "undeliverable");
+      record(hid, p);
+      return Result<void>::success();
+    };
+    cb.now = [&f] { return f.now; };
+    BorderRouter::Config cfg;
+    cfg.mtu = 512;
+    br = std::make_unique<BorderRouter>(f.as, std::move(cb), cfg);
+    br->set_identity(rid);
+  }
+
+  void record(core::Hid to, const wire::PacketBuf& p) {
+    if (p.view().proto() != wire::NextProto::icmp) return;
+    const ByteSpan b = p.view().bytes();
+    icmp.emplace_back(to, Bytes(b.begin(), b.end()));
+  }
+};
+
+TEST(ForwardingPool, IcmpFeedbackMatchesSimulatorPath) {
+  // Every §VIII-B arm, plus the packets that must NOT be answered (ICMP
+  // offenders, plain check failures at egress, failed transit), through
+  // the simulator path and through pools of 1 and 4 threads: the pools
+  // must emit the same ICMP packets, byte for byte, in burst order.
+  ConcurrencyFixture f;
+  RouterIdentity rid;
+  rid.aid = f.as.aid;
+  rid.ephid = f.as.codec.issue(kHosts + 1, f.now + 900, f.rng);
+  f.rng.fill(MutByteSpan(rid.mac_key.data(), rid.mac_key.size()));
+
+  std::vector<core::EphId> flows;
+  for (core::Hid hid = 1; hid <= 12; ++hid)
+    flows.push_back(f.as.codec.issue(hid, f.now + 900, f.rng));
+
+  SealedBurst egress;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const core::Hid hid = static_cast<core::Hid>(1 + i % flows.size());
+    wire::Packet pkt = f.outgoing_packet(hid, flows[hid - 1]);
+    switch (i % 8) {
+      case 1: pkt.dst_aid = IcmpRecorder::kUnroutable; break;  // unreachable 0
+      case 2: pkt.payload = f.rng.bytes(600); break;            // too big
+      case 3:  // too big, but ICMP
+        pkt.payload = f.rng.bytes(600);
+        pkt.proto = wire::NextProto::icmp;
+        break;
+      case 4:  // too big from an expired source: its feedback is dropped
+        pkt.src_ephid = f.as.codec.issue(hid, f.now - 1, f.rng).bytes;
+        pkt.payload = f.rng.bytes(600);
+        break;
+      case 6:  // failed send of an ICMP packet
+        pkt.dst_aid = IcmpRecorder::kUnroutable;
+        pkt.proto = wire::NextProto::icmp;
+        break;
+      default: break;
+    }
+    core::stamp_packet_mac(
+        crypto::AesCmac(ByteSpan(f.host_keys[hid - 1].mac.data(), 16)), pkt);
+    if (i % 8 == 5) pkt.mac[0] ^= 1;  // a plain egress drop: no feedback
+    egress.push(pkt);
+  }
+
+  SealedBurst ingress;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const core::Hid hid = static_cast<core::Hid>(1 + i % flows.size());
+    wire::Packet pkt = f.incoming_packet(flows[hid - 1]);
+    switch (i % 8) {
+      case 0:  // unreachable 1 towards an AS the feedback cannot reach
+        pkt.src_aid = IcmpRecorder::kUnroutable;
+        pkt.dst_ephid = f.as.codec.issue(hid, f.now - 1, f.rng).bytes;
+        break;
+      case 1:  // unreachable 1: expired destination
+        pkt.dst_ephid = f.as.codec.issue(hid, f.now - 1, f.rng).bytes;
+        break;
+      case 2: f.rng.fill(MutByteSpan(pkt.dst_ephid.data(), 16)); break;
+      case 3: pkt.dst_ephid = flows[IcmpRecorder::kUndeliverable - 1].bytes;
+        break;  // unreachable 2: the delivery fails
+      case 4: pkt.dst_aid = 64999; break;  // transit
+      case 5: pkt.dst_aid = IcmpRecorder::kUnroutable; break;  // failed transit
+      case 6:  // expired destination, but ICMP
+        pkt.dst_ephid = f.as.codec.issue(hid, f.now - 1, f.rng).bytes;
+        pkt.proto = wire::NextProto::icmp;
+        break;
+      default: break;
+    }
+    ingress.push(pkt);
+  }
+
+  IcmpRecorder sim(f, rid);
+  for (const wire::PacketView& v : egress.views)
+    sim.br->on_outgoing(wire::PacketBuf::copy_of(v));
+  for (const wire::PacketView& v : ingress.views)
+    sim.br->on_ingress(wire::PacketBuf::copy_of(v));
+  const BorderRouter::Stats want = sim.br->stats();
+
+  // The simulator path answered every arm.
+  std::set<std::pair<core::IcmpType, std::uint32_t>> arms;
+  for (const auto& [to, bytes] : sim.icmp) {
+    auto pkt = wire::PacketBuf::adopt(bytes);
+    ASSERT_TRUE(pkt.ok());
+    auto msg = core::decode_msg<core::IcmpMessage>(pkt->view().payload());
+    ASSERT_TRUE(msg.ok());
+    arms.emplace(msg->type, msg->code);
+  }
+  EXPECT_EQ(arms, (std::set<std::pair<core::IcmpType, std::uint32_t>>{
+                      {core::IcmpType::dest_unreachable, 0},
+                      {core::IcmpType::dest_unreachable, 1},
+                      {core::IcmpType::dest_unreachable, 2},
+                      {core::IcmpType::packet_too_big, 512}}));
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    IcmpRecorder pooled(f, rid);
+    ForwardingPool::Config pool_cfg;
+    pool_cfg.threads = threads;
+    ForwardingPool pool(*pooled.br, pool_cfg);
+    pool.process_outgoing(egress.views, f.now);
+    pool.process_ingress(ingress.views, f.now);
+
+    ASSERT_EQ(pooled.icmp.size(), sim.icmp.size()) << threads << " threads";
+    for (std::size_t k = 0; k < sim.icmp.size(); ++k) {
+      EXPECT_EQ(pooled.icmp[k].first, sim.icmp[k].first)
+          << threads << " threads, ICMP " << k;
+      EXPECT_TRUE(pooled.icmp[k].second == sim.icmp[k].second)
+          << threads << " threads, ICMP " << k;
+    }
+    const BorderRouter::Stats got = pool.stats();
+    EXPECT_EQ(got.icmp_sent, want.icmp_sent) << threads << " threads";
+    EXPECT_EQ(got.forwarded_out, want.forwarded_out) << threads << " threads";
+    EXPECT_EQ(got.delivered_in, want.delivered_in) << threads << " threads";
+    EXPECT_EQ(got.transited, want.transited) << threads << " threads";
+    EXPECT_EQ(got.total_drops(), want.total_drops()) << threads << " threads";
+    // The pool counts into its own slots, never the router's.
+    EXPECT_EQ(pooled.br->stats().icmp_sent, 0u) << threads << " threads";
+    EXPECT_EQ(pooled.br->stats().total_drops(), 0u) << threads << " threads";
+  }
 }
 
 // ---- Batched primitives agree with their scalar twins ------------------------
@@ -575,52 +792,6 @@ TEST(BatchDeterminism, MacVerifyBatchedEqualsScalar) {
         << "packet " << i;
   }
   EXPECT_EQ(verdicts.back(), 0u);
-}
-
-// ---- The per-packet Fig 4 reference ------------------------------------------
-
-/// What the classify kernel must reproduce for every egress packet: the
-/// MTU check, then check_outgoing, then the §VIII-D replay filter. The
-/// reference keeps its own replay filter, configured like the router's and
-/// fed the same packet sequence.
-class EgressReference {
- public:
-  explicit EgressReference(const BorderRouter& br)
-      : br_(br),
-        replay_(core::ShardedReplayFilter::Config{
-            br.config().replay_shards, 1024,
-            core::ReplayWindow::StartPolicy::grace}) {}
-
-  Errc operator()(const wire::PacketView& pkt, core::ExpTime now) {
-    if (pkt.wire_size() > br_.config().mtu) return Errc::too_big;
-    if (const Errc e = br_.check_outgoing(pkt, now).code(); e != Errc::ok)
-      return e;
-    if (br_.config().replay_filter && pkt.has_nonce()) {
-      core::EphId src;
-      src.bytes = pkt.src_ephid();
-      if (!replay_.accept(src, pkt.nonce())) return Errc::replayed;
-    }
-    return Errc::ok;
-  }
-
- private:
-  const BorderRouter& br_;
-  core::ShardedReplayFilter replay_;
-};
-
-/// The ingress twin: transit for other ASes, else check_incoming.
-BorderRouter::Verdict ingress_reference(const BorderRouter& br,
-                                        const wire::PacketView& pkt,
-                                        core::ExpTime now) {
-  BorderRouter::Verdict v;
-  if (pkt.dst_aid() != br.aid()) return v;
-  v.local = true;
-  if (auto hid = br.check_incoming(pkt, now)) {
-    v.hid = *hid;
-  } else {
-    v.err = hid.error().code;
-  }
-  return v;
 }
 
 // ---- The one classify kernel against the per-packet reference ----------------
