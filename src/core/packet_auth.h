@@ -158,13 +158,4 @@ inline void verify_packet_macs(std::span<const PacketMacJob> jobs,
   }
 }
 
-/// Batched in-place stamping under ONE key — the gateway egress shape: a
-/// NAT-mode AP re-MACs a burst of inner packets under its own kHA before
-/// forwarding ("the AP replaces the MAC using its shared key with the AS",
-/// §VII-B). Each buffer's MAC field is rewritten; nothing else moves.
-inline void stamp_packet_macs(const crypto::AesCmac& mac_key,
-                              std::span<wire::PacketBuf> pkts) {
-  for (wire::PacketBuf& pkt : pkts) stamp_packet_mac(mac_key, pkt);
-}
-
 }  // namespace apna::core

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "core/as_persist.h"
-#include "crypto/drbg.h"
 
 namespace apna::dns {
 namespace {
@@ -311,8 +310,6 @@ ResolverPool::ResolverPool(Resolver& resolver, Config cfg)
   }
   if (cfg_.chunk == 0) cfg_.chunk = 64;
   slots_ = std::make_unique<Slot[]>(cfg_.threads);
-  for (std::size_t i = 0; i < cfg_.threads; ++i)
-    slots_[i].drbg = std::make_unique<crypto::HmacDrbg>(cfg_.rng_seed, i);
   workers_.reserve(cfg_.threads - 1);
   for (std::size_t i = 1; i < cfg_.threads; ++i)
     workers_.emplace_back([this, i] { worker_main(i); });

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "core/messages.h"
-#include "crypto/rng.h"
 #include "dns/dns_cache.h"
 #include "dns/dns_wire.h"
 #include "dns/domain_trie.h"
@@ -292,10 +291,6 @@ class ResolverPool {
     std::size_t threads = 0;
     /// Lookups per claim unit.
     std::size_t chunk = 64;
-    /// Seed for the per-SLOT worker DRBGs (HmacDrbg(rng_seed, slot)):
-    /// worker-private randomness with zero cross-thread contention (query
-    /// jitter, future 0x20-mixing). Lookup RESULTS never depend on it.
-    std::uint64_t rng_seed = 0xd15ea5e;
   };
 
   /// Plain copyable counters, merged across worker slots on read.
@@ -321,10 +316,6 @@ class ResolverPool {
   Stats stats() const;
   std::size_t threads() const { return cfg_.threads; }
 
-  /// The given slot's private DRBG (tests and TSan stress only — workers
-  /// reach their own slot directly).
-  crypto::Rng& slot_rng(std::size_t slot) { return *slots_[slot].drbg; }
-
  private:
   void worker_main(std::size_t slot);
   void drain_chunks(std::size_t slot);
@@ -333,9 +324,6 @@ class ResolverPool {
   struct alignas(64) Slot {
     mutable std::mutex mu;
     Stats stats;
-    /// Worker-private crypto::HmacDrbg(rng_seed, slot) — never shared
-    /// across slots (crypto_concurrency_test stresses this under TSan).
-    std::unique_ptr<crypto::Rng> drbg;
   };
 
   Resolver& resolver_;

@@ -104,119 +104,51 @@ void NatAccessPoint::deliver_to_inner(core::Hid inner_hid,
                     });
 }
 
-NatAccessPoint::InnerRoute NatAccessPoint::route_inner(
-    const wire::PacketView& pkt) {
+void NatAccessPoint::on_inner_uplink(wire::PacketBuf pkt) {
   // Internal destination? (inner control EphIDs decode under the AP's kA.)
   core::EphId dst;
-  dst.bytes = pkt.dst_ephid();
+  dst.bytes = pkt.view().dst_ephid();
   if (auto plain = inner_as_->codec.open(dst); plain.ok()) {
-    if (plain->hid == inner_ms_.hid)
-      return InnerRoute{InnerRoute::Kind::ms_request, 0};
+    if (plain->hid == inner_ms_.hid) {
+      handle_inner_ms_request(pkt.view());
+      return;
+    }
     // Inner-to-inner traffic stays behind the AP.
-    if (inner_ports_.contains(plain->hid))
-      return InnerRoute{InnerRoute::Kind::deliver, plain->hid};
+    if (inner_ports_.contains(plain->hid)) {
+      ++stats_.intra_ap;
+      deliver_to_inner(plain->hid, std::move(pkt));
+      return;
+    }
   }
   // EphID_info lookup also covers inner→inner via real-AS EphIDs.
-  if (auto it = ephid_info_.find(dst); it != ephid_info_.end())
-    return InnerRoute{InnerRoute::Kind::deliver, it->second};
+  if (auto it = ephid_info_.find(dst); it != ephid_info_.end()) {
+    ++stats_.intra_ap;
+    deliver_to_inner(it->second, std::move(pkt));
+    return;
+  }
 
-  // Egress: the source EphID must have been issued via this AP.
+  // Egress: the source EphID must have been issued via this AP, and the
+  // packet must carry a valid MAC under the INNER host's key ("in addition
+  // to verifying the MAC in the packets using the shared keys with its
+  // hosts").
   core::EphId src;
-  src.bytes = pkt.src_ephid();
-  auto owner = ephid_info_.find(src);
-  if (owner == ephid_info_.end())
-    return InnerRoute{InnerRoute::Kind::drop, 0};
-  return InnerRoute{InnerRoute::Kind::egress, owner->second};
-}
-
-void NatAccessPoint::forward_inner_egress(wire::PacketBuf pkt) {
+  src.bytes = pkt.view().src_ephid();
+  const auto owner = ephid_info_.find(src);
+  if (owner == ephid_info_.end()) {
+    ++stats_.drop_unknown_ephid;
+    return;
+  }
+  const auto inner_rec = inner_as_->host_db.find(owner->second);
+  if (!inner_rec || !core::verify_packet_mac(*inner_rec->cmac, pkt.view())) {
+    ++stats_.drop_bad_inner_mac;
+    return;
+  }
   // NAT step: present the packet as the AP's own traffic — real AID
   // (rewritten in place at its fixed offset) and the AP's kHA MAC
   // (re-stamped in place by forward_as_own). Same buffer end to end.
   pkt.set_src_aid(parent_.aid());
   ++stats_.inner_out;
   ap_host_->forward_as_own(std::move(pkt));
-}
-
-void NatAccessPoint::on_inner_uplink(wire::PacketBuf pkt) {
-  const InnerRoute route = route_inner(pkt.view());
-  switch (route.kind) {
-    case InnerRoute::Kind::ms_request:
-      handle_inner_ms_request(pkt.view());
-      return;
-    case InnerRoute::Kind::deliver:
-      ++stats_.intra_ap;
-      deliver_to_inner(route.hid, std::move(pkt));
-      return;
-    case InnerRoute::Kind::drop:
-      ++stats_.drop_unknown_ephid;
-      return;
-    case InnerRoute::Kind::egress:
-      break;
-  }
-  // The packet must carry a valid MAC under the INNER host's key ("in
-  // addition to verifying the MAC in the packets using the shared keys
-  // with its hosts").
-  const auto inner_rec = inner_as_->host_db.find(route.hid);
-  if (!inner_rec || !core::verify_packet_mac(*inner_rec->cmac, pkt.view())) {
-    ++stats_.drop_bad_inner_mac;
-    return;
-  }
-  forward_inner_egress(std::move(pkt));
-}
-
-void NatAccessPoint::inject_inner_burst(
-    std::span<const wire::PacketView> burst) {
-  // Route first: inner-destined traffic is consumed here; what remains is
-  // the egress set whose inner MACs can be verified as one batch, in place
-  // over the callers' wire images.
-  std::vector<const wire::PacketView*> egress;
-  std::vector<std::optional<core::HostRecord>> recs;  // keepalive for cmac
-  egress.reserve(burst.size());
-  recs.reserve(burst.size());
-  for (const wire::PacketView& pkt : burst) {
-    const InnerRoute route = route_inner(pkt);
-    switch (route.kind) {
-      case InnerRoute::Kind::ms_request:
-        handle_inner_ms_request(pkt);
-        continue;
-      case InnerRoute::Kind::deliver:
-        ++stats_.intra_ap;
-        // The burst stays caller-owned: inner delivery extends the
-        // packet's lifetime, so it is one explicit pooled copy.
-        deliver_to_inner(route.hid, wire::PacketBuf::copy_of(pkt));
-        continue;
-      case InnerRoute::Kind::drop:
-        ++stats_.drop_unknown_ephid;
-        continue;
-      case InnerRoute::Kind::egress:
-        egress.push_back(&pkt);
-        recs.push_back(inner_as_->host_db.find(route.hid));
-        continue;
-    }
-  }
-
-  std::vector<core::PacketMacJob> jobs(egress.size());
-  for (std::size_t i = 0; i < egress.size(); ++i)
-    jobs[i] = core::PacketMacJob{egress[i],
-                                 recs[i] ? recs[i]->cmac.get() : nullptr};
-  std::vector<std::uint8_t> mac_ok(egress.size());
-  core::verify_packet_macs(jobs, mac_ok);
-
-  // NAT the survivors (one pooled copy each — the caller keeps the burst)
-  // and re-MAC them under the AP's kHA as one in-place batch.
-  std::vector<wire::PacketBuf> out;
-  out.reserve(egress.size());
-  for (std::size_t i = 0; i < egress.size(); ++i) {
-    if (!mac_ok[i]) {
-      ++stats_.drop_bad_inner_mac;
-      continue;
-    }
-    out.push_back(wire::PacketBuf::copy_of(*egress[i]));
-    out.back().set_src_aid(parent_.aid());
-  }
-  stats_.inner_out += out.size();
-  ap_host_->forward_as_own_burst(out);
 }
 
 void NatAccessPoint::on_downlink(wire::PacketBuf pkt) {

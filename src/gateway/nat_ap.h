@@ -25,8 +25,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,15 +75,6 @@ class NatAccessPoint {
   /// packets that fail the inner MAC check).
   void inject_inner(wire::PacketBuf pkt) { on_inner_uplink(std::move(pkt)); }
 
-  /// Burst ingestion on the inner wire (views; the caller owns the
-  /// buffers): egress candidates have their inner MACs verified in place
-  /// through the batched verifier (core::verify_packet_macs); survivors
-  /// are NAT-rewritten (src AID, fixed offset) and re-MAC'd under the AP's
-  /// kHA through the batched in-place stamping path
-  /// (host::Host::forward_as_own_burst). Per-packet verdicts and counters
-  /// are identical to calling inject_inner once per packet.
-  void inject_inner_burst(std::span<const wire::PacketView> burst);
-
   /// The AP's own host-side identity at the parent AS.
   host::Host& ap_host() { return *ap_host_; }
   core::Aid parent_aid() const { return parent_.aid(); }
@@ -98,22 +87,6 @@ class NatAccessPoint {
   void on_downlink(wire::PacketBuf pkt);                  // router (ingress)
   void handle_inner_ms_request(const wire::PacketView& pkt);  // MS proxy
   void deliver_to_inner(core::Hid inner_hid, wire::PacketBuf pkt);
-
-  /// Pure routing decision for one inner-wire packet (no side effects on
-  /// the packet): where does it go, and which inner host owns it?
-  struct InnerRoute {
-    enum class Kind {
-      ms_request,  // addressed to the AP's inner MS
-      deliver,     // inner→inner: deliver to `hid` behind the AP
-      egress,      // leaves the AP; `hid` owns the source EphID
-      drop,        // unknown source EphID
-    } kind = Kind::drop;
-    core::Hid hid = 0;
-  };
-  InnerRoute route_inner(const wire::PacketView& pkt);
-  /// NAT tail after a verified inner MAC: rewrite the source AID in place
-  /// and re-MAC via the AP's host identity — same buffer throughout.
-  void forward_inner_egress(wire::PacketBuf pkt);
 
   Config cfg_;
   AutonomousSystem& parent_;

@@ -177,13 +177,6 @@ void Host::forward_as_own(wire::PacketBuf pkt) {
   if (send_) send_(std::move(pkt));
 }
 
-void Host::forward_as_own_burst(std::span<wire::PacketBuf> pkts) {
-  core::stamp_packet_macs(*kha_cmac_, pkts);  // batched in-place re-MAC
-  stats_.packets_sent += pkts.size();
-  if (!send_) return;
-  for (wire::PacketBuf& pkt : pkts) send_(std::move(pkt));
-}
-
 void Host::on_control(const wire::PacketView& pkt) {
   if (pending_ephids_.empty()) return;
   PendingEphId pending = std::move(pending_ephids_.front());

@@ -128,12 +128,6 @@ class Host {
   /// before forwarding the packets").
   void forward_as_own(wire::PacketBuf pkt);
 
-  /// Burst variant: re-MACs the whole burst in place through the batched
-  /// stamping path (core::stamp_packet_macs — one pre-scheduled key, no
-  /// per-call overhead) and transmits in order, consuming every buffer.
-  /// The NAT-mode AP's uplink uses this.
-  void forward_as_own_burst(std::span<wire::PacketBuf> pkts);
-
   /// Re-requests `lifetime`-class EphIDs proactively ahead of expiry: the
   /// lifecycle manager (host/ephid_pool.h) keeps every enabled class
   /// stocked with jittered refresh scheduling and exponential backoff on

@@ -6,17 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
 #include "crypto/rng.h"
-#include "dns/resolver.h"
-#include "services/dns_zone.h"
 #include "util/hex.h"
 
 namespace apna::crypto {
@@ -100,40 +98,6 @@ TEST(CryptoConcurrency, BatchVerifyIsThreadSafeWithPrivateDrbgs) {
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(CryptoConcurrency, ResolverPoolSlotRngsNeverShareState) {
-  // The real pool: ResolverPool instantiates HmacDrbg(rng_seed, slot) per
-  // worker slot. Drawing from all slots concurrently (as workers would)
-  // must be race-free and give each slot the stream a fresh (seed, slot)
-  // instance produces.
-  services::DnsZone zone;
-  net::EventLoop loop;
-  dns::Resolver resolver(zone, loop, dns::Resolver::Config{});
-  dns::ResolverPool::Config cfg;
-  cfg.threads = 4;
-  cfg.rng_seed = 0x7001;
-  dns::ResolverPool pool(resolver, cfg);
-  ASSERT_EQ(pool.threads(), 4u);
-
-  constexpr std::size_t kDraws = 256;
-  std::vector<Bytes> streams(4, Bytes(kDraws * 16));
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < 4; ++i)
-    threads.emplace_back([&, i] {
-      for (std::size_t d = 0; d < kDraws; ++d)
-        pool.slot_rng(i).fill(
-            MutByteSpan(streams[i].data() + d * 16, 16));
-    });
-  for (auto& t : threads) t.join();
-
-  for (std::size_t i = 0; i < 4; ++i) {
-    HmacDrbg ref(0x7001, i);
-    Bytes expect(kDraws * 16);
-    for (std::size_t d = 0; d < kDraws; ++d)
-      ref.fill(MutByteSpan(expect.data() + d * 16, 16));
-    EXPECT_EQ(hex_encode(streams[i]), hex_encode(expect)) << "slot " << i;
-  }
 }
 
 }  // namespace

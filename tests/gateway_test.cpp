@@ -202,52 +202,6 @@ TEST(NatAp, InnerRequestWithTrailingByteDropped) {
   EXPECT_GT(inner.stats().packets_received, replies_before);
 }
 
-TEST(NatAp, BurstUplinkMatchesScalarVerdicts) {
-  // inject_inner_burst runs the inner MAC checks through the batched
-  // verifier and re-MACs survivors through the batched stamping path; the
-  // per-packet verdicts and counters must match the scalar inject_inner
-  // semantics, and the re-MAC'd packets must satisfy the parent AS's
-  // egress MAC verification.
-  GwWorld w;
-  NatAccessPoint ap({.name = "ap"}, *w.as_a, w.net.directory());
-  host::Host& honest = ap.add_inner_host("honest");
-  ASSERT_TRUE(provision_ephids(honest, w.net.loop(), 1).ok());
-  host::Host& server = w.as_b->add_host("server");
-  ASSERT_TRUE(provision_ephids(server, w.net.loop(), 1).ok());
-
-  // Capture the honest host's (inner-MAC'd) uplink frames instead of
-  // delivering them, then re-inject them as one burst of views.
-  std::vector<wire::PacketBuf> bufs;
-  honest.set_uplink([&](wire::PacketBuf p) { bufs.push_back(std::move(p)); });
-  ASSERT_TRUE(honest
-                  .connect(server.pool().entries().front()->cert, {},
-                           [](Result<std::uint64_t>) {})
-                  .ok());
-  ASSERT_FALSE(bufs.empty());
-  const std::size_t valid = bufs.size();
-
-  wire::Packet forged = bufs.front().view().to_owned();
-  forged.mac[0] ^= 1;  // breaks the inner MAC
-  wire::Packet alien = bufs.front().view().to_owned();
-  crypto::ChaChaRng rng(2);
-  rng.fill(MutByteSpan(alien.src_ephid.data(), 16));  // never issued here
-  bufs.push_back(forged.seal());
-  bufs.push_back(alien.seal());
-  std::vector<wire::PacketView> burst;
-  for (const auto& b : bufs) burst.push_back(b.view());
-
-  const auto egress_before = w.as_a->br().stats().forwarded_out;
-  ap.inject_inner_burst(burst);
-  w.net.run();
-
-  EXPECT_EQ(ap.stats().inner_out, valid);
-  EXPECT_EQ(ap.stats().drop_bad_inner_mac, 1u);
-  EXPECT_EQ(ap.stats().drop_unknown_ephid, 1u);
-  // Batched re-MAC (forward_as_own_burst) satisfies the Fig 4 egress check.
-  EXPECT_EQ(w.as_a->br().stats().forwarded_out, egress_before + valid);
-  EXPECT_EQ(w.as_a->br().stats().drop_bad_mac, 0u);
-}
-
 // ---- Bridge-mode AP -----------------------------------------------------------
 
 TEST(BridgeAp, HostsAreDirectCustomers) {
