@@ -1,8 +1,8 @@
 // E9 — Crypto-primitive ablation (§IV-A / §V design choices).
 //
-// Self-timed (bench_util.h) so it always builds — no google-benchmark
-// dependency. Measures the primitives the paper's budgets rest on, with a
-// per-TIER delta table for everything the runtime dispatcher widens:
+// Self-timed (bench_util.h), like every bench. Measures the primitives the
+// paper's budgets rest on, with a per-TIER delta table for everything the
+// runtime dispatcher widens:
 //
 //   * AES: single block, bulk encrypt_blocks, and the 16-chain CMAC driver
 //     (aes_cmac_many) on every tier compiled into this binary and
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
               "(ChaChaRng fill: %.0f ns)\n",
               drbg_inst_ns, drbg_fill_ns, chacha_fill_ns);
 
-  // ---- EphID codec roundtrip (the E6 primitive, tier-sensitive) --------------
+  // ---- EphID codec roundtrip (issue + open, tier-sensitive) ------------------
   core::EphIdCodec codec(rng.bytes(16));
   std::uint32_t iv = 0;
   const double ephid_ns = bench::time_per_op_ns(aes_iters, [&](std::size_t) {

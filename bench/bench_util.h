@@ -1,9 +1,8 @@
 // Shared helpers for the experiment benchmarks (E1..E11).
 //
-// System-level experiments print paper-style tables via these helpers;
-// micro benchmarks additionally register google-benchmark timers. The
-// Zipf sampler (flow-locality workloads) and the BENCH_*.json emitter
-// live here so every bench shares one implementation.
+// Every experiment is self-timed and prints paper-style tables via these
+// helpers. The Zipf sampler (flow-locality workloads) and the BENCH_*.json
+// emitter live here so every bench shares one implementation.
 #pragma once
 
 #include <algorithm>

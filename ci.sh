@@ -4,13 +4,13 @@
 #   1. Release with warnings-as-errors for all APNA targets, plus every
 #      src/ header compiled on its own
 #   2. ASan + UBSan (Debug)
-#   3. ThreadSanitizer over the router/core concurrency tests, the
-#      control-plane pool test, the crypto-labelled suites (per-slot DRBG
-#      independence, concurrent batch verification), the persistence
-#      coordinator's multi-threaded sink, and the bounded scenario storms
-#      (the sharded data plane's stress suite, the M-worker issuance pool
-#      and the attack-script interleavings; bounded runtime — TSan over the
-#      full integration matrix would dominate CI time for no extra signal)
+#   3. ThreadSanitizer over the `tsan`-labelled suites: the router/core
+#      concurrency tests, the service and resolver pools, the crypto suites
+#      (per-slot DRBG independence, concurrent batch verification), the
+#      persistence coordinator's multi-threaded sink, the zero-allocation
+#      pool checks and the bounded scenario storms (bounded runtime — TSan
+#      over the full integration matrix would dominate CI time for no extra
+#      signal)
 #
 # 1 and 2 must build every library, test, bench and example target and pass
 # the full ctest suite. Run from the repo root: ./ci.sh
@@ -86,30 +86,26 @@ run_config sanitize -DCMAKE_BUILD_TYPE=Debug -DAPNA_SANITIZE=ON -DAPNA_WERROR=ON
 echo "=== [tsan] configure"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAPNA_TSAN=ON \
   -DAPNA_WERROR=ON -DAPNA_BUILD_BENCH=OFF -DAPNA_BUILD_EXAMPLES=OFF
-echo "=== [tsan] build (concurrency-labelled tests only)"
-# scenario_test rides the TSan leg too: its bounded storm scripts (bogus-
-# EphID flood, shutoff storm, revocation waves) drive the multi-worker
-# ForwardingPool, per-worker FlowCaches and the striped revocation tables
-# under racing epoch bumps — the attack-time interleavings the fixed-size
-# concurrency tests don't reach.
-# dns_concurrency_test rides the TSan leg too: resolver lookups racing zone
-# put/erase and domain-policy churn, plus the M-worker ResolverPool — the
-# lock-striped cache's epoch-stamping discipline under real interleavings.
-# The crypto label rides the TSan leg too: per-slot HMAC-DRBG independence
-# and concurrent ed25519_verify_batch (crypto_concurrency_test) are exactly
-# where a shared-scratch race would hide, and the KAT/property suites are
-# cheap enough to keep as ballast.
-# persist_test rides the TSan leg too: service threads (AA revocations, RS
-# enrollment) funnel journal records through one PersistCoordinator sink
-# while the main thread rotates snapshots — the group-commit buffer's
-# locking discipline under real interleavings.
-cmake --build build-tsan -j "${jobs}" \
-  --target router_concurrency_test router_test core_test control_plane_test \
-  flow_cache_test scenario_test dns_concurrency_test persist_test \
-  crypto_test crypto_kat_test crypto_property_test crypto_concurrency_test
+echo "=== [tsan] build (tsan-labelled tests only)"
+# A suite joins this leg by carrying the `tsan` ctest label
+# (tests/CMakeLists.txt); apna_add_test collects every labelled suite into
+# the tsan_tests target. Why particular suites are labelled:
+#   router_concurrency_test, router_test, core_test, flow_cache_test — the
+#     sharded data plane's stress suite and per-worker FlowCaches.
+#   control_plane_test, services_test — the M-worker ServicePool.
+#   alloc_count_test — the multi-thread ForwardingPool's steady state.
+#   scenario_test — bounded storm scripts (bogus-EphID flood, shutoff
+#     storm, revocation waves) driving the ForwardingPool, per-worker caches
+#     and striped revocation tables under racing epoch bumps.
+#   dns_concurrency_test — resolver lookups racing zone put/erase and
+#     domain-policy churn, plus the M-worker ResolverPool.
+#   the crypto suites — per-slot HMAC-DRBG independence and concurrent
+#     ed25519_verify_batch, where a shared-scratch race would hide; the
+#     KAT/property suites are cheap enough to keep as ballast.
+#   persist_test — service threads funnel journal records through one
+#     PersistCoordinator sink while the main thread rotates snapshots.
+cmake --build build-tsan -j "${jobs}" --target tsan_tests
 echo "=== [tsan] test"
-ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-  -R '^(router_concurrency_test|router_test|core_test|control_plane_test|flow_cache_test|scenario_test|dns_concurrency_test|persist_test)$'
-ctest --test-dir build-tsan --output-on-failure -j "${jobs}" -L crypto
+ctest --test-dir build-tsan --output-on-failure -j "${jobs}" -L tsan
 
 echo "=== CI green: Release(-Werror), ASan/UBSan and TSan legs all passed"

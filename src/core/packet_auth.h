@@ -14,14 +14,15 @@
 //    at their fixed offset. No copy, no re-serialization.
 //  * builder forms — same math on the owned wire::Packet struct, for
 //    construction-side code that stamps before seal()ing.
-//  * batched forms — a burst of views. They take PRE-SCHEDULED AesCmac keys
-//    (the HostDb pre-schedules kHA-mac exactly for this), so the AES key
-//    schedule is paid once per host instead of once per packet. The router's
-//    one classify kernel runs its MAC stage through verify_packet_macs at
-//    every burst size, down to a burst of one. Batched verdicts agree
-//    bit-for-bit with the scalar functions — tested
-//    (router_concurrency_test) and required, since the fast path and the
-//    single-threaded simulator path must drop the same packets.
+//  * batched verification — verify_packet_macs over a burst of views. It
+//    takes PRE-SCHEDULED AesCmac keys (the HostDb pre-schedules kHA-mac
+//    exactly for this), so the AES key schedule is paid once per host
+//    instead of once per packet. The router's one classify kernel runs its
+//    MAC stage through it at every burst size, down to a burst of one, so
+//    this is the one path that drops packets for a bad MAC. Its verdicts
+//    agree bit-for-bit with verify_packet_mac, the Fig 4 reference's check
+//    (tested in router_concurrency_test). Stamping has no batched form: a
+//    NAT-mode AP re-MACs one packet per event.
 #pragma once
 
 #include <algorithm>

@@ -1,11 +1,11 @@
 // HMAC-DRBG (NIST SP 800-90A, HMAC-SHA256 variant).
 //
-// The pooled services (ServicePool, ResolverPool) give every worker slot its
-// own DRBG so randomness never crosses a thread boundary: no shared-state
-// contention on the hot path, and pooled output stays deterministic per
-// (seed, burst index) regardless of worker count — each request's generator
-// is reinstantiated from (seed, index), so which slot serves it cannot
-// matter. The construction is the standard K/V HMAC chain:
+// ServicePool gives every worker slot its own DRBG (the batch-verify
+// coefficients) so randomness never crosses a thread boundary: no
+// shared-state contention on the hot path, and pooled output stays
+// deterministic per (seed, burst index) regardless of worker count — each
+// request's generator is reinstantiated from (seed, index), so which slot
+// serves it cannot matter. The construction is the standard K/V HMAC chain:
 //
 //   update(data):  K = HMAC(K, V ‖ 0x00 ‖ data); V = HMAC(K, V)
 //                  [and the 0x01 round when data is non-empty]
@@ -36,7 +36,7 @@ class HmacDrbg final : public Rng {
   HmacDrbg(ByteSpan entropy, ByteSpan nonce, ByteSpan personalization,
            std::uint64_t reseed_interval = kReseedInterval);
 
-  /// Convenience deterministic form for the pooled services: seed material
+  /// Convenience deterministic form for the service pool: seed material
   /// is the 8-byte little-endian seed ‖ 8-byte little-endian stream index.
   HmacDrbg(std::uint64_t seed, std::uint64_t stream);
 

@@ -15,7 +15,8 @@
 //  * as router — keeps EphID_info (EphID → inner host), verifies inner
 //                packet MACs and re-MACs outgoing traffic under its own
 //                kHA ("the AP replaces the MAC using its shared key with
-//                the AS before forwarding");
+//                the AS before forwarding"), one packet per event as inner
+//                hosts transmit, in place on the same buffer;
 //  * as AA     — identify() maps a misbehaving EphID back to the inner
 //                host ("the AS holds the AP accountable for misbehaving
 //                EphIDs. Then, the AP determines the host").

@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -125,7 +124,8 @@ class Host {
   /// Re-originates a packet as this host's own traffic: re-stamps the kHA
   /// MAC IN PLACE on the wire image and transmits the same buffer (§VII-B
   /// NAT-mode: "the AP replaces the MAC using its shared key with the AS
-  /// before forwarding the packets").
+  /// before forwarding the packets"). The NAT-mode AP's uplink calls it
+  /// once per inner packet.
   void forward_as_own(wire::PacketBuf pkt);
 
   /// Re-requests `lifetime`-class EphIDs proactively ahead of expiry: the

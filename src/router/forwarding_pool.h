@@ -2,8 +2,10 @@
 //
 // Bursts are std::span<const wire::PacketView>: the caller owns the
 // buffers; workers only read the wire images in place. Classification is
-// allocation-free; the action phase hands each forwarded packet to the
-// callbacks as one pooled copy (see BorderRouter::apply_*_verdicts).
+// allocation-free; the action phase (BorderRouter::apply_*_verdicts, the
+// same one the simulator's on_outgoing/on_ingress run) hands each
+// forwarded packet to the callbacks as one pooled copy and, once the
+// router has an identity, answers offenders with ICMP feedback (§VIII-B).
 //
 // The paper sizes the forwarding experiment on a 16-core commodity server
 // (§V-B3) and reaches line rate because every per-packet operation is
@@ -27,8 +29,10 @@
 //    place under one uncontended slot lock. Every pool shape and burst
 //    size runs the same kernel, so there is nothing else to configure.
 //  * Each processing context owns a Stats slot; stats() merges the slots
-//    (plus the action-phase counters) on read, taking each slot's lock, so
-//    it is safe to call concurrently with processing.
+//    (plus the action-phase counters: forwards, handoff failures, ICMP
+//    feedback and its local delivery) on read, taking each slot's lock, so
+//    it is safe to call concurrently with processing. The pool never
+//    writes the router's own BorderRouter::stats().
 //  * process_*() may not be called concurrently from two threads (one
 //    in-flight burst at a time; the simulator/benchmark driver is one
 //    thread by construction).
@@ -67,8 +71,8 @@ class ForwardingPool {
   ForwardingPool& operator=(const ForwardingPool&) = delete;
 
   /// Classifies the egress burst across all processing threads, then runs
-  /// the forwarding actions (send_external) on the calling thread in burst
-  /// order. Blocks until the burst is fully processed.
+  /// the forwarding actions (send_external, ICMP feedback) on the calling
+  /// thread in burst order. Blocks until the burst is fully processed.
   void process_outgoing(std::span<const wire::PacketView> burst,
                         core::ExpTime now);
 
@@ -76,7 +80,7 @@ class ForwardingPool {
   void process_ingress(std::span<const wire::PacketView> burst, core::ExpTime now);
 
   /// Per-thread stats merged on read (classification drops from every
-  /// worker slot + action-phase forward/deliver/transit counters).
+  /// worker slot + action-phase forward/deliver/transit/ICMP counters).
   BorderRouter::Stats stats() const;
 
   /// Per-worker flow-cache counters merged on read (hit rate of the
