@@ -357,27 +357,25 @@ bool BorderRouter::hand_off(std::span<const wire::PacketView> burst,
   // snapshotted first, and only when feedback can fire. A pooled copy (the
   // caller keeps the burst — no heap allocation in steady state; see
   // BufferPool) leaves the view live to quote after a failure.
-  IcmpQuote quote;
+  std::optional<IcmpQuote> moved_quote;
   wire::PacketBuf pkt;
   if (owned.empty()) {
     pkt = wire::PacketBuf::copy_of(burst[i]);
   } else {
-    if (feedback) quote = make_quote(burst[i]);
+    if (feedback) moved_quote = make_quote(burst[i]);
     pkt = std::move(owned[i]);
   }
-  Result<void> done = Result<void>::success();
-  if (hid) {
-    done = cb_.deliver_internal(*hid, std::move(pkt));
-  } else {
-    // §VIII-C: splice this AS's AID into (a pooled copy of) the stamp
-    // list. The only in-flight modification a router makes.
-    if (cfg_.stamp_path) pkt = wire::append_path_stamp(pkt.view(), as_.aid);
-    done = cb_.send_external(std::move(pkt));
-  }
+  // §VIII-C: a stamped send splices this AS's AID into (a pooled copy of)
+  // the stamp list — the only in-flight modification a router makes.
+  const Result<void> done =
+      hid ? cb_.deliver_internal(*hid, std::move(pkt))
+          : cb_.send_external(cfg_.stamp_path
+                                  ? wire::append_path_stamp(pkt.view(), as_.aid)
+                                  : std::move(pkt));
   if (done) return true;
   count_drop(stats, done.error().code);
   if (feedback)
-    send_icmp(owned.empty() ? make_quote(burst[i]) : quote,
+    send_icmp(moved_quote ? *moved_quote : make_quote(burst[i]),
               core::IcmpType::dest_unreachable, *unreachable_code, stats);
   return false;
 }
@@ -390,7 +388,8 @@ void BorderRouter::apply_outgoing_verdicts(
       send_icmp(burst[i], core::IcmpType::packet_too_big,
                 static_cast<std::uint32_t>(cfg_.mtu), stats);
     } else if (verdicts[i].err == Errc::ok &&
-               hand_off(burst, owned, i, std::nullopt, 0, stats)) {
+               hand_off(burst, owned, i, /*hid=*/std::nullopt,
+                        /*unreachable_code=*/0, stats)) {
       ++stats.forwarded_out;
     }
   }
@@ -403,11 +402,13 @@ void BorderRouter::apply_ingress_verdicts(
     const Verdict& v = verdicts[i];
     if (!v.local) {
       // Transit: "simply forward packets to the next AS on the path".
-      if (hand_off(burst, owned, i, std::nullopt, std::nullopt, stats))
+      if (hand_off(burst, owned, i, /*hid=*/std::nullopt,
+                   /*unreachable_code=*/std::nullopt, stats))
         ++stats.transited;
     } else if (v.err != Errc::ok) {
       send_icmp(burst[i], core::IcmpType::dest_unreachable, 1, stats);
-    } else if (hand_off(burst, owned, i, v.hid, 2, stats)) {
+    } else if (hand_off(burst, owned, i, v.hid, /*unreachable_code=*/2,
+                        stats)) {
       ++stats.delivered_in;
     }
   }

@@ -295,7 +295,7 @@ class BorderRouter {
                 std::optional<core::Hid> hid,
                 std::optional<std::uint32_t> unreachable_code, Stats& stats);
   /// §VIII-B: answers the offender's source from the router's EphID. A
-  /// local offender hears it through the ingress pipeline.
+  /// local offender hears it through the ingress phases at Callbacks::now.
   void send_icmp(const IcmpQuote& offending, core::IcmpType type,
                  std::uint32_t code, Stats& stats);
   void send_icmp(const wire::PacketView& offending, core::IcmpType type,
