@@ -117,9 +117,9 @@ TEST(ZeroAlloc, BurstClassifyAndApplySteadyState) {
 }
 
 TEST(ZeroAlloc, SingleBufferMovePathSteadyState) {
-  // The simulator shape: on_outgoing() takes ownership and moves the SAME
-  // buffer to send_external — zero allocations AND zero copies once the
-  // pool is warm.
+  // The simulator shape: on_outgoing() takes ownership and its action
+  // phase moves the SAME buffer to send_external — zero allocations AND
+  // zero copies once the pool is warm.
   AllocFixture f;
   auto br = f.make_router();
 
@@ -266,8 +266,8 @@ TEST(ZeroAlloc, DropArmsSteadyState) {
     expect_every_arm(pool.stats());
   }
 
-  // The simulator path: on_outgoing() runs check_outgoing, whose Result
-  // carries the drop reason.
+  // The simulator path: on_outgoing() runs each packet through the same
+  // kernel as a burst of one, then the action phase with its owned buffer.
   auto run_simulator = [&] {
     for (const auto& v : views) br->on_outgoing(wire::PacketBuf::copy_of(v));
   };
