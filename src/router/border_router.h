@@ -18,8 +18,8 @@
 // steady state the fast path performs zero heap allocations per forwarded
 // packet (pinned by tests/alloc_count_test and bench_e2). The only copies
 // left are the explicit ones: append_path_stamp (when Config::stamp_path is
-// on) splices a pooled buffer, and apply_*_verdicts makes one pooled
-// copy_of per forwarded view when the caller keeps ownership of the burst.
+// on) splices a pooled buffer, and otherwise apply_*_verdicts makes one
+// pooled copy_of per forwarded view when the caller keeps the burst.
 // PacketView::to_owned() does not appear on the forwarding path at all.
 //
 // One data path, in two phases:
@@ -171,7 +171,7 @@ class BorderRouter {
   /// phase sends ICMP feedback (§VIII-B). Without one it sends none.
   void set_identity(RouterIdentity ident) { ident_ = ident; }
 
-  // ---- Pure pipelines (benchmarked) -----------------------------------------
+  // ---- Pure pipelines (benchmarked) ----------------------------------------
 
   /// Fig 4 bottom. Returns ok when the packet may leave the AS.
   /// Thread-safe: touches only immutable keys and lock-striped tables.
@@ -186,7 +186,7 @@ class BorderRouter {
   /// Baseline (plain-IP-style) pipeline: header sanity only.
   Result<void> check_baseline(const wire::PacketView& pkt) const;
 
-  // ---- Classify (any number of threads) -------------------------------------
+  // ---- Classify (any number of threads) ------------------------------------
 
   /// One packet's outcome of the classify phase.
   struct Verdict {
@@ -229,7 +229,7 @@ class BorderRouter {
                               Stats& stats,
                               core::FlowCache* cache = nullptr) const;
 
-  // ---- Act (one thread) -----------------------------------------------------
+  // ---- Act (one thread) ----------------------------------------------------
 
   /// Executes the forwarding actions for a classified egress burst on the
   /// CALLING thread (the callbacks are single-threaded), in burst order:
@@ -255,7 +255,7 @@ class BorderRouter {
                               Stats& stats,
                               std::span<wire::PacketBuf> owned = {});
 
-  // ---- Simulator entry points (a burst of one) ------------------------------
+  // ---- Simulator entry points (a burst of one) -----------------------------
 
   /// Packet from a local host headed out of the AS. Takes ownership: a
   /// passing packet's buffer is moved, unmodified, to send_external.
@@ -273,25 +273,25 @@ class BorderRouter {
  private:
   /// What ICMP feedback needs from an offending packet, snapshotted before
   /// the buffer's ownership moves (views must not outlive their buffer).
+  /// No default member initializers: make_quote writes every field read,
+  /// and a handoff that never quotes leaves its slot untouched.
   struct IcmpQuote {
-    core::Aid src_aid = 0;
-    wire::EphIdBytes src_ephid{};
-    wire::NextProto proto = wire::NextProto::data;
-    std::array<std::uint8_t, wire::kApnaHeaderSize> header{};
-    std::size_t header_len = 0;
+    core::Aid src_aid;
+    wire::EphIdBytes src_ephid;
+    wire::NextProto proto;
+    std::array<std::uint8_t, wire::kApnaHeaderSize> header;
+    std::size_t header_len;
   };
   IcmpQuote make_quote(const wire::PacketView& pkt) const;
-  bool icmp_armed() const { return !ident_.ephid.is_zero(); }
 
   static void count_drop(Stats& stats, Errc code);
-  /// Hands packet i to deliver_internal(*hid), or to send_external (path
-  /// stamped when configured) when `hid` is empty: owned[i] moved when the
-  /// caller passed owned buffers, else one pooled copy_of. A failed
-  /// handoff counts its drop and, when `unreachable_code` is set, answers
-  /// the sender. Returns true when the packet went out; a missing callback
-  /// counts as out (checks-only drivers).
-  bool hand_off(std::span<const wire::PacketView> burst,
-                std::span<wire::PacketBuf> owned, std::size_t i,
+  /// Hands `pkt` to deliver_internal(*hid), or to send_external (path
+  /// stamped when configured) when `hid` is empty: `owned` (pkt's own
+  /// buffer) moved when the caller passed one, else one pooled copy_of. A
+  /// failed handoff counts its drop and, when `unreachable_code` is set,
+  /// answers the sender. Returns true when the packet went out; a missing
+  /// callback counts as out (checks-only drivers).
+  bool hand_off(const wire::PacketView& pkt, wire::PacketBuf* owned,
                 std::optional<core::Hid> hid,
                 std::optional<std::uint32_t> unreachable_code, Stats& stats);
   /// §VIII-B: answers the offender's source from the router's EphID. A
@@ -300,7 +300,7 @@ class BorderRouter {
                  std::uint32_t code, Stats& stats);
   void send_icmp(const wire::PacketView& offending, core::IcmpType type,
                  std::uint32_t code, Stats& stats) {
-    if (icmp_armed()) send_icmp(make_quote(offending), type, code, stats);
+    if (ident_) send_icmp(make_quote(offending), type, code, stats);
   }
   /// One owned packet through the ingress phases, counted into `stats`.
   void ingress_one(wire::PacketBuf pkt, Stats& stats);
@@ -312,7 +312,7 @@ class BorderRouter {
   core::AsState& as_;
   Callbacks cb_;
   Config cfg_;
-  RouterIdentity ident_;
+  std::optional<RouterIdentity> ident_;  // set_identity arms ICMP feedback
   Stats stats_;
   /// Per-source-EphID replay windows (only consulted with replay_filter).
   /// Lock-striped and internally synchronized, hence usable — and mutated —
