@@ -446,6 +446,7 @@ BorderRouter::IcmpQuote BorderRouter::make_quote(
 
 void BorderRouter::send_icmp(const IcmpQuote& offending, core::IcmpType type,
                              std::uint32_t code, Stats& stats) {
+  if (!ident_) return;
   if (offending.proto == wire::NextProto::icmp) return;  // no ICMP storms
 
   // §VIII-B: feedback goes to the source EphID in the offending packet,
