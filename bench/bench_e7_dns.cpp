@@ -9,6 +9,9 @@
 //     sweep;
 //   * an NXDOMAIN storm: random-name flood proving the negative cache's
 //     occupancy bound holds and the positive hit rate recovers after;
+//   * publish churn: the hot Zipf lookups with one zone put per 100 (the
+//     perfbench control_mix ratio), whose hit rate must stay above a floor —
+//     a put invalidates only its name's generation slot, never the cache;
 //   * DomainTrie policy-match cost with a realistic rule table installed.
 //
 // Emits BENCH_e7.json (bench_util::JsonFile) with provenance; the checked-
@@ -81,6 +84,14 @@ double seconds_since(bench::Clock::time_point t0) {
 /// absorb allocator slack, tight enough that an accidental std::string or
 /// per-entry allocation in the hot path blows it immediately.
 constexpr double kBytesPerNameBudget = 512.0;
+
+/// Publish churn: one zone put per kLookupsPerPublish hot lookups must keep
+/// the cache hit rate at or above kChurnHitRateFloor. Per-name invalidation
+/// costs a put only the few cached names sharing its generation slot; a
+/// zone-wide invalidation would refill the cache after every put and hold
+/// the rate far below the floor.
+constexpr std::uint64_t kLookupsPerPublish = 100;
+constexpr double kChurnHitRateFloor = 0.9;
 
 }  // namespace
 
@@ -228,6 +239,33 @@ int main(int argc, char** argv) {
   if (recovery_hit_rate + 0.05 < hot_hit_rate)
     fatal("positive hit rate did not recover after the storm");
 
+  // ---- publish churn: the hot distribution again, with one put of a
+  // uniformly drawn published name per kLookupsPerPublish lookups.
+  before = resolver.stats();
+  std::uint64_t churn_puts = 0;
+  t0 = bench::Clock::now();
+  for (std::size_t i = 0; i < hot_names.size(); ++i) {
+    resolver.resolve(hot_names[i], now);
+    if ((i + 1) % kLookupsPerPublish == 0) {
+      rec.name = nth_name(rng.next_u64() % o.names);
+      rec.ipv4 = static_cast<std::uint32_t>(o.names + 1 + churn_puts++);
+      zone.put(rec);
+    }
+  }
+  const double churn_s = seconds_since(t0);
+  after = resolver.stats();
+  const double churn_rate = static_cast<double>(hot_names.size()) / churn_s;
+  const double churn_hit_rate =
+      static_cast<double>(after.cache_hits - before.cache_hits) /
+      static_cast<double>(hot_names.size());
+  std::printf("publish churn: %.2f M lookups/s, 1 put per %llu lookups, "
+              "%.1f%% cache hits (floor %.0f%%)\n",
+              churn_rate / 1e6,
+              static_cast<unsigned long long>(kLookupsPerPublish),
+              100.0 * churn_hit_rate, 100.0 * kChurnHitRateFloor);
+  if (churn_hit_rate < kChurnHitRateFloor)
+    fatal("publish churn dragged the cache hit rate below its floor");
+
   // ---- policy-match cost: a realistic rule table, then blocked/clean
   // lookups through the DomainTrie.
   const std::size_t rules = o.smoke ? 256 : 4096;
@@ -285,6 +323,11 @@ int main(int argc, char** argv) {
   json.field("negative_entries", neg_entries);
   json.field("negative_capacity", neg_cap);
   json.field("recovery_hit_rate", recovery_hit_rate, 4);
+  json.field("churn_lookups_per_publish", kLookupsPerPublish);
+  json.field("churn_publishes", churn_puts);
+  json.field("churn_lookups_per_s", churn_rate, 0);
+  json.field("churn_hit_rate", churn_hit_rate, 4);
+  json.field("churn_hit_rate_floor", kChurnHitRateFloor, 2);
   json.field("policy_rules", static_cast<std::uint64_t>(rules));
   json.field("policy_match_blocked_ns", match_hit_ns, 1);
   json.field("policy_match_clean_ns", match_miss_ns, 1);
@@ -294,6 +337,7 @@ int main(int argc, char** argv) {
 
   bench::print_footer(
       "10^6-name cache under budget, negative storm bounded, hit rate "
-      "recovered; baseline written to " + o.json_path);
+      "recovered and held under publish churn; baseline written to " +
+      o.json_path);
   return 0;
 }

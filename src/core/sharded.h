@@ -24,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +62,58 @@ class VerdictEpoch {
 
  private:
   std::atomic<std::uint64_t> gen_{1};
+};
+
+/// Per-name generation counters — the invalidation channel between the DNS
+/// zone (services/dns_zone.h) and the resolver caches that derive answers
+/// from it (dns/dns_cache.h). VerdictEpoch's contract, split into a fixed
+/// table of kSlots counters indexed by the name hash: a mutation bumps only
+/// its name's slot, so it invalidates the cached answers of the names that
+/// share that slot and leaves every other answer valid. Sharing a slot is
+/// conservative (a bump kills both names' answers, never neither). The
+/// slot count is a constant: 2¹⁶ × 8 B = 512 KiB per table.
+///
+/// Ordering, per slot: writers bump AFTER the mutation is visible; readers
+/// read the slot BEFORE the table they derive from and stamp the derived
+/// entry with that value, so a racing mutation leaves the entry stillborn.
+class GenerationTable {
+ public:
+  static constexpr std::size_t kSlots = std::size_t{1} << 16;
+
+  GenerationTable()
+      : gens_(std::make_unique<std::atomic<std::uint64_t>[]>(kSlots)) {}
+
+  /// The one name hash the zone and the resolver caches share: seeded
+  /// FNV-1a + finalizer. Its users keep their bit ranges DISJOINT (HostDb
+  /// convention): the table's slot reads bits 32..47, the resolver cache
+  /// stripes on the TOP byte and probes its index on the LOW bits.
+  static std::uint64_t hash(std::string_view name) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const char c : name) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 1099511628211ull;
+    }
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
+
+  static std::size_t slot(std::uint64_t name_hash) {
+    return (name_hash >> 32) & (kSlots - 1);
+  }
+
+  std::uint64_t current(std::uint64_t name_hash) const {
+    return gens_[slot(name_hash)].load(std::memory_order_acquire);
+  }
+
+  /// Called AFTER the mutation of the name is visible.
+  void bump(std::uint64_t name_hash) {
+    gens_[slot(name_hash)].fetch_add(1, std::memory_order_release);
+  }
+
+ private:
+  std::unique_ptr<std::atomic<std::uint64_t>[]> gens_;
 };
 
 /// Default stripe count for per-AS forwarding state. 16 stripes keep

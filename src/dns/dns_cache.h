@@ -20,13 +20,15 @@
 //    (negative_uncached). A random-name storm therefore churns only its own
 //    bounded slice and the positive hit rate recovers the moment it stops.
 //
-// Invalidation: entries are stamped with the zone's VerdictEpoch generation
-// AS OBSERVED BY THE CALLER BEFORE THE ZONE READ (the flow-cache rule —
-// stamping at insert time would let a racing zone update hide behind a
-// fresh stamp). A lookup whose entry carries a stale generation erases it
-// and reports a miss (stale_epoch), so one atomic bump on zone put/erase
-// invalidates every derived answer, positive and negative, in every
-// stripe.
+// Invalidation: entries are stamped with their name's slot in the zone's
+// core::GenerationTable AS OBSERVED BEFORE THE ZONE READ (the flow-cache
+// rule — stamping at insert time would let a racing zone update hide
+// behind a fresh stamp). lookup() reads that slot before it probes and, on
+// a miss, hands the value back for the caller to stamp its fill with, so
+// the one name hash serves stripe, index and generation. A lookup whose
+// entry carries a stale generation erases it and reports a miss
+// (stale_gen): a zone put/erase invalidates the derived answers,
+// positive and negative, of the names in its slot and no others.
 //
 // Every member function is thread-safe. Lookups take the stripe mutex
 // exclusively (LRU reordering mutates on read, same trade as HostDb's
@@ -79,7 +81,7 @@ class DnsCache {
     std::uint64_t negative_hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t expired = 0;            // TTL-lapsed entries dropped on read
-    std::uint64_t stale_epoch = 0;        // zone-epoch invalidations on read
+    std::uint64_t stale_gen = 0;          // zone slot bumped since the fill
     std::uint64_t insertions = 0;
     std::uint64_t negative_insertions = 0;
     std::uint64_t evictions = 0;          // positives displaced (LRU)
@@ -111,11 +113,12 @@ class DnsCache {
 
   enum class Outcome : std::uint8_t { miss = 0, hit = 1, negative = 2 };
 
-  /// `zone_epoch` is the zone's generation counter (services::DnsZone::
-  /// epoch()); the cache only reads it on lookups.
-  DnsCache(const Config& cfg, const core::VerdictEpoch& zone_epoch)
+  /// `zone_gens` is the zone's per-name generation table
+  /// (services::DnsZone::generations()); the cache only reads it on
+  /// lookups.
+  DnsCache(const Config& cfg, const core::GenerationTable& zone_gens)
       : cfg_(cfg),
-        epoch_(zone_epoch),
+        gens_(zone_gens),
         count_(core::round_up_pow2(
             cfg.shard_count == 0 ? 1 : cfg.shard_count)),
         mask_(count_ - 1),
@@ -133,13 +136,16 @@ class DnsCache {
   }
 
   /// Positive/negative/miss. On a positive hit, fills `*out` (name, cert,
-  /// ipv4, signature) when `out` is non-null. Expired and stale-epoch
-  /// entries are erased on the way and reported as misses.
+  /// ipv4, signature) when `out` is non-null. Expired and stale-generation
+  /// entries are erased on the way and reported as misses. `*gen_out`,
+  /// when non-null, receives the name's generation read before the probe —
+  /// the stamp for the caller's fill after a miss.
   Outcome lookup(std::string_view name, core::ExpTime now,
-                 core::DnsRecord* out) {
-    const std::uint64_t h = hash(name);
+                 core::DnsRecord* out, std::uint64_t* gen_out = nullptr) {
+    const std::uint64_t h = core::GenerationTable::hash(name);
     Stripe& s = stripe(h);
-    const std::uint64_t gen = epoch_.current();
+    const std::uint64_t gen = gens_.current(h);
+    if (gen_out) *gen_out = gen;
     std::lock_guard lock(s.mu);
     const std::size_t i = index_find(s, h, name);
     if (i == kNotFound) {
@@ -148,9 +154,9 @@ class DnsCache {
     }
     const std::uint32_t slot = s.idx_slot[i];
     Slot& e = s.slots[slot];
-    if (e.epoch != gen) {
+    if (e.gen != gen) {
       erase_entry(s, i, slot);
-      counters_.stale_epoch.fetch_add(1, std::memory_order_relaxed);
+      counters_.stale_gen.fetch_add(1, std::memory_order_relaxed);
       counters_.misses.fetch_add(1, std::memory_order_relaxed);
       return Outcome::miss;
     }
@@ -177,14 +183,14 @@ class DnsCache {
     return Outcome::hit;
   }
 
-  /// Caches a positive answer. `epoch` is the zone generation the caller
-  /// observed BEFORE reading the zone. Replaces any existing entry for the
-  /// name; evicts the LRU negative first, then the LRU positive, when the
-  /// stripe is full.
+  /// Caches a positive answer. `gen` is the name's generation the caller
+  /// observed BEFORE reading the zone (lookup()'s `*gen_out`). Replaces any
+  /// existing entry for the name; evicts the LRU negative first, then the
+  /// LRU positive, when the stripe is full.
   void insert(std::string_view name, const core::DnsRecord& rec,
-              core::ExpTime expires_at, std::uint64_t epoch) {
+              core::ExpTime expires_at, std::uint64_t gen) {
     if (name.empty() || name.size() > kMaxNameBytes) return;
-    const std::uint64_t h = hash(name);
+    const std::uint64_t h = core::GenerationTable::hash(name);
     Stripe& s = stripe(h);
     std::lock_guard lock(s.mu);
     drop_existing(s, h, name);
@@ -197,7 +203,7 @@ class DnsCache {
     const std::uint32_t slot = alloc_slot(s);
     Slot& e = s.slots[slot];
     e.name_hash = h;
-    e.epoch = epoch;
+    e.gen = gen;
     e.expires_at = expires_at;
     e.name_len = static_cast<std::uint16_t>(name.size());
     e.name_off = name_alloc(s, name);
@@ -217,11 +223,11 @@ class DnsCache {
   /// evicts a positive: when the stripe has no negative slot to reuse and
   /// no free capacity, the answer is simply not cached.
   void insert_negative(std::string_view name, core::ExpTime now,
-                       core::ExpTime ttl, std::uint64_t epoch) {
+                       core::ExpTime ttl, std::uint64_t gen) {
     if (name.empty() || name.size() > kMaxNameBytes) return;
     const core::ExpTime bounded =
         ttl < cfg_.max_negative_ttl ? ttl : cfg_.max_negative_ttl;
-    const std::uint64_t h = hash(name);
+    const std::uint64_t h = core::GenerationTable::hash(name);
     Stripe& s = stripe(h);
     std::lock_guard lock(s.mu);
     drop_existing(s, h, name);
@@ -236,7 +242,7 @@ class DnsCache {
     const std::uint32_t slot = alloc_slot(s);
     Slot& e = s.slots[slot];
     e.name_hash = h;
-    e.epoch = epoch;
+    e.gen = gen;
     e.expires_at = now + bounded;
     e.name_len = static_cast<std::uint16_t>(name.size());
     e.name_off = name_alloc(s, name);
@@ -277,7 +283,7 @@ class DnsCache {
     s.negative_hits = counters_.negative_hits.load(std::memory_order_relaxed);
     s.misses = counters_.misses.load(std::memory_order_relaxed);
     s.expired = counters_.expired.load(std::memory_order_relaxed);
-    s.stale_epoch = counters_.stale_epoch.load(std::memory_order_relaxed);
+    s.stale_gen = counters_.stale_gen.load(std::memory_order_relaxed);
     s.insertions = counters_.insertions.load(std::memory_order_relaxed);
     s.negative_insertions =
         counters_.negative_insertions.load(std::memory_order_relaxed);
@@ -323,7 +329,7 @@ class DnsCache {
 
   struct Slot {
     std::uint64_t name_hash = 0;
-    std::uint64_t epoch = 0;
+    std::uint64_t gen = 0;
     std::uint32_t name_off = 0;
     std::uint32_t rec_index = kEmpty;  // kEmpty for negatives
     core::ExpTime expires_at = 0;
@@ -366,7 +372,7 @@ class DnsCache {
     std::atomic<std::uint64_t> negative_hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> expired{0};
-    std::atomic<std::uint64_t> stale_epoch{0};
+    std::atomic<std::uint64_t> stale_gen{0};
     std::atomic<std::uint64_t> insertions{0};
     std::atomic<std::uint64_t> negative_insertions{0};
     std::atomic<std::uint64_t> evictions{0};
@@ -374,21 +380,9 @@ class DnsCache {
     std::atomic<std::uint64_t> negative_uncached{0};
   };
 
-  /// Seeded FNV-1a + finalizer. Bit usage is DISJOINT (HostDb convention):
-  /// stripe selection reads the TOP byte, index probing the LOW bits, and
-  /// the seed decorrelates from DnsZone's striping of the same names.
-  static std::uint64_t hash(std::string_view name) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const char c : name) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ull;
-    h ^= h >> 33;
-    return h;
-  }
-
+  // Names hash with core::GenerationTable::hash: stripe selection reads the
+  // TOP byte, index probing the LOW bits (disjoint from the table's slot
+  // bits), and the seed decorrelates from DnsZone's striping of the names.
   Stripe& stripe(std::uint64_t h) const { return stripes_[(h >> 56) & mask_]; }
 
   const char* name_at(const Stripe& s, std::uint32_t off) const {
@@ -570,7 +564,7 @@ class DnsCache {
   }
 
   Config cfg_;
-  const core::VerdictEpoch& epoch_;
+  const core::GenerationTable& gens_;
   std::size_t count_;
   std::size_t mask_;
   std::size_t slot_cap_ = 0;

@@ -21,7 +21,7 @@ bool is_canonical(std::string_view name) {
 
 bool Resolver::resolve_local(std::string_view name, core::ExpTime now,
                              bool authoritative, std::string& canon,
-                             Answer& out) {
+                             std::uint64_t& gen, Answer& out) {
   counters_.lookups.fetch_add(1, std::memory_order_relaxed);
 
   std::string_view key = name;
@@ -47,7 +47,10 @@ bool Resolver::resolve_local(std::string_view name, core::ExpTime now,
     counters_.monitored.fetch_add(1, std::memory_order_relaxed);
   }
 
-  switch (cache_.lookup(key, now, &out.record)) {
+  // The probe reads the name's generation BEFORE the zone read below — the
+  // stamp that makes a racing update of the name kill this fill instead of
+  // hiding behind it.
+  switch (cache_.lookup(key, now, &out.record, &gen)) {
     case DnsCache::Outcome::hit:
       counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       out.status = Status::ok;
@@ -62,9 +65,6 @@ bool Resolver::resolve_local(std::string_view name, core::ExpTime now,
       break;
   }
 
-  // Generation BEFORE the zone read — the stamp that makes a racing zone
-  // update kill this fill instead of hiding behind it.
-  const std::uint64_t gen = zone_.epoch().current();
   const bool found = zone_.with_record(key, [&](const core::DnsRecord& rec) {
     out.record = rec;
   });
@@ -89,7 +89,8 @@ bool Resolver::resolve_local(std::string_view name, core::ExpTime now,
 Resolver::Answer Resolver::resolve(std::string_view name, core::ExpTime now) {
   Answer a;
   std::string canon;
-  resolve_local(name, now, /*authoritative=*/true, canon, a);
+  std::uint64_t gen = 0;
+  resolve_local(name, now, /*authoritative=*/true, canon, gen, a);
   return a;
 }
 
@@ -97,8 +98,9 @@ void Resolver::resolve_async(std::string_view name, AnswerFn done) {
   const core::ExpTime now = loop_.now_seconds();
   Answer a;
   std::string canon;
+  std::uint64_t gen = 0;
   const bool authoritative = !static_cast<bool>(upstream_);
-  if (resolve_local(name, now, authoritative, canon, a)) {
+  if (resolve_local(name, now, authoritative, canon, gen, a)) {
     done(a);
     return;
   }
@@ -115,6 +117,7 @@ void Resolver::resolve_async(std::string_view name, AnswerFn done) {
                                                 : cfg_.upstream_attempts - 1;
   p.timeout = cfg_.upstream_timeout;
   p.serial = next_serial_++;
+  p.gen = gen;
   auto [it, inserted] = pending_.emplace(id, std::move(p));
   assert(inserted);
   counters_.forwarded.fetch_add(1, std::memory_order_relaxed);
@@ -176,8 +179,11 @@ void Resolver::on_upstream_frame(ByteSpan frame) {
     return;
   }
 
+  // Stamp with the generation read before the local zone miss, not now: a
+  // local publication of the name while the query was in flight bumped
+  // past it, so this fill is stillborn and the next lookup reads the zone.
   const core::ExpTime now = loop_.now_seconds();
-  const std::uint64_t gen = zone_.epoch().current();
+  const std::uint64_t gen = it->second.gen;
   Answer a;
   switch (resp->rcode) {
     case Rcode::ok:
@@ -272,7 +278,7 @@ std::size_t Resolver::block_domain(std::string_view domain,
   });
   for (const auto& [name, ephid] : swept) {
     if (aa_ != nullptr) (void)aa_->enforce_domain_policy(name, ephid, now);
-    zone_.erase(name);  // bumps the epoch — cached answers die with it
+    zone_.erase(name);  // bumps its generation — its cached answers die
   }
   return swept.size();
 }

@@ -8,17 +8,22 @@
 //      the lookup (the "sensitive domain" observability from PAPERS.md) and
 //      fall through;
 //   3. sharded TTL cache (dns/dns_cache.h), positive and negative entries,
-//      invalidated by the zone's VerdictEpoch;
+//      invalidated per name by the zone's GenerationTable;
 //   4. the authoritative zone (services/dns_zone.h) through the borrow
 //      path; hits fill the cache, misses fill the NEGATIVE cache — or, in
 //      resolve_async with an upstream wired, forward a QueryFrame with
 //      deterministic timeout/backoff retransmits over net::EventLoop
 //      timers, answering `servfail` (never cached) when attempts run out.
 //
-// Epoch discipline: the zone generation is read BEFORE the zone lookup and
-// stamped into the cache entry, so a concurrent zone update either lands
-// before the read (we cache the new truth) or bumps the epoch past our
-// stamp (the entry is stillborn and the next lookup re-reads the zone).
+// Generation discipline: the name's generation is read BEFORE the zone
+// lookup (the cache probe reads it and hands it back on a miss) and
+// stamped into the cache entry, so a concurrent update of that name
+// either lands before the read (we cache the new truth) or bumps its slot
+// past our stamp (the entry is stillborn and the next lookup re-reads the
+// zone). A forwarded query carries the generation read before its local
+// zone miss, and the upstream answer is stamped with it when it lands: a
+// local publication made while the query was in flight is never hidden
+// behind the cached upstream answer.
 //
 // Thread-safety: resolve() and stats() are safe from any thread (that is
 // what ResolverPool fans out). The async/upstream surface — resolve_async,
@@ -172,7 +177,10 @@ class Resolver {
   using UpstreamSend = std::function<void(Bytes)>;
 
   Resolver(services::DnsZone& zone, net::EventLoop& loop, const Config& cfg)
-      : cfg_(cfg), zone_(zone), loop_(loop), cache_(cfg.cache, zone.epoch()) {}
+      : cfg_(cfg),
+        zone_(zone),
+        loop_(loop),
+        cache_(cfg.cache, zone.generations()) {}
 
   /// Synchronous, authoritative-mode lookup: policy → cache → zone; a zone
   /// miss is a cacheable NXDOMAIN. Thread-safe — this is the path
@@ -202,7 +210,8 @@ class Resolver {
 
   /// Installs a block rule and SWEEPS the zone: every record at or under
   /// `domain` is enforced through the AA (revocation) and erased — each
-  /// erase bumps the zone epoch, so cached answers for the domain die too.
+  /// erase bumps its name's generation, so the swept names' cached answers
+  /// die too.
   /// Returns the number of records swept.
   std::size_t block_domain(std::string_view domain, core::ExpTime now);
 
@@ -230,13 +239,16 @@ class Resolver {
     std::uint32_t attempts_left = 0;
     net::TimeUs timeout = 0;
     std::uint64_t serial = 0;  // stale-timer guard (timers can't be revoked)
+    std::uint64_t gen = 0;     // name's generation before the local zone miss
   };
 
   /// Shared front half of resolve/resolve_async: policy + cache + zone.
   /// Returns false when the name missed everywhere locally (the forwarding
-  /// case), with `canon` holding the canonical name.
+  /// case), with `canon` holding the canonical name and `gen` the name's
+  /// generation read before the zone miss.
   bool resolve_local(std::string_view name, core::ExpTime now,
-                     bool authoritative, std::string& canon, Answer& out);
+                     bool authoritative, std::string& canon,
+                     std::uint64_t& gen, Answer& out);
 
   void send_query(std::uint16_t id, Pending& p);
   void arm_timeout(std::uint16_t id, std::uint64_t serial,

@@ -12,12 +12,14 @@
 // that runs a short functor under the stripe lock instead of copying the
 // whole record out.
 //
-// Invalidation contract: the zone owns a core::VerdictEpoch and bumps it
-// AFTER every mutation — including plain inserts. Unlike the forwarding
-// epoch (where a new host cannot turn a cached pass into a drop), DNS
-// caches hold NEGATIVE answers, so an insert can invalidate a cached
-// NXDOMAIN; every put/erase therefore bumps. Downstream caches stamp
-// entries with the generation they were filled under (dns/dns_cache.h).
+// Invalidation contract: the zone owns a core::GenerationTable of per-name
+// generations and bumps the mutated name's slot AFTER every mutation —
+// including plain inserts. Unlike the forwarding epoch (where a new host
+// cannot turn a cached pass into a drop), DNS caches hold NEGATIVE
+// answers, so an insert can invalidate a cached NXDOMAIN; every put/erase
+// therefore bumps. Only the name's slot moves, so a publication leaves
+// every other cached answer valid. Downstream caches stamp entries with
+// the slot's generation read before the zone read (dns/dns_cache.h).
 #pragma once
 
 #include <atomic>
@@ -58,7 +60,8 @@ class DnsZone {
     }
     core::emit_dns_put(persist_, rec);
     counters_.inserts.fetch_add(1, std::memory_order_relaxed);
-    epoch_.bump();  // after the mutation is visible (core/sharded.h contract)
+    // After the mutation is visible (core/sharded.h contract).
+    gens_.bump(core::GenerationTable::hash(rec.name));
   }
 
   /// Copy-out lookup (cold paths and tests). Counts hit/miss.
@@ -103,7 +106,7 @@ class DnsZone {
     if (erased) {
       core::emit_dns_erase(persist_, name);
       counters_.erases.fetch_add(1, std::memory_order_relaxed);
-      epoch_.bump();
+      gens_.bump(core::GenerationTable::hash(name));
     }
     return erased;
   }
@@ -141,9 +144,10 @@ class DnsZone {
     return s;
   }
 
-  /// Generation counter bumped after every put/erase — the invalidation
-  /// channel for resolver caches (positive AND negative entries).
-  const core::VerdictEpoch& epoch() const { return epoch_; }
+  /// Per-name generations, the mutated name's slot bumped after every
+  /// put/erase — the invalidation channel for resolver caches (positive
+  /// AND negative entries).
+  const core::GenerationTable& generations() const { return gens_; }
 
  private:
   struct NameHashFn {
@@ -193,7 +197,7 @@ class DnsZone {
   std::unique_ptr<Shard[]> shards_;
   persist::Sink* persist_ = nullptr;
   mutable Counters counters_;  // const lookups still count hits/misses
-  core::VerdictEpoch epoch_;
+  core::GenerationTable gens_;
 };
 
 }  // namespace apna::services

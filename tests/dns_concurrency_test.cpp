@@ -1,8 +1,10 @@
 // Concurrency coverage for the DNS resolver subsystem: many reader threads
 // hammering Resolver::resolve while writers mutate the zone and the domain
-// policy (the TSan target), plus ResolverPool determinism — pooled answers
-// must match a sequential pass and per-slot stats must merge to the burst
-// totals.
+// policy (the TSan target) and, once the writers stop, answering exactly
+// the zone; a same-name handoff (a lookup that starts after a put returned
+// never sees the old record); plus ResolverPool determinism — pooled
+// answers must match a sequential pass and per-slot stats must merge to
+// the burst totals.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -97,6 +99,19 @@ TEST(DnsConcurrency, ResolveRacesZoneAndPolicyMutation) {
 
   zone_writer.join();
   policy_writer.join();
+  // The writers are done and the readers still run: every name's answer
+  // must now equal the zone's record. A fill stamped before one of the
+  // writers' bumps is stillborn, so no stale answer survives the race.
+  for (std::size_t i = 0; i < kNames; ++i) {
+    const auto want = zone.get(nth_name(i));
+    const auto got = resolver.resolve(nth_name(i), /*now=*/1);
+    if (!want) {
+      EXPECT_EQ(got.status, Resolver::Status::nxdomain) << nth_name(i);
+      continue;
+    }
+    ASSERT_EQ(got.status, Resolver::Status::ok) << nth_name(i);
+    EXPECT_EQ(got.record.ipv4, want->ipv4) << nth_name(i);
+  }
   stop.store(true, std::memory_order_relaxed);
   for (auto& r : readers) r.join();
 
@@ -106,6 +121,51 @@ TEST(DnsConcurrency, ResolveRacesZoneAndPolicyMutation) {
   EXPECT_EQ(s.lookups,
             s.cache_hits + s.negative_hits + s.zone_hits + s.nxdomain +
                 s.policy_blocked + s.invalid_name);
+}
+
+TEST(DnsConcurrency, ReaderAfterPutReturnedNeverSeesOldRecord) {
+  // Same-name handoff: once put(v) has returned, a lookup that starts
+  // after it must answer v or newer, even while other readers keep the
+  // cache warm with the previous record.
+  services::DnsZone zone;
+  net::EventLoop loop;
+  Resolver::Config cfg;
+  cfg.cache.capacity = 1 << 10;
+  Resolver resolver(zone, loop, cfg);
+  const std::string name = nth_name(7);
+  zone.put(make_record(name, 1));
+
+  constexpr std::uint32_t kPuts = 500;
+  std::atomic<std::uint32_t> returned{1};  // ipv4 of the last put returned
+  std::atomic<std::uint64_t> answers{0};
+  std::atomic<std::uint64_t> stale{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::uint32_t floor = returned.load(std::memory_order_acquire);
+        const auto a = resolver.resolve(name, /*now=*/1);
+        if (a.status != Resolver::Status::ok || a.record.ipv4 < floor)
+          stale.fetch_add(1, std::memory_order_relaxed);
+        answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::uint32_t v = 2; v <= kPuts; ++v) {
+    // Let the readers cache the current record before replacing it.
+    const std::uint64_t seen = answers.load(std::memory_order_relaxed);
+    while (answers.load(std::memory_order_relaxed) < seen + 4)
+      std::this_thread::yield();
+    zone.put(make_record(name, v));
+    returned.store(v, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_GT(resolver.stats().cache_hits, 0u);
+  EXPECT_EQ(resolver.resolve(name, 1).record.ipv4, kPuts);
 }
 
 TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndMergesStats) {

@@ -1,13 +1,16 @@
 // DNS subsystem tests (§VII-A): wire codec (boundary names, record/rcode
 // agreement, per-byte truncation; the frame bytes are pinned by
 // codec_golden_test), domain trie (exact/parent/sibling/override), the
-// sharded TTL/negative cache (epoch invalidation, LRU, negative bounds),
-// the resolver (cached ≡ uncached across zone updates, upstream
-// timeout/backoff), the zone store and the DnsService front (migrated from
-// services_test when the resolver subsystem landed).
+// sharded TTL/negative cache (per-name generation invalidation, LRU,
+// negative bounds), the resolver (cached ≡ uncached across zone updates, a
+// mutation invalidating exactly its name's slot, upstream timeout/backoff),
+// the zone store and the DnsService front (migrated from services_test
+// when the resolver subsystem landed).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/dns_cache.h"
@@ -207,12 +210,26 @@ DnsCache::Config small_cache(std::size_t capacity) {
   return cfg;
 }
 
+std::size_t slot_of(std::string_view name) {
+  return core::GenerationTable::slot(core::GenerationTable::hash(name));
+}
+
+/// The stamp a fill of `name` carries when nothing races it.
+std::uint64_t gen_of(const core::GenerationTable& gens, std::string_view name) {
+  return gens.current(core::GenerationTable::hash(name));
+}
+
+void bump(core::GenerationTable& gens, std::string_view name) {
+  gens.bump(core::GenerationTable::hash(name));
+}
+
 TEST(DnsCache, HitExpiryAndEpochInvalidation) {
-  core::VerdictEpoch epoch;
-  DnsCache cache(small_cache(64), epoch);
+  core::GenerationTable gens;
+  DnsCache cache(small_cache(64), gens);
   const auto rec = make_record("shop.example", 42);
 
-  cache.insert("shop.example", rec, /*expires_at=*/1000, epoch.current());
+  cache.insert("shop.example", rec, /*expires_at=*/1000,
+               gen_of(gens, "shop.example"));
   core::DnsRecord out;
   EXPECT_EQ(cache.lookup("shop.example", 500, &out), DnsCache::Outcome::hit);
   EXPECT_EQ(out.name, "shop.example");
@@ -223,48 +240,81 @@ TEST(DnsCache, HitExpiryAndEpochInvalidation) {
   EXPECT_EQ(cache.stats().expired, 1u);
   EXPECT_EQ(cache.size(), 0u);
 
-  // A zone-epoch bump kills entries stamped under the old generation.
-  cache.insert("shop.example", rec, 1000, epoch.current());
-  epoch.bump();
-  EXPECT_EQ(cache.lookup("shop.example", 500, &out), DnsCache::Outcome::miss);
-  EXPECT_EQ(cache.stats().stale_epoch, 1u);
+  // A bump of the name's generation slot kills entries stamped under the
+  // old value, and the miss hands back the generation it read.
+  cache.insert("shop.example", rec, 1000, gen_of(gens, "shop.example"));
+  bump(gens, "shop.example");
+  std::uint64_t gen = 0;
+  EXPECT_EQ(cache.lookup("shop.example", 500, &out, &gen),
+            DnsCache::Outcome::miss);
+  EXPECT_EQ(cache.stats().stale_gen, 1u);
+  EXPECT_EQ(gen, gen_of(gens, "shop.example"));
+  cache.insert("shop.example", rec, 1000, gen);
+  EXPECT_EQ(cache.lookup("shop.example", 500, &out), DnsCache::Outcome::hit);
 }
 
 TEST(DnsCache, InsertStampedBeforeBumpIsStillborn) {
-  // The epoch the CALLER observed before its zone read is what gets
-  // stamped; if the zone mutates in between, the entry must die.
-  core::VerdictEpoch epoch;
-  DnsCache cache(small_cache(64), epoch);
-  const std::uint64_t gen = epoch.current();
-  epoch.bump();  // zone mutated between the caller's read and the insert
-  cache.insert("race.example", make_record("race.example", 1), 1000, gen);
+  // The generation the CALLER observed before its zone read is what gets
+  // stamped; if the name's slot moves in between, the entry must die.
+  // Fills of names in other slots, read at the same moment, live on.
+  core::GenerationTable gens;
+  DnsCache cache(small_cache(64), gens);
+  const std::string race = "race.example";
+  const std::string calm = "calm.example";
+  const std::string race_nx = "race-nx.example";
+  const std::string calm_nx = "calm-nx.example";
+  ASSERT_NE(slot_of(race), slot_of(calm));
+  ASSERT_NE(slot_of(race_nx), slot_of(calm_nx));
+  std::uint64_t race_gen = 0, calm_gen = 0, race_nx_gen = 0, calm_nx_gen = 0;
+  ASSERT_EQ(cache.lookup(race, 1, nullptr, &race_gen), DnsCache::Outcome::miss);
+  ASSERT_EQ(cache.lookup(calm, 1, nullptr, &calm_gen), DnsCache::Outcome::miss);
+  ASSERT_EQ(cache.lookup(race_nx, 1, nullptr, &race_nx_gen),
+            DnsCache::Outcome::miss);
+  ASSERT_EQ(cache.lookup(calm_nx, 1, nullptr, &calm_nx_gen),
+            DnsCache::Outcome::miss);
+
+  // The zone mutated the racing names between the reads and the fills.
+  bump(gens, race);
+  bump(gens, race_nx);
+  cache.insert(race, make_record(race, 1), 1000, race_gen);
+  cache.insert(calm, make_record(calm, 2), 1000, calm_gen);
+  cache.insert_negative(race_nx, 1, 30, race_nx_gen);
+  cache.insert_negative(calm_nx, 1, 30, calm_nx_gen);
+
   core::DnsRecord out;
-  EXPECT_EQ(cache.lookup("race.example", 1, &out), DnsCache::Outcome::miss);
+  EXPECT_EQ(cache.lookup(race, 1, &out), DnsCache::Outcome::miss);
+  EXPECT_EQ(cache.lookup(race_nx, 1, nullptr), DnsCache::Outcome::miss);
+  EXPECT_EQ(cache.lookup(calm, 1, &out), DnsCache::Outcome::hit);
+  EXPECT_EQ(out.ipv4, 2u);
+  EXPECT_EQ(cache.lookup(calm_nx, 1, nullptr), DnsCache::Outcome::negative);
+  EXPECT_EQ(cache.stats().stale_gen, 2u);
 }
 
 TEST(DnsCache, LruEvictionOrder) {
-  core::VerdictEpoch epoch;
-  DnsCache cache(small_cache(4), epoch);  // one stripe, 4 slots
-  for (int i = 0; i < 4; ++i)
-    cache.insert("n" + std::to_string(i) + ".example", make_record("x", i),
-                 1000, epoch.current());
+  core::GenerationTable gens;
+  DnsCache cache(small_cache(4), gens);  // one stripe, 4 slots
+  for (int i = 0; i < 4; ++i) {
+    const std::string name = "n" + std::to_string(i) + ".example";
+    cache.insert(name, make_record("x", i), 1000, gen_of(gens, name));
+  }
   // Touch n0 so n1 becomes LRU.
   core::DnsRecord out;
   EXPECT_EQ(cache.lookup("n0.example", 1, &out), DnsCache::Outcome::hit);
-  cache.insert("n4.example", make_record("x", 4), 1000, epoch.current());
+  cache.insert("n4.example", make_record("x", 4), 1000,
+               gen_of(gens, "n4.example"));
   EXPECT_EQ(cache.lookup("n1.example", 1, &out), DnsCache::Outcome::miss);
   EXPECT_EQ(cache.lookup("n0.example", 1, &out), DnsCache::Outcome::hit);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(DnsCache, NegativeTtlBound) {
-  core::VerdictEpoch epoch;
+  core::GenerationTable gens;
   auto cfg = small_cache(64);
   cfg.max_negative_ttl = 5;
-  DnsCache cache(cfg, epoch);
+  DnsCache cache(cfg, gens);
   // Ask for a huge TTL; the clamp wins.
   cache.insert_negative("gone.example", /*now=*/100, /*ttl=*/100000,
-                        epoch.current());
+                        gen_of(gens, "gone.example"));
   EXPECT_EQ(cache.lookup("gone.example", 104, nullptr),
             DnsCache::Outcome::negative);
   EXPECT_EQ(cache.lookup("gone.example", 105, nullptr),
@@ -272,28 +322,30 @@ TEST(DnsCache, NegativeTtlBound) {
 }
 
 TEST(DnsCache, NegativeOccupancyBoundAndNoPositiveEviction) {
-  core::VerdictEpoch epoch;
+  core::GenerationTable gens;
   auto cfg = small_cache(64);
   cfg.negative_percent = 25;  // 16 of 64 slots
-  DnsCache cache(cfg, epoch);
+  DnsCache cache(cfg, gens);
 
   // A storm of random NXDOMAINs stays inside its slice.
-  for (int i = 0; i < 200; ++i)
-    cache.insert_negative("junk" + std::to_string(i) + ".example", 1, 30,
-                          epoch.current());
+  for (int i = 0; i < 200; ++i) {
+    const std::string name = "junk" + std::to_string(i) + ".example";
+    cache.insert_negative(name, 1, 30, gen_of(gens, name));
+  }
   EXPECT_LE(cache.negative_size(), cache.negative_capacity());
   EXPECT_EQ(cache.negative_capacity(), 16u);
 
   // Fill the whole stripe with positives (displacing the negatives is
   // allowed — positives always win slots)...
-  for (int i = 0; i < 64; ++i)
-    cache.insert("site" + std::to_string(i) + ".example", make_record("x", i),
-                 1000, epoch.current());
+  for (int i = 0; i < 64; ++i) {
+    const std::string name = "site" + std::to_string(i) + ".example";
+    cache.insert(name, make_record("x", i), 1000, gen_of(gens, name));
+  }
   EXPECT_EQ(cache.size(), 64u);
   // ... then a negative insert against a full-of-positives stripe must NOT
   // evict a positive: it is simply not cached.
   const auto before = cache.stats();
-  cache.insert_negative("flood.example", 1, 30, epoch.current());
+  cache.insert_negative("flood.example", 1, 30, gen_of(gens, "flood.example"));
   EXPECT_EQ(cache.stats().negative_uncached, before.negative_uncached + 1);
   EXPECT_EQ(cache.stats().evictions, before.evictions);
   for (int i = 0; i < 64; ++i)
@@ -304,11 +356,12 @@ TEST(DnsCache, NegativeOccupancyBoundAndNoPositiveEviction) {
 }
 
 TEST(DnsCache, MemoryStatsSanity) {
-  core::VerdictEpoch epoch;
-  DnsCache cache(small_cache(1024), epoch);
-  for (int i = 0; i < 512; ++i)
-    cache.insert("host" + std::to_string(i) + ".zone.example",
-                 make_record("x", i), 1000, epoch.current());
+  core::GenerationTable gens;
+  DnsCache cache(small_cache(1024), gens);
+  for (int i = 0; i < 512; ++i) {
+    const std::string name = "host" + std::to_string(i) + ".zone.example";
+    cache.insert(name, make_record("x", i), 1000, gen_of(gens, name));
+  }
   const auto m = cache.memory_stats();
   EXPECT_EQ(m.entries, 512u);
   EXPECT_GT(m.name_bytes, 0u);
@@ -321,9 +374,10 @@ TEST(DnsCache, MemoryStatsSanity) {
 
 TEST(DnsZone, StatsAndBorrowPath) {
   services::DnsZone zone;
-  const std::uint64_t gen0 = zone.epoch().current();
+  const core::GenerationTable& gens = zone.generations();
+  const std::uint64_t gen0 = gen_of(gens, "shop.example");
   zone.put(make_record("shop.example", 42));
-  EXPECT_GT(zone.epoch().current(), gen0);  // inserts bump too (negatives!)
+  EXPECT_GT(gen_of(gens, "shop.example"), gen0);  // inserts bump too (negatives!)
 
   std::uint32_t seen = 0;
   EXPECT_TRUE(zone.with_record(
@@ -333,16 +387,31 @@ TEST(DnsZone, StatsAndBorrowPath) {
       zone.with_record("missing.example", [&](const core::DnsRecord&) {}));
 
   ASSERT_TRUE(zone.get("shop.example").has_value());
-  const std::uint64_t gen1 = zone.epoch().current();
+  const std::uint64_t gen1 = gen_of(gens, "shop.example");
   EXPECT_TRUE(zone.erase("shop.example"));
-  EXPECT_GT(zone.epoch().current(), gen1);
+  EXPECT_GT(gen_of(gens, "shop.example"), gen1);
+  const std::uint64_t gen2 = gen_of(gens, "shop.example");
   EXPECT_FALSE(zone.erase("shop.example"));  // no bump, no count
+  EXPECT_EQ(gen_of(gens, "shop.example"), gen2);
 
   const auto s = zone.stats();
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(s.erases, 1u);
   EXPECT_EQ(s.hits, 2u);    // borrow hit + get hit
   EXPECT_EQ(s.misses, 1u);  // borrow miss
+}
+
+TEST(DnsZone, MutationBumpsOnlyItsNamesSlot) {
+  services::DnsZone zone;
+  const core::GenerationTable& gens = zone.generations();
+  ASSERT_NE(slot_of("shop.example"), slot_of("blog.example"));
+  const std::uint64_t blog0 = gen_of(gens, "blog.example");
+  zone.put(make_record("shop.example", 1));
+  zone.put(make_record("shop.example", 2));
+  EXPECT_TRUE(zone.erase("shop.example"));
+  EXPECT_EQ(gen_of(gens, "blog.example"), blog0);
+  zone.put(make_record("blog.example", 3));
+  EXPECT_GT(gen_of(gens, "blog.example"), blog0);
 }
 
 // ---- resolver ----------------------------------------------------------------
@@ -374,8 +443,9 @@ TEST(Resolver, CachedEqualsUncachedAcrossZoneUpdates) {
   EXPECT_EQ(warm.record.ipv4, cold.record.ipv4);
   EXPECT_EQ(warm.record.cert, cold.record.cert);
 
-  // Zone UPDATE: the epoch bump invalidates the cached answer, so the next
-  // lookup serves the new truth — cached ≡ uncached across updates.
+  // Zone UPDATE: the name's generation bump invalidates the cached answer,
+  // so the next lookup serves the new truth — cached ≡ uncached across
+  // updates.
   f.zone.put(make_record("shop.example", 2));
   const auto fresh = resolver.resolve("shop.example", now);
   ASSERT_EQ(fresh.status, Resolver::Status::ok);
@@ -383,8 +453,8 @@ TEST(Resolver, CachedEqualsUncachedAcrossZoneUpdates) {
   EXPECT_EQ(fresh.record.ipv4, 2u);
   EXPECT_GE(resolver.stats().cache_hits, 1u);
 
-  // Zone ERASE: cached positive dies with the epoch, answer flips to
-  // NXDOMAIN immediately.
+  // Zone ERASE: cached positive dies with the generation bump, answer flips
+  // to NXDOMAIN immediately.
   resolver.resolve("shop.example", now);  // warm the cache again
   f.zone.erase("shop.example");
   EXPECT_EQ(resolver.resolve("shop.example", now).status,
@@ -409,13 +479,80 @@ TEST(Resolver, NegativeCachingIsTtlBoundedAndInsertInvalidates) {
   EXPECT_EQ(resolver.resolve("new.example", now + 5).source,
             Resolver::Source::zone);
 
-  // A zone INSERT invalidates cached negatives (the put bumps the epoch):
-  // no stale NXDOMAIN after publication.
+  // A zone INSERT invalidates cached negatives (the put bumps the name's
+  // generation): no stale NXDOMAIN after publication.
   resolver.resolve("new.example", now);  // re-warm negative
   f.zone.put(make_record("new.example", 7));
   const auto a = resolver.resolve("new.example", now);
   EXPECT_EQ(a.status, Resolver::Status::ok);
   EXPECT_EQ(a.record.ipv4, 7u);
+}
+
+TEST(Resolver, MutatingOneNameLeavesOtherCachedNamesHitting) {
+  ResolverFixture f;
+  Resolver resolver(f.zone, f.loop, f.cfg);
+  const core::ExpTime now = f.loop.now_seconds();
+  ASSERT_NE(slot_of("shop.example"), slot_of("blog.example"));
+  ASSERT_NE(slot_of("shop.example"), slot_of("gone.example"));
+  f.zone.put(make_record("shop.example", 1));
+  f.zone.put(make_record("blog.example", 2));
+  resolver.resolve("shop.example", now);
+  resolver.resolve("blog.example", now);
+  resolver.resolve("gone.example", now);  // cached NXDOMAIN
+
+  // A publish of shop.example invalidates shop.example alone.
+  f.zone.put(make_record("shop.example", 3));
+  const auto blog = resolver.resolve("blog.example", now);
+  EXPECT_EQ(blog.source, Resolver::Source::cache);
+  EXPECT_EQ(blog.record.ipv4, 2u);
+  EXPECT_EQ(resolver.resolve("gone.example", now).source,
+            Resolver::Source::negative_cache);
+  const auto shop = resolver.resolve("shop.example", now);
+  EXPECT_EQ(shop.source, Resolver::Source::zone);
+  EXPECT_EQ(shop.record.ipv4, 3u);
+
+  // So does its erase.
+  f.zone.erase("shop.example");
+  EXPECT_EQ(resolver.resolve("blog.example", now).source,
+            Resolver::Source::cache);
+  EXPECT_EQ(resolver.resolve("gone.example", now).source,
+            Resolver::Source::negative_cache);
+  EXPECT_EQ(resolver.resolve("shop.example", now).status,
+            Resolver::Status::nxdomain);
+}
+
+TEST(Resolver, NamesSharingASlotInvalidateEachOther) {
+  // Two names forced into one generation slot: a put to either must kill
+  // both cached answers (conservative), never neither.
+  std::unordered_map<std::size_t, std::string> by_slot;
+  std::string a, b;
+  for (int i = 0; b.empty(); ++i) {
+    const std::string name = "n" + std::to_string(i) + ".example";
+    const auto [it, fresh] = by_slot.emplace(slot_of(name), name);
+    if (!fresh) {
+      a = it->second;
+      b = name;
+    }
+  }
+  ResolverFixture f;
+  Resolver resolver(f.zone, f.loop, f.cfg);
+  const core::ExpTime now = f.loop.now_seconds();
+  f.zone.put(make_record(a, 1));
+  f.zone.put(make_record(b, 2));
+  std::uint32_t next_ipv4 = 3;
+  for (const std::string& mutated : {a, b}) {
+    for (const std::string& name : {a, b}) {
+      resolver.resolve(name, now);
+      ASSERT_EQ(resolver.resolve(name, now).source, Resolver::Source::cache)
+          << name;
+    }
+    f.zone.put(make_record(mutated, next_ipv4++));
+    for (const std::string& name : {a, b}) {
+      const auto got = resolver.resolve(name, now);
+      EXPECT_EQ(got.source, Resolver::Source::zone) << name;
+      EXPECT_EQ(got.record.ipv4, f.zone.get(name)->ipv4) << name;
+    }
+  }
 }
 
 TEST(Resolver, PolicyBlocksSubdomainsNeverWarmsCache) {
@@ -440,6 +577,32 @@ TEST(Resolver, PolicyBlocksSubdomainsNeverWarmsCache) {
             Resolver::Status::ok);
   EXPECT_EQ(resolver.stats().monitored, 1u);
   EXPECT_EQ(resolver.stats().policy_blocked, 1u);
+}
+
+TEST(Resolver, BlockDomainKillsSweptNamesCachedAnswers) {
+  ResolverFixture f;
+  Resolver resolver(f.zone, f.loop, f.cfg);
+  const core::ExpTime now = f.loop.now_seconds();
+  ASSERT_NE(slot_of("fine.example"), slot_of("a.evil.example"));
+  ASSERT_NE(slot_of("fine.example"), slot_of("b.evil.example"));
+  f.zone.put(make_record("a.evil.example", 1));
+  f.zone.put(make_record("b.evil.example", 2));
+  f.zone.put(make_record("fine.example", 3));
+  for (const char* name : {"a.evil.example", "b.evil.example", "fine.example"})
+    ASSERT_EQ(resolver.resolve(name, now).status, Resolver::Status::ok);
+
+  EXPECT_EQ(resolver.block_domain("evil.example", now), 2u);
+  // The sweep's erases killed the swept names' cached answers: once the
+  // rule is lifted, they read the zone (gone), not a stale cached record.
+  resolver.policy().erase("evil.example");
+  const auto a = resolver.resolve("a.evil.example", now);
+  EXPECT_EQ(a.status, Resolver::Status::nxdomain);
+  EXPECT_EQ(a.source, Resolver::Source::zone);
+  EXPECT_EQ(resolver.cache().lookup("b.evil.example", now, nullptr),
+            DnsCache::Outcome::miss);
+  // The name the sweep left alone still hits.
+  EXPECT_EQ(resolver.resolve("fine.example", now).source,
+            Resolver::Source::cache);
 }
 
 TEST(Resolver, InvalidNamesRejectedAndCanonicalized) {
@@ -563,6 +726,44 @@ TEST(Resolver, MismatchedUpstreamAnswerNeverFillsCache) {
   f.loop.run();  // drain the timeout chain
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].status, Resolver::Status::servfail);
+}
+
+TEST(Resolver, LocalPublishDuringForwardIsNotHidden) {
+  // A name published locally while its forwarded query is in flight must
+  // not hide behind the upstream answer: the answer is stamped with the
+  // generation read before the local zone miss, so its fill is stillborn.
+  ForwardingFixture f;
+  std::vector<Bytes> in_flight;
+  f.client.set_upstream(
+      [&](Bytes frame) { in_flight.push_back(std::move(frame)); });
+  std::vector<Resolver::Answer> got;
+  const auto collect = [&](const Resolver::Answer& a) { got.push_back(a); };
+  f.client.resolve_async("late.example", collect);  // upstream: NXDOMAIN
+  f.client.resolve_async("far.example", collect);   // upstream: 77
+  ASSERT_EQ(in_flight.size(), 2u);
+
+  f.client_zone.put(make_record("late.example", 5));
+  f.client_zone.put(make_record("far.example", 6));
+  for (const Bytes& query : in_flight) {
+    const Bytes resp =
+        f.server.answer_query(ByteSpan(query.data(), query.size()));
+    f.client.on_upstream_frame(ByteSpan(resp.data(), resp.size()));
+  }
+  // The in-flight queries still get the upstream's answers...
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].status, Resolver::Status::nxdomain);
+  EXPECT_EQ(got[1].record.ipv4, 77u);
+
+  // ...but the next lookups read the local publications, not an NXDOMAIN
+  // (held up to 30 s) or the upstream record (up to 300 s) from the cache.
+  const core::ExpTime now = f.loop.now_seconds();
+  const auto late = f.client.resolve("late.example", now);
+  EXPECT_EQ(late.status, Resolver::Status::ok);
+  EXPECT_EQ(late.source, Resolver::Source::zone);
+  EXPECT_EQ(late.record.ipv4, 5u);
+  const auto far = f.client.resolve("far.example", now);
+  EXPECT_EQ(far.source, Resolver::Source::zone);
+  EXPECT_EQ(far.record.ipv4, 6u);
 }
 
 // ---- service + accountability integration ------------------------------------
