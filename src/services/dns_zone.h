@@ -17,9 +17,10 @@
 // including plain inserts. Unlike the forwarding epoch (where a new host
 // cannot turn a cached pass into a drop), DNS caches hold NEGATIVE
 // answers, so an insert can invalidate a cached NXDOMAIN; every put/erase
-// therefore bumps. Only the name's slot moves, so a publication leaves
-// every other cached answer valid. Downstream caches stamp entries with
-// the slot's generation read before the zone read (dns/dns_cache.h).
+// therefore bumps. Only the name's slot moves, so a publication
+// invalidates just the cached answers of the names sharing that slot.
+// Downstream caches stamp entries with the slot's generation read before
+// the zone read (dns/dns_cache.h).
 #pragma once
 
 #include <atomic>
