@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
               rate_par / peak_demand);
 
   std::printf("\nServicePool sweep (burst %zu, chunk %zu):\n", kBurst,
-              services::ServicePool::Config().chunk_jobs);
+              services::ServicePool::kChunkJobs);
   std::printf("%8s %16s %16s %10s\n", "workers", "EphIDs/s", "allocs/req",
               "speedup");
   for (const auto& pt : sweep)

@@ -261,13 +261,17 @@ struct LoopbackPoint {
   std::size_t workers = 0;
   double pps = 0;             // packets forwarded per second, RX side
   double allocs_per_pkt = 0;  // steady-state heap allocs per RX'd packet
+  std::size_t max_burst = 0;  // largest burst drained, warm-up included
 };
 
 /// One measured worker count over the live TX blast. `rx` is drained on
 /// the calling thread into pooled PacketBufs; full (or socket-empty)
-/// bursts run through a flow-hash-steered ForwardingPool.
+/// bursts run through a flow-hash-steered ForwardingPool. One poll drains
+/// up to `rx_batch` datagrams, so a burst never exceeds
+/// max(burst_size, rx_batch): the bound every warm-up below sizes for.
 LoopbackPoint loopback_point(Setup& s, net::Transport& rx,
                              const SealedBurst& flows, std::size_t burst_size,
+                             std::size_t rx_batch, std::size_t rx_buf_bytes,
                              std::size_t workers, double warm_s,
                              double measure_s) {
   router::ForwardingPool::Config cfg;
@@ -275,40 +279,53 @@ LoopbackPoint loopback_point(Setup& s, net::Transport& rx,
   cfg.flow_cache_entries = 4096;  // steering keeps each flow's entry hot
   router::ForwardingPool pool(*s.br, cfg);
 
+  const std::size_t max_burst = std::max(burst_size, rx_batch);
   std::vector<wire::PacketBuf> owned;
   std::vector<wire::PacketView> views;
-  owned.reserve(burst_size);
-  views.reserve(burst_size);
+  owned.reserve(max_burst);
+  views.reserve(max_burst);
   rx.set_rx([&](net::PeerId, wire::PacketBuf p) {
     views.push_back(p.view());
     owned.push_back(std::move(p));  // Bytes move: the view stays valid
   });
 
   // Deterministic worst-case warm-up of the pool's reusable buffers: a
-  // full-size single-flow burst per flow bounds every per-slot ring /
-  // gather / scratch at burst_size, so the measured window cannot grow a
+  // largest-possible single-flow burst per flow bounds every per-slot ring
+  // / gather / scratch at max_burst, so the measured window cannot grow a
   // vector no matter how the live bursts skew across workers.
   {
-    std::vector<wire::PacketView> synth(burst_size);
+    std::vector<wire::PacketView> synth(max_burst);
     for (const wire::PacketView& v : flows.views) {
-      synth.assign(burst_size, v);
+      synth.assign(max_burst, v);
       pool.process_outgoing(synth, s.now);
     }
+  }
+  // This thread's BufferPool must hold a burst's worth of RX-sized buffers
+  // plus one for the action phase's handoff copy before anything is
+  // measured; otherwise the first burst larger than any before it misses.
+  {
+    std::vector<Bytes> bufs;
+    for (std::size_t i = 0; i <= max_burst; ++i)
+      bufs.push_back(wire::BufferPool::local().acquire(rx_buf_bytes));
+    for (Bytes& b : bufs) wire::BufferPool::local().release(std::move(b));
   }
 
   using Clock = std::chrono::steady_clock;
   std::size_t packets = 0;
+  std::size_t largest = 0;
   const auto spin = [&](double seconds) {
     const auto t0 = Clock::now();
     double elapsed = 0;
     packets = 0;
     do {
       (void)rx.poll(1);
-      while (owned.size() < burst_size && rx.poll(0) > 0) {
+      // Poll again only while a whole rx_batch still fits in the burst.
+      while (owned.size() + rx_batch <= burst_size && rx.poll(0) > 0) {
       }
       if (!owned.empty()) {
         pool.process_outgoing(views, s.now);
         packets += owned.size();
+        largest = std::max(largest, owned.size());
         views.clear();
         owned.clear();  // PacketBuf dtors recycle into this thread's pool
       }
@@ -323,6 +340,7 @@ LoopbackPoint loopback_point(Setup& s, net::Transport& rx,
 
   LoopbackPoint pt;
   pt.workers = workers;
+  pt.max_burst = largest;
   pt.pps = static_cast<double>(packets) / elapsed;
   pt.allocs_per_pkt = packets == 0
                           ? 0.0
@@ -339,7 +357,8 @@ LoopbackPoint loopback_point(Setup& s, net::Transport& rx,
 std::vector<LoopbackPoint> loopback_sweep(
     Setup& s, std::size_t burst_size, const std::vector<std::size_t>& workers,
     double warm_s, double measure_s) {
-  auto rx = net::UdpTransport::open({});
+  const net::UdpTransport::Config rx_cfg;
+  auto rx = net::UdpTransport::open(rx_cfg);
   auto tx = net::UdpTransport::open({});
   if (!rx.ok() || !tx.ok()) return {};
   const auto to_rx = (*tx)->add_peer("127.0.0.1", (*rx)->local_port());
@@ -368,7 +387,8 @@ std::vector<LoopbackPoint> loopback_sweep(
   std::vector<LoopbackPoint> sweep;
   for (const std::size_t w : workers)
     sweep.push_back(
-        loopback_point(s, **rx, flows, burst_size, w, warm_s, measure_s));
+        loopback_point(s, **rx, flows, burst_size, rx_cfg.rx_batch,
+                       rx_cfg.rx_buf_bytes, w, warm_s, measure_s));
   run.store(false);
   blaster.join();
   return sweep;
@@ -696,13 +716,25 @@ int main(int argc, char** argv) {
       std::printf("\nLoopback UDP leg (TX blast thread -> steered "
                   "ForwardingPool, flow_hash, burst %zu):\n",
                   burst_size);
-      std::printf("  %7s %14s %9s %12s\n", "workers", "forwarded pps",
-                  "speedup", "allocs/pkt");
+      // loopback_sweep's RX socket drains rx_batch datagrams per poll.
+      const std::size_t burst_bound =
+          std::max(burst_size, net::UdpTransport::Config().rx_batch);
+      std::printf("  %7s %14s %9s %12s %10s\n", "workers", "forwarded pps",
+                  "speedup", "allocs/pkt", "max burst");
       for (const auto& pt : loopback) {
         const double speedup = pt.pps / loopback[0].pps;
         if (pt.workers > 1) loopback_speedup = std::max(loopback_speedup, speedup);
-        std::printf("  %7zu %14.0f %8.2fx %12.4f\n", pt.workers, pt.pps,
-                    speedup, pt.allocs_per_pkt);
+        std::printf("  %7zu %14.0f %8.2fx %12.4f %10zu\n", pt.workers, pt.pps,
+                    speedup, pt.allocs_per_pkt, pt.max_burst);
+        // The warm-up sized every buffer for this bound; a larger burst
+        // would measure the harness, not the forwarding path.
+        if (pt.max_burst > burst_bound) {
+          std::fprintf(stderr,
+                       "FATAL: loopback drained a %zu-packet burst, above "
+                       "the warmed bound of %zu\n",
+                       pt.max_burst, burst_bound);
+          return 1;
+        }
         // The zero-alloc contract crosses the syscall boundary: recvfrom
         // lands in recycled pool storage, so the steady-state UDP
         // forwarding path must not allocate either.

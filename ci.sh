@@ -4,8 +4,9 @@
 #   1. Release with warnings-as-errors for all APNA targets, plus every
 #      src/ header compiled on its own
 #   2. ASan + UBSan (Debug)
-#   3. ThreadSanitizer over the `tsan`-labelled suites: the router/core
-#      concurrency tests, the service and resolver pools, the crypto suites
+#   3. ThreadSanitizer over the `tsan`-labelled suites: util::ChunkPool and
+#      util::Counters (util_test), the router/core concurrency tests, the
+#      service and resolver pools built on that chunk pool, the crypto suites
 #      (per-slot DRBG independence, concurrent batch verification), the
 #      persistence coordinator's multi-threaded sink, the zero-allocation
 #      pool checks and the bounded scenario storms (bounded runtime — TSan
@@ -90,15 +91,18 @@ echo "=== [tsan] build (tsan-labelled tests only)"
 # A suite joins this leg by carrying the `tsan` ctest label
 # (tests/CMakeLists.txt); apna_add_test collects every labelled suite into
 # the tsan_tests target. Why particular suites are labelled:
+#   util_test — the chunk pool's claim/wake/wait protocol at 1, 2 and 4
+#     threads across back-to-back runs, and concurrent Counters adds.
 #   router_concurrency_test, router_test, core_test, flow_cache_test — the
 #     sharded data plane's stress suite and per-worker FlowCaches.
-#   control_plane_test, services_test — the M-worker ServicePool.
+#   control_plane_test, services_test — the M-worker ServicePool on the
+#     chunk pool.
 #   alloc_count_test — the multi-thread ForwardingPool's steady state.
 #   scenario_test — bounded storm scripts (bogus-EphID flood, shutoff
 #     storm, revocation waves) driving the ForwardingPool, per-worker caches
 #     and striped revocation tables under racing epoch bumps.
 #   dns_concurrency_test — resolver lookups racing zone put/erase and
-#     domain-policy churn, plus the M-worker ResolverPool.
+#     domain-policy churn, plus the M-worker ResolverPool on the chunk pool.
 #   the crypto suites — per-slot HMAC-DRBG independence and concurrent
 #     ed25519_verify_batch, where a shared-scratch race would hide; the
 #     KAT/property suites are cheap enough to keep as ballast.

@@ -36,6 +36,7 @@
 #include "core/ids.h"
 #include "core/sharded.h"
 #include "crypto/modes.h"
+#include "util/counters.h"
 
 namespace apna::core {
 
@@ -74,27 +75,11 @@ class FlowCache {
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;
     }
 
-    Stats& operator+=(const Stats& o) {
-      hits += o.hits;
-      misses += o.misses;
-      stale_gen += o.stale_gen;
-      insertions += o.insertions;
-      evictions += o.evictions;
-      cross_worker_duplicates += o.cross_worker_duplicates;
-      return *this;
-    }
+    Stats& operator+=(const Stats& o) { return util::add_fields(*this, o); }
 
     /// Subtracts an earlier snapshot of the same monotone counters (per-
     /// phase deltas in the scenario engine).
-    Stats& operator-=(const Stats& o) {
-      hits -= o.hits;
-      misses -= o.misses;
-      stale_gen -= o.stale_gen;
-      insertions -= o.insertions;
-      evictions -= o.evictions;
-      cross_worker_duplicates -= o.cross_worker_duplicates;
-      return *this;
-    }
+    Stats& operator-=(const Stats& o) { return util::sub_fields(*this, o); }
   };
 
   /// `capacity` is rounded up to a power of two, minimum one bucket.

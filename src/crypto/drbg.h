@@ -3,9 +3,9 @@
 // ServicePool gives every worker slot its own DRBG (the batch-verify
 // coefficients) so randomness never crosses a thread boundary: no
 // shared-state contention on the hot path, and pooled output stays
-// deterministic per (seed, burst index) regardless of worker count — each
-// request's generator is reinstantiated from (seed, index), so which slot
-// serves it cannot matter. The construction is the standard K/V HMAC chain:
+// deterministic per burst index regardless of worker count — each
+// request's generator is reinstantiated from (ServicePool::kRngSeed,
+// index), so which slot serves it cannot matter. The construction is the standard K/V HMAC chain:
 //
 //   update(data):  K = HMAC(K, V ‖ 0x00 ‖ data); V = HMAC(K, V)
 //                  [and the 0x01 round when data is non-empty]

@@ -35,7 +35,6 @@
 // schedule updates).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -46,6 +45,7 @@
 #include "core/messages.h"
 #include "core/sharded.h"
 #include "util/bytes.h"
+#include "util/counters.h"
 
 namespace apna::dns {
 
@@ -149,27 +149,27 @@ class DnsCache {
     std::lock_guard lock(s.mu);
     const std::size_t i = index_find(s, h, name);
     if (i == kNotFound) {
-      counters_.misses.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::misses>();
       return Outcome::miss;
     }
     const std::uint32_t slot = s.idx_slot[i];
     Slot& e = s.slots[slot];
     if (e.gen != gen) {
       erase_entry(s, i, slot);
-      counters_.stale_gen.fetch_add(1, std::memory_order_relaxed);
-      counters_.misses.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::stale_gen>();
+      counters_.add<&Stats::misses>();
       return Outcome::miss;
     }
     if (e.expires_at <= now) {
       erase_entry(s, i, slot);
-      counters_.expired.fetch_add(1, std::memory_order_relaxed);
-      counters_.misses.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::expired>();
+      counters_.add<&Stats::misses>();
       return Outcome::miss;
     }
     const bool negative = (e.flags & kNegative) != 0;
     lru_touch(s, negative ? s.neg : s.pos, slot);
     if (negative) {
-      counters_.negative_hits.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::negative_hits>();
       return Outcome::negative;
     }
     if (out) {
@@ -179,7 +179,7 @@ class DnsCache {
       out->ipv4 = rec.ipv4;
       out->sig = rec.sig;
     }
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&Stats::hits>();
     return Outcome::hit;
   }
 
@@ -216,7 +216,7 @@ class DnsCache {
     index_insert(s, h, slot);
     lru_push_front(s, s.pos, slot);
     ++s.entries;
-    counters_.insertions.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&Stats::insertions>();
   }
 
   /// Caches an NXDOMAIN answer with TTL min(ttl, max_negative_ttl). Never
@@ -234,7 +234,7 @@ class DnsCache {
     if (s.neg_entries >= neg_cap_) evict(s, s.neg, true);
     if (s.entries == slot_cap_) {
       if (s.neg.tail < 0) {
-        counters_.negative_uncached.fetch_add(1, std::memory_order_relaxed);
+        counters_.add<&Stats::negative_uncached>();
         return;
       }
       evict(s, s.neg, true);
@@ -252,7 +252,7 @@ class DnsCache {
     lru_push_front(s, s.neg, slot);
     ++s.entries;
     ++s.neg_entries;
-    counters_.negative_insertions.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&Stats::negative_insertions>();
   }
 
   std::size_t size() const {
@@ -277,23 +277,7 @@ class DnsCache {
   std::size_t negative_capacity() const { return neg_cap_ * count_; }
   std::size_t capacity() const { return slot_cap_ * count_; }
 
-  Stats stats() const {
-    Stats s;
-    s.hits = counters_.hits.load(std::memory_order_relaxed);
-    s.negative_hits = counters_.negative_hits.load(std::memory_order_relaxed);
-    s.misses = counters_.misses.load(std::memory_order_relaxed);
-    s.expired = counters_.expired.load(std::memory_order_relaxed);
-    s.stale_gen = counters_.stale_gen.load(std::memory_order_relaxed);
-    s.insertions = counters_.insertions.load(std::memory_order_relaxed);
-    s.negative_insertions =
-        counters_.negative_insertions.load(std::memory_order_relaxed);
-    s.evictions = counters_.evictions.load(std::memory_order_relaxed);
-    s.negative_evictions =
-        counters_.negative_evictions.load(std::memory_order_relaxed);
-    s.negative_uncached =
-        counters_.negative_uncached.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats stats() const { return counters_.snapshot(); }
 
   MemoryStats memory_stats() const {
     MemoryStats m;
@@ -365,19 +349,6 @@ class DnsCache {
     std::vector<std::unique_ptr<CompactDnsRecord[]>> rec_slabs;
     std::size_t rec_bump = kRecSlabRecords;
     std::vector<std::uint32_t> rec_free;
-  };
-
-  struct Counters {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> negative_hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> expired{0};
-    std::atomic<std::uint64_t> stale_gen{0};
-    std::atomic<std::uint64_t> insertions{0};
-    std::atomic<std::uint64_t> negative_insertions{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> negative_evictions{0};
-    std::atomic<std::uint64_t> negative_uncached{0};
   };
 
   // Names hash with core::GenerationTable::hash: stripe selection reads the
@@ -559,8 +530,10 @@ class DnsCache {
         index_find(s, e.name_hash,
                    std::string_view(name_at(s, e.name_off), e.name_len));
     erase_entry(s, i, slot);
-    (negative ? counters_.negative_evictions : counters_.evictions)
-        .fetch_add(1, std::memory_order_relaxed);
+    if (negative)
+      counters_.add<&Stats::negative_evictions>();
+    else
+      counters_.add<&Stats::evictions>();
   }
 
   Config cfg_;
@@ -571,7 +544,7 @@ class DnsCache {
   std::size_t neg_cap_ = 0;
   std::size_t index_size_ = 0;
   std::unique_ptr<Stripe[]> stripes_;
-  Counters counters_;
+  util::Counters<Stats> counters_;
 };
 
 }  // namespace apna::dns

@@ -20,7 +20,7 @@ core::DnsRecord DnsService::sign_record(const std::string& name,
 }
 
 Result<core::DnsResponse> DnsService::resolve(const core::DnsQuery& q) {
-  ++counters_.queries;
+  counters_.add<&Stats::queries>();
   core::DnsResponse resp;
   const Resolver::Answer a = resolver_.resolve(q.name, loop_.now_seconds());
   switch (a.status) {
@@ -39,16 +39,16 @@ Result<core::DnsResponse> DnsService::resolve(const core::DnsQuery& q) {
       break;
     }
     case Resolver::Status::nxdomain:
-      ++counters_.nxdomain;
+      counters_.add<&Stats::nxdomain>();
       resp.status = 1;
       break;
     case Resolver::Status::blocked:
-      ++counters_.blocked;
+      counters_.add<&Stats::blocked>();
       resp.status = 2;
       break;
     case Resolver::Status::servfail:
     case Resolver::Status::invalid:
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       resp.status = 3;
       break;
   }
@@ -60,7 +60,7 @@ Result<void> DnsService::publish(const core::DnsPublish& p) {
   // DNS then re-signs the record (the DNSSEC chain).
   const core::ExpTime now = loop_.now_seconds();
   if (auto ok = core::validate_peer_cert(p.cert, directory_, now); !ok) {
-    ++counters_.rejected;
+    counters_.add<&Stats::rejected>();
     return ok;
   }
   // Records land in the zone in canonical form so lookups and policy see
@@ -68,13 +68,13 @@ Result<void> DnsService::publish(const core::DnsPublish& p) {
   const std::string canon = canonical_name(p.name);
   if (auto ok = resolver_.admit_publish(canon, p.cert.ephid, now); !ok) {
     if (ok.code() == Errc::unauthorized)
-      ++counters_.blocked;
+      counters_.add<&Stats::blocked>();
     else
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
     return ok;
   }
   resolver_.zone().put(sign_record(canon, p.cert, p.ipv4));
-  ++counters_.publications;
+  counters_.add<&Stats::publications>();
   return Result<void>::success();
 }
 
@@ -128,13 +128,13 @@ Result<wire::PacketBuf> DnsService::handle_packet(
     wire::MsgReader hr(pkt);
     auto kind = hr.u8();
     if (!kind || *kind != 0) {
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       return Result<wire::PacketBuf>(Errc::malformed,
                                      "expected handshake init");
     }
     auto init = core::HandshakeInit::decode(hr);
     if (!init || !hr.done()) {
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       return Result<wire::PacketBuf>(Errc::malformed, "bad handshake init");
     }
     // The DNS service serves directly from its service EphID.
@@ -142,14 +142,14 @@ Result<wire::PacketBuf> DnsService::handle_packet(
                                       ident_.cert, ident_.kp, ident_.cert,
                                       rng_.next_u64());
     if (!hs) {
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       return Result<wire::PacketBuf>(hs.error());
     }
     core::EphId client;
     client.bytes = pkt.src_ephid();
     sessions_.erase(client);
     sessions_.emplace(client, std::move(hs->session));
-    ++counters_.sessions;
+    counters_.add<&Stats::sessions>();
 
     // The handshake response encodes directly into the reply packet.
     wire::PacketWriter pw(as_.aid, ident_.cert.ephid.bytes, pkt.src_aid(),
@@ -166,24 +166,24 @@ Result<wire::PacketBuf> DnsService::handle_packet(
     client.bytes = pkt.src_ephid();
     auto it = sessions_.find(client);
     if (it == sessions_.end()) {
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       return Result<wire::PacketBuf>(Errc::not_found, "no session for client");
     }
     auto pt = it->second.open(pkt.payload());
     if (!pt) {
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       return Result<wire::PacketBuf>(pt.error());
     }
     auto reply = handle_op(*pt);
     if (!reply) {
-      ++counters_.rejected;
+      counters_.add<&Stats::rejected>();
       return Result<wire::PacketBuf>(reply.error());
     }
     const Bytes sealed = it->second.seal(*reply);
     return make_reply(pkt, wire::NextProto::data, sealed);
   }
 
-  ++counters_.rejected;
+  counters_.add<&Stats::rejected>();
   return Result<wire::PacketBuf>(Errc::malformed, "DNS expects handshake/data");
 }
 

@@ -12,7 +12,6 @@
 // frame ops keep the original one-byte codes (host/host.cpp mirrors them).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -25,6 +24,7 @@
 #include "net/sim.h"
 #include "services/service_identity.h"
 #include "services/service_runtime.h"
+#include "util/counters.h"
 #include "wire/packet_buf.h"
 
 namespace apna::dns {
@@ -81,30 +81,12 @@ class DnsService : public services::ControlService {
   const crypto::Ed25519PublicKey& record_key() const {
     return ident_.kp.pub.sig;
   }
-  Stats stats() const {
-    Stats s;
-    s.queries = counters_.queries.load(std::memory_order_relaxed);
-    s.nxdomain = counters_.nxdomain.load(std::memory_order_relaxed);
-    s.blocked = counters_.blocked.load(std::memory_order_relaxed);
-    s.publications = counters_.publications.load(std::memory_order_relaxed);
-    s.sessions = counters_.sessions.load(std::memory_order_relaxed);
-    s.rejected = counters_.rejected.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats stats() const { return counters_.snapshot(); }
 
  private:
   wire::PacketBuf make_reply(const wire::PacketView& req,
                              wire::NextProto proto, ByteSpan payload) const;
   Result<Bytes> handle_op(ByteSpan plaintext);
-
-  struct Counters {
-    std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> nxdomain{0};
-    std::atomic<std::uint64_t> blocked{0};
-    std::atomic<std::uint64_t> publications{0};
-    std::atomic<std::uint64_t> sessions{0};
-    std::atomic<std::uint64_t> rejected{0};
-  };
 
   core::AsState& as_;
   const core::AsDirectory& directory_;
@@ -112,7 +94,7 @@ class DnsService : public services::ControlService {
   crypto::Rng& rng_;
   services::ServiceIdentity ident_;
   Resolver& resolver_;
-  Counters counters_;
+  util::Counters<Stats> counters_;
   std::uint64_t nonce_ = 1;
   // Live sessions keyed by client EphID.
   std::unordered_map<core::EphId, core::Session, core::EphIdHash> sessions_;

@@ -26,26 +26,22 @@
 // behind the cached upstream answer.
 //
 // Thread-safety: resolve() and stats() are safe from any thread (that is
-// what ResolverPool fans out). The async/upstream surface — resolve_async,
-// on_upstream_frame, set_upstream — is event-loop-resident, same rule as
-// ServiceDispatcher. block_domain and policy mutation take the policy's
-// writer lock and may run from any thread.
+// what ResolverPool fans out over a util::ChunkPool; the pool counts
+// nothing itself, every pooled lookup lands in stats()). The
+// async/upstream surface — resolve_async, on_upstream_frame, set_upstream
+// — is event-loop-resident, same rule as ServiceDispatcher. block_domain
+// and policy mutation take the policy's writer lock and may run from any
+// thread.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "core/messages.h"
 #include "dns/dns_cache.h"
@@ -56,6 +52,8 @@
 #include "services/accountability_agent.h"
 #include "services/dns_zone.h"
 #include "util/bytes.h"
+#include "util/chunk_pool.h"
+#include "util/counters.h"
 #include "util/result.h"
 
 namespace apna::dns {
@@ -230,7 +228,7 @@ class Resolver {
   const DnsCache& cache() const { return cache_; }
   const Config& config() const { return cfg_; }
 
-  Stats stats() const;
+  Stats stats() const { return counters_.snapshot(); }
 
  private:
   struct Pending {
@@ -268,54 +266,29 @@ class Resolver {
   std::uint16_t next_id_ = 1;
   std::uint64_t next_serial_ = 1;
 
-  struct Counters {
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> invalid_name{0};
-    std::atomic<std::uint64_t> policy_blocked{0};
-    std::atomic<std::uint64_t> monitored{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> negative_hits{0};
-    std::atomic<std::uint64_t> zone_hits{0};
-    std::atomic<std::uint64_t> nxdomain{0};
-    std::atomic<std::uint64_t> publish_blocked{0};
-    std::atomic<std::uint64_t> forwarded{0};
-    std::atomic<std::uint64_t> retransmits{0};
-    std::atomic<std::uint64_t> upstream_answers{0};
-    std::atomic<std::uint64_t> upstream_nxdomain{0};
-    std::atomic<std::uint64_t> upstream_timeouts{0};
-    std::atomic<std::uint64_t> upstream_mismatched{0};
-  };
-  Counters counters_;
+  util::Counters<Stats> counters_;
 };
 
-/// M-worker lookup pool, modeled on services::ServicePool: Config::threads
-/// is the TOTAL parallelism (threads-1 background workers plus the calling
-/// thread claiming chunks), per-worker Stats slots merged on read, and
-/// results independent of worker count — resolve() is deterministic given
-/// the cache state, and out[i] always holds the answer for names[i].
-/// One in-flight burst at a time; the resolver itself is what makes the
-/// concurrent lookups safe.
+/// M-worker lookup pool on a util::ChunkPool: Config::threads is the TOTAL
+/// parallelism (threads-1 background workers plus the calling thread
+/// claiming chunks of kChunk names), and results are independent of
+/// worker count — resolve() is deterministic given the cache state, and
+/// out[i] always holds the answer for names[i]. One in-flight burst at a
+/// time; the resolver itself is what makes the concurrent lookups safe,
+/// and Resolver::stats() counts every lookup the pool runs.
 class ResolverPool {
  public:
   struct Config {
     /// Total processing threads (calling thread included). 0 → one per
     /// hardware thread.
     std::size_t threads = 0;
-    /// Lookups per claim unit.
-    std::size_t chunk = 64;
   };
 
-  /// Plain copyable counters, merged across worker slots on read.
-  struct Stats {
-    std::uint64_t lookups = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t nxdomain = 0;
-    std::uint64_t blocked = 0;
-    std::uint64_t cache_hits = 0;
-  };
+  /// Lookups per claimed chunk.
+  static constexpr std::size_t kChunk = 64;
 
-  ResolverPool(Resolver& resolver, Config cfg);
-  ~ResolverPool();
+  ResolverPool(Resolver& resolver, Config cfg)
+      : resolver_(resolver), pool_(cfg.threads) {}
 
   ResolverPool(const ResolverPool&) = delete;
   ResolverPool& operator=(const ResolverPool&) = delete;
@@ -325,37 +298,11 @@ class ResolverPool {
   void process_lookups(std::span<const std::string> names, core::ExpTime now,
                        std::span<Resolver::Answer> out);
 
-  Stats stats() const;
-  std::size_t threads() const { return cfg_.threads; }
+  std::size_t threads() const { return pool_.threads(); }
 
  private:
-  void worker_main(std::size_t slot);
-  void drain_chunks(std::size_t slot);
-  void process_chunk(std::size_t slot, std::size_t begin, std::size_t end);
-
-  struct alignas(64) Slot {
-    mutable std::mutex mu;
-    Stats stats;
-  };
-
   Resolver& resolver_;
-  Config cfg_;
-
-  // Burst descriptor, guarded by mu_ (ServicePool ordering argument).
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const std::string* names_ = nullptr;
-  std::size_t names_n_ = 0;
-  Resolver::Answer* out_ = nullptr;
-  core::ExpTime now_ = 0;
-  std::size_t next_chunk_ = 0;
-  std::size_t chunks_done_ = 0;
-  std::size_t chunks_total_ = 0;
-  bool stop_ = false;
-
-  std::unique_ptr<Slot[]> slots_;
-  std::vector<std::thread> workers_;
+  util::ChunkPool pool_;
 };
 
 }  // namespace apna::dns

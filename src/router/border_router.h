@@ -59,6 +59,7 @@
 #include "core/messages.h"
 #include "core/packet_auth.h"
 #include "core/replay.h"
+#include "util/counters.h"
 #include "util/result.h"
 #include "wire/apna_header.h"
 #include "wire/packet_buf.h"
@@ -110,39 +111,11 @@ class BorderRouter {
     }
 
     /// Accumulates another counter set (per-worker stats merged on read).
-    Stats& operator+=(const Stats& o) {
-      forwarded_out += o.forwarded_out;
-      delivered_in += o.delivered_in;
-      transited += o.transited;
-      icmp_sent += o.icmp_sent;
-      drop_expired += o.drop_expired;
-      drop_revoked += o.drop_revoked;
-      drop_unknown_host += o.drop_unknown_host;
-      drop_bad_mac += o.drop_bad_mac;
-      drop_bad_ephid += o.drop_bad_ephid;
-      drop_no_route += o.drop_no_route;
-      drop_too_big += o.drop_too_big;
-      drop_replayed += o.drop_replayed;
-      return *this;
-    }
+    Stats& operator+=(const Stats& o) { return util::add_fields(*this, o); }
 
     /// Subtracts an earlier snapshot of the same monotone counters — the
     /// scenario engine reports per-phase deltas of a long-lived pool.
-    Stats& operator-=(const Stats& o) {
-      forwarded_out -= o.forwarded_out;
-      delivered_in -= o.delivered_in;
-      transited -= o.transited;
-      icmp_sent -= o.icmp_sent;
-      drop_expired -= o.drop_expired;
-      drop_revoked -= o.drop_revoked;
-      drop_unknown_host -= o.drop_unknown_host;
-      drop_bad_mac -= o.drop_bad_mac;
-      drop_bad_ephid -= o.drop_bad_ephid;
-      drop_no_route -= o.drop_no_route;
-      drop_too_big -= o.drop_too_big;
-      drop_replayed -= o.drop_replayed;
-      return *this;
-    }
+    Stats& operator-=(const Stats& o) { return util::sub_fields(*this, o); }
   };
 
   struct Config {

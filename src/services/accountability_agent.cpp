@@ -6,51 +6,31 @@
 
 namespace apna::services {
 
-AccountabilityAgent::Stats AccountabilityAgent::stats() const {
-  Stats s;
-  const auto ld = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  s.accepted = ld(counters_.accepted);
-  s.rejected_bad_cert = ld(counters_.rejected_bad_cert);
-  s.rejected_bad_sig = ld(counters_.rejected_bad_sig);
-  s.rejected_unauthorized = ld(counters_.rejected_unauthorized);
-  s.rejected_not_our_host = ld(counters_.rejected_not_our_host);
-  s.rejected_bad_mac = ld(counters_.rejected_bad_mac);
-  s.rejected_malformed = ld(counters_.rejected_malformed);
-  s.hid_escalations = ld(counters_.hid_escalations);
-  s.revocation_instructions = ld(counters_.revocation_instructions);
-  s.onpath_accepted = ld(counters_.onpath_accepted);
-  s.voluntary_revocations = ld(counters_.voluntary_revocations);
-  s.domain_blocks = ld(counters_.domain_blocks);
-  return s;
-}
-
 Result<void> AccountabilityAgent::process(const core::ShutoffRequest& req,
                                           core::ExpTime now) {
   // Bind the offending packet's wire image first — everything hinges on
   // it. Zero-copy: all later field reads go through the view.
   auto pkt = wire::PacketView::bind(req.offending_packet);
   if (!pkt) {
-    ++counters_.rejected_malformed;
+    counters_.add<&Stats::rejected_malformed>();
     return Result<void>(Errc::malformed, "offending packet unparseable");
   }
 
   // 1. verifyCert(C_EphID_d) against the requester AS's published key.
   const auto requester_as = directory_.lookup(req.dst_cert.aid);
   if (!requester_as) {
-    ++counters_.rejected_bad_cert;
+    counters_.add<&Stats::rejected_bad_cert>();
     return Result<void>(Errc::bad_certificate, "unknown requester AS");
   }
   if (auto ok = req.dst_cert.verify(requester_as->sign_pub, now); !ok) {
-    ++counters_.rejected_bad_cert;
+    counters_.add<&Stats::rejected_bad_cert>();
     return ok;
   }
 
   // 2. verifySig(K+_EphID_d, {pkt}) — requester holds EphID_d's key.
   if (!crypto::ed25519_verify(req.dst_cert.pub.sig, req.offending_packet,
                               req.sig)) {
-    ++counters_.rejected_bad_sig;
+    counters_.add<&Stats::rejected_bad_sig>();
     return Result<void>(Errc::bad_signature, "requester signature invalid");
   }
 
@@ -72,33 +52,33 @@ Result<void> AccountabilityAgent::process(const core::ShutoffRequest& req,
     }
   }
   if (!is_recipient && !is_onpath) {
-    ++counters_.rejected_unauthorized;
+    counters_.add<&Stats::rejected_unauthorized>();
     return Result<void>(Errc::unauthorized,
                         "requester is neither recipient nor on-path AS");
   }
-  if (is_onpath) ++counters_.onpath_accepted;
+  if (is_onpath) counters_.add<&Stats::onpath_accepted>();
 
   // 3. (HID_S, T) = E^-1_kA(EphID_s); T ≥ now; HID_S ∈ host_info.
   core::EphId src_ephid;
   src_ephid.bytes = pkt->src_ephid();
   auto plain = as_.codec.open(src_ephid);
   if (!plain) {
-    ++counters_.rejected_not_our_host;
+    counters_.add<&Stats::rejected_not_our_host>();
     return Result<void>(Errc::decrypt_failed, "source EphID not ours");
   }
   if (plain->exp_time < now) {
-    ++counters_.rejected_not_our_host;
+    counters_.add<&Stats::rejected_not_our_host>();
     return Result<void>(Errc::expired, "source EphID already expired");
   }
   const auto host = as_.host_db.find(plain->hid);
   if (!host) {
-    ++counters_.rejected_not_our_host;
+    counters_.add<&Stats::rejected_not_our_host>();
     return Result<void>(Errc::unknown_host, "source HID not registered");
   }
 
   // 5. verifyMAC(k_HSAS, pkt) — proof our customer actually sent it.
   if (!core::verify_packet_mac(*host->cmac, *pkt)) {
-    ++counters_.rejected_bad_mac;
+    counters_.add<&Stats::rejected_bad_mac>();
     return Result<void>(Errc::bad_mac, "packet not authenticated by source");
   }
 
@@ -106,7 +86,7 @@ Result<void> AccountabilityAgent::process(const core::ShutoffRequest& req,
   if (auto r = instruct_revocation(src_ephid, plain->exp_time, plain->hid); !r)
     return r;
 
-  ++counters_.accepted;
+  counters_.add<&Stats::accepted>();
   return Result<void>::success();
 }
 
@@ -125,7 +105,7 @@ Result<void> AccountabilityAgent::instruct_revocation(const core::EphId& ephid,
   // takes effect.
   if (!as_.infra_mac.verify(instruction, ByteSpan(mac.data(), mac.size())))
     return Result<void>(Errc::internal, "infra MAC self-check failed");
-  ++counters_.revocation_instructions;
+  counters_.add<&Stats::revocation_instructions>();
 
   const std::uint32_t host_count = as_.revoked.revoke_ephid(ephid, exp_time, hid);
   (void)host_count;
@@ -137,7 +117,7 @@ Result<void> AccountabilityAgent::instruct_revocation(const core::EphId& ephid,
     as_.host_db.erase(hid);
     core::emit_revoke_hid(persist_, hid);
     core::emit_host_erase(persist_, hid);
-    ++counters_.hid_escalations;
+    counters_.add<&Stats::hid_escalations>();
   }
   return Result<void>::success();
 }
@@ -146,28 +126,28 @@ Result<void> AccountabilityAgent::process_revoke(
     const core::EphIdRevokeRequest& req, core::ExpTime now) {
   // The certificate must be one WE issued, for exactly this EphID.
   if (req.cert.aid != as_.aid || !(req.cert.ephid == req.ephid)) {
-    ++counters_.rejected_bad_cert;
+    counters_.add<&Stats::rejected_bad_cert>();
     return Result<void>(Errc::bad_certificate, "certificate mismatch");
   }
   if (auto ok = req.cert.verify(as_.secrets.sign.pub, now); !ok) {
-    ++counters_.rejected_bad_cert;
+    counters_.add<&Stats::rejected_bad_cert>();
     return ok;
   }
   // Ownership: signed with the EphID's own key.
   if (!crypto::ed25519_verify(req.cert.pub.sig,
                               core::EphIdRevokeRequest::revoke_tbs(req.ephid),
                               req.sig)) {
-    ++counters_.rejected_bad_sig;
+    counters_.add<&Stats::rejected_bad_sig>();
     return Result<void>(Errc::bad_signature, "revoke signature invalid");
   }
   auto plain = as_.codec.open(req.ephid);
   if (!plain) {
-    ++counters_.rejected_not_our_host;
+    counters_.add<&Stats::rejected_not_our_host>();
     return Result<void>(Errc::decrypt_failed, "EphID not ours");
   }
   if (auto r = instruct_revocation(req.ephid, plain->exp_time, plain->hid); !r)
     return r;
-  ++counters_.voluntary_revocations;
+  counters_.add<&Stats::voluntary_revocations>();
   return Result<void>::success();
 }
 
@@ -177,7 +157,7 @@ Result<void> AccountabilityAgent::enforce_domain_policy(
   if (policy == nullptr) return Result<void>::success();
   std::string matched;
   if (!policy->blocked(name, &matched)) return Result<void>::success();
-  ++counters_.domain_blocks;
+  counters_.add<&Stats::domain_blocks>();
   // Revoke through the same MAC_kAS tail as a granted shutoff request —
   // but only for EphIDs WE issued; a record published under a foreign
   // AS's EphID is blocked at the resolver, not revoked here.
@@ -210,13 +190,13 @@ Result<wire::PacketBuf> AccountabilityAgent::handle_packet(
 
   core::ShutoffResponse resp_msg;
   if (!kind) {
-    ++counters_.rejected_malformed;
+    counters_.add<&Stats::rejected_malformed>();
     resp_msg.status = static_cast<std::uint8_t>(Errc::malformed);
   } else if (*kind ==
              static_cast<std::uint8_t>(core::ShutoffKind::shutoff_request)) {
     auto req = core::ShutoffRequest::decode(r);
     if (!req || !r.done()) {
-      ++counters_.rejected_malformed;
+      counters_.add<&Stats::rejected_malformed>();
       resp_msg.status = static_cast<std::uint8_t>(Errc::malformed);
     } else {
       resp_msg.status =
@@ -226,14 +206,14 @@ Result<wire::PacketBuf> AccountabilityAgent::handle_packet(
              static_cast<std::uint8_t>(core::ShutoffKind::revoke_request)) {
     auto req = core::EphIdRevokeRequest::decode(r);
     if (!req || !r.done()) {
-      ++counters_.rejected_malformed;
+      counters_.add<&Stats::rejected_malformed>();
       resp_msg.status = static_cast<std::uint8_t>(Errc::malformed);
     } else {
       resp_msg.status = static_cast<std::uint8_t>(
           process_revoke(*req, loop_.now_seconds()).code());
     }
   } else {
-    ++counters_.rejected_malformed;
+    counters_.add<&Stats::rejected_malformed>();
     resp_msg.status = static_cast<std::uint8_t>(Errc::malformed);
   }
 

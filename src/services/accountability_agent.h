@@ -19,7 +19,6 @@
 // across M workers.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 
@@ -30,6 +29,7 @@
 #include "persist/sink.h"
 #include "services/service_identity.h"
 #include "services/service_runtime.h"
+#include "util/counters.h"
 #include "wire/packet_buf.h"
 
 namespace apna::services {
@@ -117,7 +117,7 @@ class AccountabilityAgent : public ControlService {
 
   const core::EphIdCertificate& cert() const { return ident_.cert; }
   const ServiceIdentity& identity() const { return ident_; }
-  Stats stats() const;
+  Stats stats() const { return counters_.snapshot(); }
 
  private:
   /// Models "MAC_kAS(revoke EphID_s)" + BR-side verification (Fig 5 tail):
@@ -126,28 +126,13 @@ class AccountabilityAgent : public ControlService {
   Result<void> instruct_revocation(const core::EphId& ephid,
                                    core::ExpTime exp_time, core::Hid hid);
 
-  struct Counters {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected_bad_cert{0};
-    std::atomic<std::uint64_t> rejected_bad_sig{0};
-    std::atomic<std::uint64_t> rejected_unauthorized{0};
-    std::atomic<std::uint64_t> rejected_not_our_host{0};
-    std::atomic<std::uint64_t> rejected_bad_mac{0};
-    std::atomic<std::uint64_t> rejected_malformed{0};
-    std::atomic<std::uint64_t> hid_escalations{0};
-    std::atomic<std::uint64_t> revocation_instructions{0};
-    std::atomic<std::uint64_t> onpath_accepted{0};
-    std::atomic<std::uint64_t> voluntary_revocations{0};
-    std::atomic<std::uint64_t> domain_blocks{0};
-  };
-
   core::AsState& as_;
   const core::AsDirectory& directory_;
   net::EventLoop& loop_;
   ServiceIdentity ident_;
   const DomainPolicy* policy_ = nullptr;  // wired once at AS assembly
   persist::Sink* persist_ = nullptr;      // wired once at AS assembly
-  Counters counters_;
+  util::Counters<Stats> counters_;
 };
 
 }  // namespace apna::services

@@ -23,7 +23,6 @@
 // the zone read (dns/dns_cache.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -35,6 +34,7 @@
 #include "core/messages.h"
 #include "core/sharded.h"
 #include "persist/sink.h"
+#include "util/counters.h"
 
 namespace apna::services {
 
@@ -60,7 +60,7 @@ class DnsZone {
       s.map[rec.name] = rec;
     }
     core::emit_dns_put(persist_, rec);
-    counters_.inserts.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&Stats::inserts>();
     // After the mutation is visible (core/sharded.h contract).
     gens_.bump(core::GenerationTable::hash(rec.name));
   }
@@ -71,10 +71,10 @@ class DnsZone {
     std::lock_guard lock(s.mu);
     auto it = s.map.find(name);
     if (it == s.map.end()) {
-      counters_.misses.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::misses>();
       return std::nullopt;
     }
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&Stats::hits>();
     return it->second;
   }
 
@@ -89,10 +89,10 @@ class DnsZone {
     std::lock_guard lock(s.mu);
     auto it = s.map.find(name);
     if (it == s.map.end()) {
-      counters_.misses.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::misses>();
       return false;
     }
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&Stats::hits>();
     fn(it->second);
     return true;
   }
@@ -106,7 +106,7 @@ class DnsZone {
     }
     if (erased) {
       core::emit_dns_erase(persist_, name);
-      counters_.erases.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&Stats::erases>();
       gens_.bump(core::GenerationTable::hash(name));
     }
     return erased;
@@ -136,14 +136,7 @@ class DnsZone {
     return n;
   }
 
-  Stats stats() const {
-    Stats s;
-    s.hits = counters_.hits.load(std::memory_order_relaxed);
-    s.misses = counters_.misses.load(std::memory_order_relaxed);
-    s.inserts = counters_.inserts.load(std::memory_order_relaxed);
-    s.erases = counters_.erases.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats stats() const { return counters_.snapshot(); }
 
   /// Per-name generations, the mutated name's slot bumped after every
   /// put/erase — the invalidation channel for resolver caches (positive
@@ -165,13 +158,6 @@ class DnsZone {
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<std::string, core::DnsRecord, NameHashFn, NameEqFn> map;
-  };
-
-  struct Counters {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> inserts{0};
-    std::atomic<std::uint64_t> erases{0};
   };
 
   static std::size_t name_hash(std::string_view name) {
@@ -197,7 +183,7 @@ class DnsZone {
   std::size_t mask_;
   std::unique_ptr<Shard[]> shards_;
   persist::Sink* persist_ = nullptr;
-  mutable Counters counters_;  // const lookups still count hits/misses
+  mutable util::Counters<Stats> counters_;  // const lookups count hits/misses
   core::GenerationTable gens_;
 };
 

@@ -13,21 +13,21 @@ Result<void> ManagementService::begin_issue(const core::EphId& ctrl_ephid,
   // (HID, T1) = E^-1_kA(EphID_ctrl); abort if T1 < currTime (Fig 3).
   auto plain = as_.codec.open(ctrl_ephid);
   if (!plain) {
-    ++counters_.rejected_bad_payload;
+    counters_.add<&Stats::rejected_bad_payload>();
     return Result<void>(plain.error());
   }
   if (plain->exp_time < now) {
-    ++counters_.rejected_expired;
+    counters_.add<&Stats::rejected_expired>();
     return Result<void>(Errc::expired, "control EphID expired");
   }
   // abort if HID ∉ host_info (also covers revoked HIDs — they are erased).
   if (as_.revoked.is_hid_revoked(plain->hid)) {
-    ++counters_.rejected_revoked;
+    counters_.add<&Stats::rejected_revoked>();
     return Result<void>(Errc::revoked, "HID revoked");
   }
   auto host = as_.host_db.find(plain->hid);
   if (!host) {
-    ++counters_.rejected_unknown_host;
+    counters_.add<&Stats::rejected_unknown_host>();
     return Result<void>(Errc::unknown_host, "HID not registered");
   }
 
@@ -37,12 +37,12 @@ Result<void> ManagementService::begin_issue(const core::EphId& ctrl_ephid,
   auto payload = core::open_control_into(scratch, host->keys,
                                          /*from_host=*/true, sealed_request);
   if (!payload) {
-    ++counters_.rejected_bad_payload;
+    counters_.add<&Stats::rejected_bad_payload>();
     return Result<void>(payload.error());
   }
   auto request = core::decode_msg<core::EphIdRequest>(*payload);
   if (!request) {
-    ++counters_.rejected_bad_payload;
+    counters_.add<&Stats::rejected_bad_payload>();
     return Result<void>(request.error());
   }
 
@@ -61,7 +61,7 @@ Result<void> ManagementService::finish_issue(const PreparedIssue& prep,
   // Never certify a public key the requester cannot use: the PoP signature
   // proves possession of the new EphID's Ed25519 secret.
   if (!pop_ok) {
-    ++counters_.rejected_bad_pop;
+    counters_.add<&Stats::rejected_bad_pop>();
     return Result<void>(Errc::bad_signature, "EphID proof-of-possession");
   }
   const core::EphIdRequest& request = prep.request;
@@ -91,7 +91,7 @@ Result<void> ManagementService::finish_issue(const PreparedIssue& prep,
   core::seal_control_into(out, prep.host.keys, reply_nonce,
                           /*from_host=*/false, scratch.span());
   core::emit_ephid_issued(persist_, resp.cert.ephid, exp, prep.hid);
-  ++counters_.issued;
+  counters_.add<&Stats::issued>();
   return Result<void>::success();
 }
 

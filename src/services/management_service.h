@@ -9,9 +9,10 @@
 // issue_into() is exactly the per-request server work measured in the
 // paper's MS experiment (§V-A3); bench E1 drives it directly — single
 // threaded and fanned across M workers through services::ServicePool. It
-// is thread-safe: the AS state is sharded/immutable, the counters are
-// atomics, and the caller supplies the rng and the reply nonce (so pooled
-// bursts stay deterministic regardless of worker scheduling).
+// is thread-safe: the AS state is sharded/immutable, the counters are a
+// util::Counters set of relaxed atomics, and the caller supplies the rng
+// and the reply nonce (so pooled bursts stay deterministic regardless of
+// worker scheduling).
 #pragma once
 
 #include <atomic>
@@ -24,6 +25,7 @@
 #include "persist/sink.h"
 #include "services/service_identity.h"
 #include "services/service_runtime.h"
+#include "util/counters.h"
 #include "wire/msg_codec.h"
 #include "wire/packet_buf.h"
 
@@ -142,39 +144,16 @@ class ManagementService : public ControlService {
 
   const core::EphIdCertificate& cert() const { return ident_.cert; }
   const ServiceIdentity& identity() const { return ident_; }
-  Stats stats() const {
-    Stats s;
-    s.issued = counters_.issued.load(std::memory_order_relaxed);
-    s.rejected_expired =
-        counters_.rejected_expired.load(std::memory_order_relaxed);
-    s.rejected_unknown_host =
-        counters_.rejected_unknown_host.load(std::memory_order_relaxed);
-    s.rejected_bad_payload =
-        counters_.rejected_bad_payload.load(std::memory_order_relaxed);
-    s.rejected_revoked =
-        counters_.rejected_revoked.load(std::memory_order_relaxed);
-    s.rejected_bad_pop =
-        counters_.rejected_bad_pop.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats stats() const { return counters_.snapshot(); }
 
  private:
-  struct Counters {
-    std::atomic<std::uint64_t> issued{0};
-    std::atomic<std::uint64_t> rejected_expired{0};
-    std::atomic<std::uint64_t> rejected_unknown_host{0};
-    std::atomic<std::uint64_t> rejected_bad_payload{0};
-    std::atomic<std::uint64_t> rejected_revoked{0};
-    std::atomic<std::uint64_t> rejected_bad_pop{0};
-  };
-
   core::AsState& as_;
   net::EventLoop& loop_;
   crypto::Rng& rng_;
   ServiceIdentity ident_;
   LifetimePolicy policy_;
   persist::Sink* persist_ = nullptr;
-  Counters counters_;
+  util::Counters<Stats> counters_;
   std::atomic<std::uint64_t> reply_nonce_{1};
 };
 

@@ -9,7 +9,7 @@ Result<core::BootstrapResponse> RegistryService::bootstrap(
     const core::BootstrapRequest& req) {
   // "RS authenticates Host" — against the subscriber database.
   if (!subs_.authenticate(req.subscriber_id, req.credential)) {
-    ++counters_.rejected_auth;
+    counters_.add<&Stats::rejected_auth>();
     return Result<core::BootstrapResponse>(Errc::unauthorized,
                                            "subscriber authentication failed");
   }
@@ -26,7 +26,7 @@ Result<core::BootstrapResponse> RegistryService::bootstrap(
     as_.revoked.revoke_hid(old);
     core::emit_host_erase(persist_, old);
     core::emit_revoke_hid(persist_, old);
-    ++counters_.hid_rotations;
+    counters_.add<&Stats::hid_rotations>();
   }
 
   // m1 = E_kA(HID, kHA) to every AS entity — in-process the shared AsState
@@ -38,7 +38,7 @@ Result<core::BootstrapResponse> RegistryService::bootstrap(
   rec.subscriber_id = req.subscriber_id;
   as_.host_db.upsert(rec);
   core::emit_host_upsert(persist_, rec);
-  ++counters_.infra_updates;
+  counters_.add<&Stats::infra_updates>();
 
   // Control EphID with its long lifetime, plus signed id_info.
   core::BootstrapResponse resp;
@@ -51,7 +51,7 @@ Result<core::BootstrapResponse> RegistryService::bootstrap(
   resp.aid = as_.aid;
   resp.aa_ephid = aa_ephid_;
 
-  ++counters_.bootstrapped;
+  counters_.add<&Stats::bootstrapped>();
   return resp;
 }
 

@@ -6,7 +6,6 @@
 // (HID, kHA), and returns the MS/DNS service certificates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "core/as_state.h"
@@ -15,6 +14,7 @@
 #include "net/sim.h"
 #include "persist/sink.h"
 #include "services/subscriber_registry.h"
+#include "util/counters.h"
 
 namespace apna::services {
 
@@ -63,23 +63,9 @@ class RegistryService {
   /// HID allocation, also used for infrastructure identities.
   core::Hid allocate_hid() { return next_hid_++; }
 
-  Stats stats() const {
-    Stats s;
-    s.bootstrapped = counters_.bootstrapped.load(std::memory_order_relaxed);
-    s.rejected_auth = counters_.rejected_auth.load(std::memory_order_relaxed);
-    s.hid_rotations = counters_.hid_rotations.load(std::memory_order_relaxed);
-    s.infra_updates = counters_.infra_updates.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats stats() const { return counters_.snapshot(); }
 
  private:
-  struct Counters {
-    std::atomic<std::uint64_t> bootstrapped{0};
-    std::atomic<std::uint64_t> rejected_auth{0};
-    std::atomic<std::uint64_t> hid_rotations{0};
-    std::atomic<std::uint64_t> infra_updates{0};
-  };
-
   core::AsState& as_;
   SubscriberRegistry& subs_;
   net::EventLoop& loop_;
@@ -90,7 +76,7 @@ class RegistryService {
   core::EphIdCertificate ms_cert_;
   core::EphIdCertificate dns_cert_;
   core::EphId aa_ephid_;
-  Counters counters_;
+  util::Counters<Stats> counters_;
 };
 
 }  // namespace apna::services

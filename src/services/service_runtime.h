@@ -3,8 +3,7 @@
 //
 // The paper's §V-A measures the Management Service as the control-plane
 // bottleneck and parallelizes it across 4 processes; this header is that
-// parallelization as a first-class runtime, mirroring the data plane's
-// router::ForwardingPool (PR 2) on the control side:
+// parallelization as a first-class runtime:
 //
 //  * ControlService   — what an AS-operated broker service IS to the
 //    fabric: an addressable EphID endpoint that turns one inbound control
@@ -16,12 +15,12 @@
 //    owning the destination EphID and forwards replies through the AS
 //    fabric. One instance per AS, event-loop resident.
 //  * ServicePool      — fans bursts of independent control-plane jobs
-//    (EphID issuance, shutoff verification) across M worker threads.
-//    Job results are deterministic and thread-count independent: each
-//    request gets its own counter-derived rng and reply nonce, so a
-//    4-worker pool emits bit-identical responses to a single-threaded
-//    loop (pinned by control_plane_test). Per-worker Stats slots are
-//    merged on read, exactly like ForwardingPool.
+//    (EphID issuance, shutoff verification) across M worker threads on a
+//    util::ChunkPool, kChunkJobs jobs per claimed chunk. Job results are
+//    deterministic and thread-count independent: each request gets its
+//    own counter-derived rng and reply nonce, so a 4-worker pool emits
+//    bit-identical responses to a single-threaded loop (pinned by
+//    control_plane_test). Per-slot counters are summed on read.
 //
 // Threading model (see ARCHITECTURE.md "Concurrency model"): dispatcher on
 // the event loop only; ServicePool::process_* may not be called from two
@@ -30,20 +29,18 @@
 // the M concurrent workers.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/ids.h"
 #include "core/messages.h"
 #include "crypto/rng.h"
+#include "util/chunk_pool.h"
+#include "util/counters.h"
 #include "util/result.h"
 #include "wire/packet_buf.h"
 
@@ -98,44 +95,39 @@ class ServiceDispatcher {
   /// a view of the (owned) buffer, forward the reply. Consumes the packet.
   void dispatch(wire::PacketBuf pkt);
 
-  Stats stats() const;
+  Stats stats() const { return counters_.snapshot(); }
   std::size_t service_count() const { return by_ephid_.size(); }
 
  private:
   std::unordered_map<core::EphId, ControlService*, core::EphIdHash> by_ephid_;
   ReplyFn reply_;
-  struct Counters {
-    std::atomic<std::uint64_t> dispatched{0};
-    std::atomic<std::uint64_t> replies{0};
-    std::atomic<std::uint64_t> unrouted{0};
-    std::atomic<std::uint64_t> service_errors{0};
-  };
-  Counters counters_;
+  util::Counters<Stats> counters_;
 };
 
-/// M-worker pool for bursts of independent control-plane jobs, modeled on
-/// router::ForwardingPool: Config::threads is the TOTAL parallelism
-/// (threads-1 background workers plus the calling thread, which claims
-/// chunks while it waits; threads == 1 degenerates to a plain loop).
+/// M-worker pool for bursts of independent control-plane jobs on a
+/// util::ChunkPool: Config::threads is the TOTAL parallelism (threads-1
+/// background workers plus the calling thread, which claims chunks while
+/// it waits; threads == 1 runs every chunk on the caller).
 class ServicePool {
  public:
   struct Config {
     /// Total processing threads (calling thread included). 0 → one per
     /// hardware thread.
     std::size_t threads = 0;
-    /// Jobs per claim unit. Also the batch width of the per-chunk
-    /// ed25519_verify_batch PoP sweep — the default 16 amortizes the
-    /// shared point doublings across the whole chunk.
-    std::size_t chunk_jobs = 16;
-    /// Base seed for the per-request rngs. Results depend on (seed,
-    /// request index) only — never on worker assignment or thread count.
-    /// Each request gets HmacDrbg(rng_seed, nonce0 + index); each worker
-    /// SLOT additionally owns HmacDrbg(rng_seed, slot) for randomness that
-    /// never surfaces in outputs (batch-verification coefficients).
-    std::uint64_t rng_seed = 0x5eedc0de;
   };
 
-  /// Plain copyable counters, merged across worker slots on read.
+  /// Jobs per claimed chunk. Also the batch width of the per-chunk
+  /// ed25519_verify_batch PoP sweep: 16 amortizes the shared point
+  /// doublings across the whole chunk.
+  static constexpr std::size_t kChunkJobs = 16;
+  /// Base seed of every DRBG the pool instantiates. Request i of a burst
+  /// gets HmacDrbg(kRngSeed, nonce0 + i), so results depend on the request
+  /// index only — never on worker assignment or thread count. Each worker
+  /// SLOT additionally owns HmacDrbg(kRngSeed, slot) for randomness that
+  /// never surfaces in outputs (batch-verification coefficients).
+  static constexpr std::uint64_t kRngSeed = 0x5eedc0de;
+
+  /// Plain copyable counters, summed across worker slots on read.
   struct Stats {
     std::uint64_t issuance_jobs = 0;
     std::uint64_t shutoff_jobs = 0;
@@ -146,7 +138,6 @@ class ServicePool {
   ServicePool(ManagementService& ms, AccountabilityAgent* aa, Config cfg);
   explicit ServicePool(ManagementService& ms)
       : ServicePool(ms, nullptr, Config()) {}
-  ~ServicePool();
 
   ServicePool(const ServicePool&) = delete;
   ServicePool& operator=(const ServicePool&) = delete;
@@ -162,7 +153,7 @@ class ServicePool {
   /// Issues the whole burst across all processing threads; results[i] is
   /// the sealed response (or error) for burst[i]. Blocks until done.
   /// Deterministic: a contiguous block of reply nonces is reserved up
-  /// front and request i uses nonce0+i and HmacDrbg(seed, nonce0+i).
+  /// front and request i uses nonce0+i and HmacDrbg(kRngSeed, nonce0+i).
   void process_issuance(std::span<const IssueJob> burst, core::ExpTime now,
                         std::span<Result<Bytes>> results);
 
@@ -172,52 +163,30 @@ class ServicePool {
                         core::ExpTime now, std::span<Result<void>> results);
 
   Stats stats() const;
-  std::size_t threads() const { return cfg_.threads; }
+  std::size_t threads() const { return pool_.threads(); }
 
  private:
-  enum class JobKind { issuance, shutoff };
-
-  void run_burst(JobKind kind, const void* jobs, std::size_t n, void* results,
-                 core::ExpTime now);
-  void worker_main(std::size_t slot);
-  void drain_chunks(std::size_t slot);
-  void process_chunk(std::size_t slot, std::size_t begin, std::size_t end);
+  /// One chunk of an issuance burst: `jobs` and `results` are the chunk's
+  /// slices, and `nonce0` is the reply nonce of its first request.
+  void issue_chunk(std::size_t slot, std::span<const IssueJob> jobs,
+                   core::ExpTime now, std::uint64_t nonce0,
+                   std::span<Result<Bytes>> results);
 
   struct alignas(64) Slot {
-    mutable std::mutex mu;
-    Stats stats;
+    util::Counters<Stats> stats;
     /// Worker-private DRBG (crypto::HmacDrbg, seeded per slot) for
     /// randomness that must never contend across threads and never shows
     /// up in deterministic outputs: the z coefficients of the chunk PoP
-    /// batch verification. Owned exclusively by this slot's worker while a
-    /// burst runs (crypto_concurrency_test stresses the no-sharing
-    /// invariant under TSan).
+    /// batch verification. Only this slot's thread touches it
+    /// (crypto_concurrency_test stresses the no-sharing invariant under
+    /// TSan).
     std::unique_ptr<crypto::Rng> drbg;
   };
 
   ManagementService& ms_;
   AccountabilityAgent* aa_;
-  Config cfg_;
-
-  // Burst descriptor, guarded by mu_ (same ordering argument as
-  // ForwardingPool: workers observe next_chunk_ < chunks_total_ under mu_
-  // after the descriptor writes).
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  JobKind kind_ = JobKind::issuance;
-  const void* jobs_ = nullptr;
-  std::size_t jobs_n_ = 0;
-  void* results_ = nullptr;
-  core::ExpTime now_ = 0;
-  std::uint64_t nonce0_ = 0;
-  std::size_t next_chunk_ = 0;
-  std::size_t chunks_done_ = 0;
-  std::size_t chunks_total_ = 0;
-  bool stop_ = false;
-
-  std::unique_ptr<Slot[]> slots_;
-  std::vector<std::thread> workers_;
+  std::vector<Slot> slots_;
+  util::ChunkPool pool_;  // after slots_: destroyed (workers joined) first
 };
 
 }  // namespace apna::services

@@ -355,7 +355,6 @@ TEST(ServicePool, PooledIssuanceIsDeterministicVsSingleThreaded) {
     Fixture f;
     services::ServicePool::Config cfg;
     cfg.threads = threads;
-    cfg.chunk_jobs = 8;
     services::ServicePool pool(f.ms, &f.aa, cfg);
 
     const auto requests = f.make_requests(kN, 1);
@@ -398,10 +397,9 @@ TEST(ServicePool, MixedValidAndInvalidRequests) {
   Fixture f;
   services::ServicePool::Config cfg;
   cfg.threads = 4;
-  cfg.chunk_jobs = 4;
   services::ServicePool pool(f.ms, nullptr, cfg);
 
-  constexpr std::size_t kN = 32;
+  constexpr std::size_t kN = 3 * services::ServicePool::kChunkJobs;
   auto requests = f.make_requests(kN, 1);
   std::vector<services::ServicePool::IssueJob> jobs(kN);
   for (std::size_t i = 0; i < kN; ++i) {
@@ -422,22 +420,28 @@ TEST(ServicePool, MixedValidAndInvalidRequests) {
   EXPECT_EQ(f.ms.stats().rejected_bad_payload, kN / 4);
 }
 
-TEST(ServicePool, PooledIssuanceIsChunkSizeInvariant) {
-  // chunk_jobs is also the ed25519_verify_batch PoP width; sweeping it must
-  // not change a single output byte (the batch-vs-scalar equivalence
-  // contract, observed end to end through the pool).
+TEST(ServicePool, PooledIssuanceIsBurstSplitInvariant) {
+  // The same 48 requests issued as bursts of 1, 17 and 48 batch-verify
+  // their PoP signatures 1, 16+1 and 16×3 at a time; not one output byte
+  // may differ (the batch-vs-scalar equivalence contract, observed end to
+  // end through the pool). Consecutive bursts reserve consecutive reply
+  // nonces, so request i gets the same nonce under every split.
   constexpr std::size_t kN = 48;
-  auto run = [&](std::size_t chunk) {
+  static_assert(services::ServicePool::kChunkJobs == 16);
+  auto run = [&](std::size_t burst) {
     Fixture f;
     services::ServicePool::Config cfg;
     cfg.threads = 2;
-    cfg.chunk_jobs = chunk;
     services::ServicePool pool(f.ms, nullptr, cfg);
     const auto requests = f.make_requests(kN, 1);
     std::vector<services::ServicePool::IssueJob> jobs(kN);
     for (std::size_t i = 0; i < kN; ++i) jobs[i] = {f.ctrl, requests[i]};
     std::vector<Result<Bytes>> results(kN, Result<Bytes>(Errc::internal));
-    pool.process_issuance(jobs, f.loop.now_seconds(), results);
+    for (std::size_t i = 0; i < kN; i += burst) {
+      const std::size_t n = std::min(burst, kN - i);
+      pool.process_issuance(std::span(jobs).subspan(i, n), f.loop.now_seconds(),
+                            std::span(results).subspan(i, n));
+    }
     std::vector<Bytes> out;
     for (auto& r : results) {
       EXPECT_TRUE(r.ok());
@@ -445,12 +449,12 @@ TEST(ServicePool, PooledIssuanceIsChunkSizeInvariant) {
     }
     return out;
   };
-  const auto chunk1 = run(1);   // every batch degenerates to one signature
-  const auto chunk16 = run(16);
-  const auto chunk64 = run(64);  // one batch spans the whole burst
+  const auto single = run(1);  // every batch degenerates to one signature
+  const auto split = run(17);  // bursts of 17: a 16-wide and a 1-wide batch
+  const auto whole = run(kN);  // one burst of three full chunks
   for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(chunk1[i], chunk16[i]) << i;
-    EXPECT_EQ(chunk16[i], chunk64[i]) << i;
+    EXPECT_EQ(single[i], split[i]) << i;
+    EXPECT_EQ(split[i], whole[i]) << i;
   }
 }
 
@@ -462,10 +466,9 @@ TEST(ServicePool, BadPopInChunkRejectsOnlyThatRequest) {
   Fixture f;
   services::ServicePool::Config cfg;
   cfg.threads = 2;
-  cfg.chunk_jobs = 16;
   services::ServicePool pool(f.ms, nullptr, cfg);
 
-  constexpr std::size_t kN = 16;
+  constexpr std::size_t kN = 3 * services::ServicePool::kChunkJobs;
   std::vector<Bytes> requests;
   for (std::size_t i = 0; i < kN; ++i) {
     auto kp = core::EphIdKeyPair::generate(f.rng);
@@ -514,17 +517,33 @@ TEST(ServicePool, PooledShutoffVerification) {
   victim_cert.aa_ephid = as_b.codec.issue(1, f.loop.now_seconds() + 900, rng_b);
   victim_cert.sign_with(as_b.secrets.sign);
 
-  const auto host_rec = f.as.host_db.find(f.hid);
-  ASSERT_TRUE(host_rec.has_value());
+  // Attacker hosts: the fixture's host plus three more bootstrapped ones.
+  constexpr std::size_t kHosts = 4;
+  std::vector<core::Hid> hids{f.hid};
+  for (std::uint64_t sub = 2; hids.size() < kHosts; ++sub) {
+    f.subs.add_subscriber(sub, to_bytes("pw"));
+    core::BootstrapRequest breq;
+    breq.subscriber_id = sub;
+    breq.credential = to_bytes("pw");
+    breq.host_pub = crypto::X25519KeyPair::generate(f.rng).pub;
+    auto resp = f.rs.bootstrap(breq);
+    ASSERT_TRUE(resp.ok());
+    hids.push_back(resp->hid);
+  }
 
-  // One offending packet per attacker EphID (per-flow granularity). Stay
-  // below the §VIII-G2 escalation limit (16 revocations erase the HID).
-  constexpr std::size_t kN = 12;
+  // One offending packet per attacker EphID (per-flow granularity), three
+  // chunks' worth, spread over the hosts so each stays below the §VIII-G2
+  // escalation limit (16 revocations erase the HID).
+  constexpr std::size_t kN = 3 * services::ServicePool::kChunkJobs;
+  static_assert(kN / kHosts < 16);
   std::vector<core::ShutoffRequest> reqs(kN);
   std::vector<core::EphId> attacker_ephids(kN);
   for (std::size_t i = 0; i < kN; ++i) {
+    const core::Hid hid = hids[i % kHosts];
+    const auto host_rec = f.as.host_db.find(hid);
+    ASSERT_TRUE(host_rec.has_value());
     attacker_ephids[i] =
-        f.as.codec.issue(f.hid, f.loop.now_seconds() + 900, f.rng);
+        f.as.codec.issue(hid, f.loop.now_seconds() + 900, f.rng);
     wire::Packet pkt;
     pkt.src_aid = f.as.aid;
     pkt.src_ephid = attacker_ephids[i].bytes;
@@ -542,7 +561,6 @@ TEST(ServicePool, PooledShutoffVerification) {
 
   services::ServicePool::Config cfg;
   cfg.threads = 4;
-  cfg.chunk_jobs = 4;
   services::ServicePool pool(f.ms, &f.aa, cfg);
   std::vector<Result<void>> results(kN);
   pool.process_shutoffs(reqs, f.loop.now_seconds(), results);
@@ -557,6 +575,7 @@ TEST(ServicePool, PooledShutoffVerification) {
   EXPECT_EQ(pool.stats().failed_jobs, 1u);
   EXPECT_EQ(f.aa.stats().accepted, kN - 1);
   EXPECT_EQ(f.aa.stats().rejected_bad_sig, 1u);
+  EXPECT_EQ(f.aa.stats().hid_escalations, 0u);
 }
 
 // ---- Lifecycle-manager planning (host/ephid_pool.h) -------------------------

@@ -3,8 +3,8 @@
 // policy (the TSan target) and, once the writers stop, answering exactly
 // the zone; a same-name handoff (a lookup that starts after a put returned
 // never sees the old record); plus ResolverPool determinism — pooled
-// answers must match a sequential pass and per-slot stats must merge to
-// the burst totals.
+// answers must match a sequential pass, and the resolver's own counters
+// must account for every pooled lookup.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -169,7 +169,7 @@ TEST(DnsConcurrency, ReaderAfterPutReturnedNeverSeesOldRecord) {
   EXPECT_EQ(resolver.resolve(name, 1).record.ipv4, kPuts);
 }
 
-TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndMergesStats) {
+TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndCountsEveryLookup) {
   services::DnsZone zone;
   net::EventLoop loop;
   Resolver::Config cfg;
@@ -188,12 +188,13 @@ TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndMergesStats) {
     names.push_back(nth_name(i % kNames));
     expected.push_back(reference.resolve(names.back(), /*now=*/1));
   }
+  // 1024 names: 16 chunks across 4 threads.
+  ASSERT_GE(names.size(), 3 * ResolverPool::kChunk);
 
   Resolver pooled(zone, loop, cfg);
   pooled.policy().block("host13.zone.example");
   ResolverPool::Config pool_cfg;
   pool_cfg.threads = 4;
-  pool_cfg.chunk = 32;
   ResolverPool pool(pooled, pool_cfg);
   std::vector<Resolver::Answer> out(names.size());
   pool.process_lookups(names, /*now=*/1, out);
@@ -206,19 +207,20 @@ TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndMergesStats) {
     }
   }
 
-  // Per-slot stats merge to the burst totals.
-  const auto ps = pool.stats();
-  EXPECT_EQ(ps.lookups, names.size());
+  // The resolver's counters account for every pooled lookup: each one
+  // ends in exactly one outcome.
+  const auto rs = pooled.stats();
+  EXPECT_EQ(rs.lookups, names.size());
   std::size_t ok = 0, nx = 0, blocked = 0;
   for (const auto& a : out) {
     ok += a.status == Resolver::Status::ok;
     nx += a.status == Resolver::Status::nxdomain;
     blocked += a.status == Resolver::Status::blocked;
   }
-  EXPECT_EQ(ps.ok, ok);
-  EXPECT_EQ(ps.nxdomain, nx);
-  EXPECT_EQ(ps.blocked, blocked);
-  EXPECT_EQ(ps.ok + ps.nxdomain + ps.blocked, names.size());
+  EXPECT_EQ(rs.cache_hits + rs.zone_hits, ok);
+  EXPECT_EQ(rs.negative_hits + rs.nxdomain, nx);
+  EXPECT_EQ(rs.policy_blocked, blocked);
+  EXPECT_EQ(ok + nx + blocked, names.size());
 
   // A second burst through the same pool reuses the warm cache and still
   // matches (cached ≡ uncached).
@@ -226,7 +228,8 @@ TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndMergesStats) {
   pool.process_lookups(names, /*now=*/1, out2);
   for (std::size_t i = 0; i < names.size(); ++i)
     EXPECT_EQ(out2[i].status, expected[i].status) << names[i];
-  EXPECT_GT(pool.stats().cache_hits, 0u);
+  EXPECT_EQ(pooled.stats().lookups, 2 * names.size());
+  EXPECT_GT(pooled.stats().cache_hits, rs.cache_hits);
 }
 
 }  // namespace
