@@ -3,7 +3,8 @@
 // One checked-in hex vector per wire type — the 14 control messages of
 // core/messages.h, the EphID certificate, the DNS forwarding frames (ok
 // and NXDOMAIN answers) and one sealed Fig 3 control payload — in the
-// style of crypto_kat_test. The vectors are the wire format that journals,
+// style of crypto_kat_test. Session data frames (§IV-D) are pinned by a
+// SHA-256 digest per AEAD suite. The vectors are the wire format that journals,
 // snapshots and scenario digests already on disk were written in, so a
 // codec change that moves a single byte fails here. Each vector pins four
 // things:
@@ -17,6 +18,8 @@
 #include <type_traits>
 
 #include "core/messages.h"
+#include "core/session.h"
+#include "crypto/sha2.h"
 #include "dns/dns_wire.h"
 #include "util/hex.h"
 
@@ -335,6 +338,11 @@ constexpr std::string_view kSealedControl =
     "034078b6cb03c90aeb6a19e7b414d3a7bd563bdca7d1ece8270d473882ea42ba"
     "2817293897f2a4b1c40b1d46aa11ff884428e7baca4be7f14e48ec412ea6c974"
     "b70bfcbd7ac171fc336d5662f5998dc499c1eb69a6a26c1edcfc";
+// SHA-256 digests of the session frames that SessionFrameDigests seals.
+constexpr std::string_view kSessionFramesChaCha =
+    "7ea96bcf9efc9a7ac2d1fcd3c2b65d435e82d8926e411fb33b784c4b8ea651b0";
+constexpr std::string_view kSessionFramesEtm =
+    "6e3a3a059e0e4d122890f3b597fa5fa6654befde7a618ef645e15d1361e00fdb";
 
 // ---- Checks -----------------------------------------------------------------
 
@@ -432,6 +440,45 @@ TEST(CodecGolden, SealedControlPayload) {
   Bytes longer = golden;
   longer.push_back(0x00);
   EXPECT_FALSE(core::open_control(keys, true, longer).ok());
+}
+
+TEST(CodecGolden, SessionFrameDigests) {
+  // SHA-256 over the session frames (u64 counter ‖ ciphertext ‖ tag) of
+  // both suites: per plaintext length a fresh session seals it at counters
+  // 0 and 1, and the peer session opens both. Key pairs and EphIDs come
+  // from fixed seeds; plaintext byte i is (31·i + length) mod 256.
+  const core::EphIdKeyPair a_kp =
+      core::EphIdKeyPair::from_seed(ramp_bytes<32>(0x11));
+  const core::EphIdKeyPair b_kp =
+      core::EphIdKeyPair::from_seed(ramp_bytes<32>(0x51));
+  const core::EphId a_eph = ephid(0x91);
+  const core::EphId b_eph = ephid(0xB1);
+  const std::pair<crypto::AeadSuite, std::string_view> suites[] = {
+      {crypto::AeadSuite::chacha20_poly1305, kSessionFramesChaCha},
+      {crypto::AeadSuite::aes128_ctr_cmac, kSessionFramesEtm},
+  };
+  for (const auto& [suite, want] : suites) {
+    crypto::Sha256 digest;
+    for (const std::size_t len : {0, 52, 436, 1442}) {
+      auto tx = core::Session::derive(a_kp, a_eph, b_kp.pub.dh, b_eph, suite,
+                                      /*initiator=*/true);
+      auto rx = core::Session::derive(b_kp, b_eph, a_kp.pub.dh, a_eph, suite,
+                                      /*initiator=*/false);
+      Bytes pt(len);
+      for (std::size_t i = 0; i < len; ++i)
+        pt[i] = static_cast<std::uint8_t>(31 * i + len);
+      for (int counter = 0; counter < 2; ++counter) {
+        const Bytes frame = tx.seal(pt);
+        ASSERT_EQ(frame.size(), 8 + len + crypto::Aead::kTagSize);
+        digest.update(frame);
+        auto opened = rx.open(frame);
+        ASSERT_TRUE(opened.ok()) << crypto::aead_suite_name(suite) << " " << len;
+        EXPECT_EQ(*opened, pt);
+      }
+    }
+    EXPECT_EQ(hex_encode(digest.finish()), want)
+        << crypto::aead_suite_name(suite);
+  }
 }
 
 }  // namespace

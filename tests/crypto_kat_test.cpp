@@ -3,7 +3,10 @@
 // Sources:
 //   SHA-256 / SHA-512 — FIPS 180-4 (NIST CAVP example messages)
 //   HMAC-SHA256       — RFC 4231 test cases 1-4, 6, 7
-//   ChaCha20/Poly1305 — RFC 8439 §2.3.2, §2.4.2, §2.5.2, §2.8.2
+//   ChaCha20/Poly1305 — RFC 8439 §2.3.2, §2.4.2, §2.5.2, §2.8.2 and the
+//                       Poly1305 edge cases of Appendix A.3; vectors at
+//                       the ChaCha kernel stride edges and at Poly1305's
+//                       limb maxima, generated with OpenSSL (see below)
 //   AES-128           — FIPS 197 Appendix B / C.1 (both backends)
 //   X25519            — RFC 7748 §5.2 and §6.1
 //   Ed25519           — RFC 8032 §7.1 tests 1-3
@@ -14,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -198,6 +202,166 @@ TEST(ChaCha20Poly1305Kat, AeadRfc8439_282) {
   Bytes tampered = sealed;
   tampered.back() ^= 0x01;
   EXPECT_FALSE(aead.open(nonce, aad, tampered).has_value());
+}
+
+// The vectors below were produced once with the Python `cryptography`
+// package 48.0.0 over OpenSSL 4.0.0, an implementation independent of this
+// repo:
+//
+//   import hashlib
+//   from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+//   from cryptography.hazmat.primitives.poly1305 import Poly1305
+//   key, nonce = bytes(range(32)), bytes.fromhex("000000000001020304050607")
+//   for n in [0, 1, 15, 16, 17, 63, 64, 65, 191, 192, 193, 447, 448, 449,
+//             1442]:
+//       for a in (0, 48):
+//           pt = bytes((7 * i + 3) & 0xff for i in range(n))
+//           aad = bytes((0xa0 + i) & 0xff for i in range(a))
+//           sealed = ChaCha20Poly1305(key).encrypt(nonce, pt, aad)
+//           print(n, a, hashlib.sha256(sealed).hexdigest())
+//   pkey = bytes.fromhex("ffffff0ffcffff0ffcffff0ffcffff0f") + b"\xff" * 16
+//   for n in [0, 1, 15, 16, 17, 31, 32, 33, 64, 100, 256, 1000]:
+//       print(n, Poly1305.generate_tag(pkey, b"\xff" * n).hex())
+//   # plus Poly1305.generate_tag(key, msg) for RFC 8439 A.3 #5-#11.
+
+TEST(ChaCha20Poly1305Kat, KernelStrideLengthsMatchOpenSsl) {
+  // SHA-256 of ciphertext ‖ tag. The lengths straddle the keystream
+  // strides: one block, the SSE2 head (Poly1305 key + 192 data bytes) and
+  // the AVX2 head (key + 448), each with and without 48 bytes of aad.
+  struct Vector {
+    std::size_t pt_len;
+    std::size_t aad_len;
+    const char* sealed_sha256;
+  };
+  const Vector vecs[] = {
+      {0, 0, "91c347ff6908c0501c2df0185365ec4309f418a253096c6f9c39d381c7ce9ed8"},
+      {0, 48, "577f9941b654b247246eff43c8885e2a861dc69c0f21667fd0c22cc8ab10b1cb"},
+      {1, 0, "4b5c70d0237491899d6c3111865bb9df3172754c7bbd5bf907b5dcaa11f0f940"},
+      {1, 48, "0ff6b88bd6ae75cf1dda301fd3929501e953ed0007f5c4dc31aaa05c013f408a"},
+      {15, 0, "ba316f7466c539000a9bbe4b49bd0a7bc24ab44b79a329465c46097a2d6284b3"},
+      {15, 48, "d2101d929cdd64ea419338373306e23d6ac4e2e0cf12d74b01c5f3fca3d25fde"},
+      {16, 0, "c4f97b39c82d8724c9512404fd7557ad8d728a3d1c8f6ee692bb5162deeeb5a3"},
+      {16, 48, "1cc126f26ad4068a00699f63f9f173eb41ebab760888ca9c99cf60ac5c4fadb4"},
+      {17, 0, "0e739fbe9cace3205e5bcb84dd34697f1c3ffd980f035ae2a1f32ae886c4bfe9"},
+      {17, 48, "798557ec7f22c420809ff8ad8933a0d88e5d7879d76d7488a47467098a5156d8"},
+      {63, 0, "60243053859671b074b9261f375e8b655c203d89e49c892d1a19c202f4951fc1"},
+      {63, 48, "e37470702befc08acff6f94109ec356cbf97680c9c11144b88d7cac2748baabd"},
+      {64, 0, "1a37d17e385100a7657863e75bef6baddff9a27ed59ad4d4404841b808609e32"},
+      {64, 48, "257fd8fd2c1f89a558c4b993a56949eabc25e74e6ab2b7cb59736efdb20e6128"},
+      {65, 0, "1bc5d84ffbcc703edf09b11e56bc7a0abcd89d02ad02a9c6d70d2cd86227ebc5"},
+      {65, 48, "ae6b178464ada3acb58bd88f8158a951693c7b454ef9bd6052d2808f56148cd9"},
+      {191, 0, "88db72cbeef128d3414b813fbc1e9de892b461de48dc011bc0f18a39ef5198b3"},
+      {191, 48, "3970108988a099a9c9bf8b52b1bf1b782c8cc2677dd570b4535fb7b6b29aa8ad"},
+      {192, 0, "e04874cf9480a5473ce2ee9d7c3b1cb19560c9108e644ddf9e5d9c3ea3fad92d"},
+      {192, 48, "14e02ac84c9069c2780f6e4b8faec47d69b9038dfad5940d6502ecc4a85bfcd5"},
+      {193, 0, "35e0a9ef36721296610cb57b8e53d036561ae2ae2d9762bae4a52e193a5943c6"},
+      {193, 48, "cd9652a493ed216b55673039e8bf5f60fdc3df9615feb72bbeb3cb847f083d87"},
+      {447, 0, "4ecd0fcaebda64d7c615a6eedf319328c8c37b88c5158d1296abf6299222f79b"},
+      {447, 48, "dc8f35a6af42291aa19a1877255a186f0a586189d92a28921ce719610ee38d61"},
+      {448, 0, "d42e883062ecd6cc6379ead049de227bddb96bab750c68931c4557e7979126a4"},
+      {448, 48, "02f4f53217cca5f1d35992409a036ef1621d0df19d39be7c3c72f9d6c0a9ae8d"},
+      {449, 0, "1a40d9c09b825d57ff9704c787b2fabfa3270c07e7e272365ab697ea673f0b22"},
+      {449, 48, "b82163bd41296c54a303a37916a58f56c0c59d4efda702d4cdd9e321f5308ba5"},
+      {1442, 0, "5775195f1b55b67fdb903010d2b60523274e50488c85ac766b125c9add74342f"},
+      {1442, 48, "df85be81d8452bbee04b2702bdb15a450bb9a310dbc0a899624d75d9799cdf9d"},
+  };
+  Bytes key(32);
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(i);
+  const Bytes nonce = must_hex("000000000001020304050607");
+  const apna::crypto::ChaCha20Poly1305 aead(key);
+  for (const Vector& v : vecs) {
+    Bytes pt(v.pt_len), aad(v.aad_len);
+    for (std::size_t i = 0; i < pt.size(); ++i)
+      pt[i] = static_cast<std::uint8_t>(7 * i + 3);
+    for (std::size_t i = 0; i < aad.size(); ++i)
+      aad[i] = static_cast<std::uint8_t>(0xa0 + i);
+    const Bytes sealed = aead.seal(nonce, aad, pt);
+    ASSERT_EQ(sealed.size(), pt.size() + 16);
+    EXPECT_EQ(hex_encode(apna::crypto::Sha256::hash(sealed)), v.sealed_sha256)
+        << "pt " << v.pt_len << " aad " << v.aad_len;
+    auto opened = aead.open(nonce, aad, sealed);
+    ASSERT_TRUE(opened.has_value()) << "pt " << v.pt_len << " aad " << v.aad_len;
+    EXPECT_EQ(*opened, pt);
+  }
+}
+
+TEST(Poly1305Kat, AllOnesAtClampedMaximaMatchOpenSsl) {
+  // r and s at their largest clamped values and messages of all-0xff
+  // bytes: every limb of every absorbed block sits at its maximum, so
+  // each carry chain runs full length.
+  const auto key = must_hex_array<32>(
+      "ffffff0ffcffff0ffcffff0ffcffff0fffffffffffffffffffffffffffffffff");
+  const std::pair<std::size_t, const char*> vecs[] = {
+      {0, "ffffffffffffffffffffffffffffffff"},
+      {1, "23feffef23f8ffef23f8ffef23f8ffef"},
+      {15, "fbff27e6030028e6030028e6030028ee"},
+      {16, "fbffff17faffff17faffff17faffff17"},
+      {17, "7cfe7ff768f81f2763f8bf565df85f86"},
+      {31, "5400a8ed4800481d4300e84c3d008884"},
+      {32, "5400801f3f00204f3900c07e330060ae"},
+      {33, "86fa6a437bf4ec24a274504dc37495bc"},
+      {64, "900fe32bc15fa8d7bca8efe4c7e37eb1"},
+      {100, "b99c030d7ce939bb6607393e68656f22"},
+      {256, "c30c8c6a3af35fc6645a7e3a51df3f04"},
+      {1000, "de9406b10e7023bcd692ff687f4cbc7f"},
+  };
+  for (const auto& [len, tag] : vecs)
+    EXPECT_EQ(hex_encode(apna::crypto::poly1305(key.data(), Bytes(len, 0xff))),
+              tag)
+        << "len " << len;
+}
+
+TEST(Poly1305Kat, Rfc8439AppendixA3EdgeCases) {
+  // Test vectors #5-#11: #5 leaves h = 2^130 - 2 before the final select,
+  // #9 leaves 2^130 - 6 (just below p), #6 overflows h + s mod 2^128, and
+  // #10/#11 stress the 5·H + L reduction.
+  struct {
+    const char* key;
+    const char* msg;
+    const char* tag;
+  } vecs[] = {
+      {"02000000000000000000000000000000"
+       "00000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff",
+       "03000000000000000000000000000000"},
+      {"02000000000000000000000000000000"
+       "ffffffffffffffffffffffffffffffff",
+       "02000000000000000000000000000000",
+       "03000000000000000000000000000000"},
+      {"01000000000000000000000000000000"
+       "00000000000000000000000000000000",
+       "fffffffffffffffffffffffffffffffff0ffffffffffffffffffffffffffffff"
+       "11000000000000000000000000000000",
+       "05000000000000000000000000000000"},
+      {"01000000000000000000000000000000"
+       "00000000000000000000000000000000",
+       "fffffffffffffffffffffffffffffffffbfefefefefefefefefefefefefefefe"
+       "01010101010101010101010101010101",
+       "00000000000000000000000000000000"},
+      {"02000000000000000000000000000000"
+       "00000000000000000000000000000000",
+       "fdffffffffffffffffffffffffffffff",
+       "faffffffffffffffffffffffffffffff"},
+      {"01000000000000000400000000000000"
+       "00000000000000000000000000000000",
+       "e33594d7505e43b900000000000000003394d7505e4379cd0100000000000000"
+       "0000000000000000000000000000000001000000000000000000000000000000",
+       "14000000000000005500000000000000"},
+      {"01000000000000000400000000000000"
+       "00000000000000000000000000000000",
+       "e33594d7505e43b900000000000000003394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000",
+       "13000000000000000000000000000000"},
+  };
+  int number = 5;
+  for (const auto& v : vecs) {
+    const auto key = must_hex_array<32>(v.key);
+    EXPECT_EQ(hex_encode(apna::crypto::poly1305(key.data(), must_hex(v.msg))),
+              v.tag)
+        << "RFC 8439 A.3 #" << number;
+    ++number;
+  }
 }
 
 // ---------------------------------------------------------------- AES-128 --
