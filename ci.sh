@@ -74,13 +74,17 @@ find src -name '*.h' -print0 |
 # instead of the next benchmark run. Every workload runs for 1 s, untraced
 # and traced, and must keep its output checks and zero gates.
 python3 perfbench/selftest.py
-# Forced-soft crypto leg, explicitly in Release: re-run the KAT suite with
-# the backend capped to the portable C implementation. The wide SIMD tiers
-# are equivalence-tested against soft in-process; this run is the converse
-# guard — the soft fallback itself must stay correct on a host (or cap)
-# without AES-NI/AVX2/VAES, where it IS the production path.
-APNA_CRYPTO_BACKEND=soft ctest --test-dir build-ci --output-on-failure \
-  -R '^crypto_kat_test$'
+# Forced-cap crypto runs, explicitly in Release: re-run the KAT and
+# property suites with the backend capped, once at `soft` (portable C AES,
+# scalar ChaCha blocks) and once at `aesni` (AES-NI, 4-way SSE2 ChaCha).
+# On an AVX2 host the uncapped run only ever takes the 8-way ChaCha kernel,
+# so these two runs are what exercise the SSE2 and scalar paths, frame
+# head and tail alike, where a host without AVX2 (or without AES-NI) runs
+# them in production.
+for cap in soft aesni; do
+  APNA_CRYPTO_BACKEND=${cap} ctest --test-dir build-ci --output-on-failure \
+    -R '^crypto_(kat|property)_test$'
+done
 
 run_config sanitize -DCMAKE_BUILD_TYPE=Debug -DAPNA_SANITIZE=ON -DAPNA_WERROR=ON
 

@@ -2,6 +2,7 @@
 // checks complementing the KATs in crypto_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "crypto/aead.h"
@@ -512,28 +513,91 @@ TEST(BackendTiers, ChaChaWideKernelsMatchScalarBlocks) {
 }
 
 TEST(BackendTiers, ChaChaXcryptMatchesScalarReferenceAcrossLengths) {
-  // chacha20_xcrypt internally mixes 8/4/1-block strides; every length
-  // around the stride boundaries must equal the scalar XOR reference.
+  // chacha20_xcrypt mixes 8-, 4- and 1-block strides; every length around
+  // the stride boundaries, including 2-7-block tails after a full 8-block
+  // stride (576, 640, 960 B), must equal the scalar XOR reference from
+  // any start counter, across the 32-bit counter wrap too.
   ChaChaRng rng(818);
   const Bytes key = rng.bytes(32);
   const Bytes nonce = rng.bytes(12);
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
-        std::size_t{65}, std::size_t{255}, std::size_t{256}, std::size_t{257},
-        std::size_t{511}, std::size_t{512}, std::size_t{513},
-        std::size_t{1337}}) {
-    const Bytes pt = rng.bytes(len);
-    Bytes want(len);
-    std::uint8_t block[64];
-    for (std::size_t off = 0; off < len; off += 64) {
-      chacha20_block(key.data(), 1 + static_cast<std::uint32_t>(off / 64),
-                     nonce.data(), block);
-      for (std::size_t i = off; i < std::min(len, off + 64); ++i)
-        want[i] = static_cast<std::uint8_t>(pt[i] ^ block[i - off]);
+  for (const std::uint32_t counter : {1u, 9u, 0xfffffffcu}) {
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, std::size_t{128}, std::size_t{255},
+          std::size_t{256}, std::size_t{257}, std::size_t{448},
+          std::size_t{511}, std::size_t{512}, std::size_t{513},
+          std::size_t{576}, std::size_t{640}, std::size_t{960},
+          std::size_t{1337}}) {
+      const Bytes pt = rng.bytes(len);
+      Bytes want(len);
+      std::uint8_t block[64];
+      for (std::size_t off = 0; off < len; off += 64) {
+        chacha20_block(key.data(),
+                       counter + static_cast<std::uint32_t>(off / 64),
+                       nonce.data(), block);
+        for (std::size_t i = off; i < std::min(len, off + 64); ++i)
+          want[i] = static_cast<std::uint8_t>(pt[i] ^ block[i - off]);
+      }
+      Bytes got(len);
+      chacha20_xcrypt(key.data(), counter, nonce.data(), pt, got);
+      EXPECT_EQ(hex_encode(got), hex_encode(want))
+          << "counter=" << counter << " len=" << len;
     }
-    Bytes got(len);
-    chacha20_xcrypt(key.data(), 1, nonce.data(), pt, got);
-    EXPECT_EQ(hex_encode(got), hex_encode(want)) << "len=" << len;
+  }
+}
+
+/// RFC 8439 §2.8 composed from the production chacha20_block and one-shot
+/// poly1305: ciphertext ‖ tag.
+Bytes reference_chacha20_poly1305(ByteSpan key, ByteSpan nonce, ByteSpan aad,
+                                  ByteSpan pt) {
+  std::uint8_t block[64];
+  chacha20_block(key.data(), 0, nonce.data(), block);
+  std::uint8_t otk[32];
+  std::memcpy(otk, block, 32);
+  Bytes out(pt.size());
+  for (std::size_t off = 0; off < pt.size(); off += 64) {
+    chacha20_block(key.data(), 1 + static_cast<std::uint32_t>(off / 64),
+                   nonce.data(), block);
+    for (std::size_t i = off; i < std::min(pt.size(), off + 64); ++i)
+      out[i] = static_cast<std::uint8_t>(pt[i] ^ block[i - off]);
+  }
+  auto pad16 = [](Bytes& b) { b.resize((b.size() + 15) / 16 * 16, 0); };
+  Bytes mac_data(aad.begin(), aad.end());
+  pad16(mac_data);
+  append(mac_data, out);
+  pad16(mac_data);
+  std::uint8_t lens[16];
+  store_le64(lens, aad.size());
+  store_le64(lens + 8, pt.size());
+  append(mac_data, ByteSpan(lens, 16));
+  const auto tag = poly1305(otk, mac_data);
+  append(out, tag);
+  return out;
+}
+
+TEST(BackendTiers, ChaCha20Poly1305MatchesComposedReferenceAtEveryLength) {
+  // Seal and open at the running ChaCha cap (APNA_CRYPTO_BACKEND; ci.sh
+  // runs this suite under soft and aesni too) against the composed
+  // reference, at every plaintext length 0-1100 with 0 and 48 B of aad.
+  ChaChaRng rng(919);
+  const Bytes key = rng.bytes(32);
+  const ChaCha20Poly1305 aead(key);
+  const Bytes msg = rng.bytes(1100);
+  const Bytes aad48 = rng.bytes(48);
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    for (const ByteSpan aad : {ByteSpan{}, ByteSpan(aad48)}) {
+      const Bytes nonce = rng.bytes(12);
+      const ByteSpan pt(msg.data(), len);
+      const Bytes want = reference_chacha20_poly1305(key, nonce, aad, pt);
+      const Bytes sealed = aead.seal(nonce, aad, pt);
+      ASSERT_EQ(hex_encode(sealed), hex_encode(want))
+          << "len=" << len << " aad=" << aad.size();
+      auto opened = aead.open(nonce, aad, want);
+      ASSERT_TRUE(opened.has_value()) << "len=" << len << " aad=" << aad.size();
+      ASSERT_TRUE(std::equal(opened->begin(), opened->end(), pt.begin(),
+                             pt.end()))
+          << "len=" << len << " aad=" << aad.size();
+    }
   }
 }
 
