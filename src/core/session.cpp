@@ -59,10 +59,11 @@ Bytes Session::seal(ByteSpan plaintext) {
   const std::uint64_t counter = send_counter_++;
   std::uint8_t nonce[12] = {};
   store_be64(nonce + 4, counter);
-  wire::Writer w(plaintext.size() + 24);
-  w.u64(counter);
-  w.raw(send_->seal(ByteSpan(nonce, 12), {}, plaintext));
-  return w.take();
+  Bytes frame(8 + plaintext.size() + crypto::Aead::kTagSize);
+  store_be64(frame.data(), counter);
+  send_->seal_into(ByteSpan(nonce, 12), {}, plaintext,
+                   MutByteSpan(frame).subspan(8));
+  return frame;
 }
 
 Result<Bytes> Session::open(ByteSpan frame) {
@@ -75,7 +76,7 @@ Result<Bytes> Session::open(ByteSpan frame) {
   if (!pt) return Result<Bytes>(Errc::decrypt_failed, "session frame rejected");
   // Replay check AFTER authentication so attackers cannot poison the window.
   if (auto fresh = recv_window_.accept(*counter); !fresh) return fresh.error();
-  return *pt;
+  return std::move(*pt);
 }
 
 }  // namespace apna::core

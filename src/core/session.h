@@ -9,7 +9,9 @@
 //
 // Wire framing of one encrypted data unit:  u64 counter ‖ AEAD(ct ‖ tag).
 // Direction separation comes from distinct send/recv keys, and a sliding
-// replay window rejects duplicated frames (§VIII-D).
+// replay window rejects duplicated frames (§VIII-D). seal() builds the
+// frame in one buffer and open() hands back the AEAD's plaintext buffer:
+// one heap allocation each (pinned by alloc_count_test).
 #pragma once
 
 #include <cstdint>

@@ -27,7 +27,10 @@ enum class AeadSuite : std::uint8_t {
 const char* aead_suite_name(AeadSuite s);
 
 /// Authenticated encryption with associated data. Stateless w.r.t. nonces:
-/// callers manage nonce uniqueness (sessions use a send counter).
+/// callers manage nonce uniqueness (sessions use a send counter). A suite
+/// implements one seal (seal_into) and one open (open_into) over
+/// caller-owned storage; seal() and open() wrap them with one allocation
+/// each.
 class Aead {
  public:
   static constexpr std::size_t kNonceSize = 12;
@@ -37,14 +40,25 @@ class Aead {
 
   virtual AeadSuite suite() const = 0;
 
-  /// Returns ciphertext ‖ 16-byte tag.
-  virtual Bytes seal(ByteSpan nonce12, ByteSpan aad,
-                     ByteSpan plaintext) const = 0;
+  /// Writes ciphertext ‖ 16-byte tag into `out`, which must be exactly
+  /// plaintext.size() + kTagSize bytes.
+  virtual void seal_into(ByteSpan nonce12, ByteSpan aad, ByteSpan plaintext,
+                         MutByteSpan out) const = 0;
 
-  /// Verifies + decrypts; nullopt on any failure (CCA security: the caller
-  /// learns nothing beyond "invalid").
-  virtual std::optional<Bytes> open(ByteSpan nonce12, ByteSpan aad,
-                                    ByteSpan ciphertext_and_tag) const = 0;
+  /// Verifies, then decrypts into `plaintext_out` (exactly
+  /// ciphertext_and_tag.size() - kTagSize bytes). Returns false, writing
+  /// nothing, on any failure (CCA security: the caller learns nothing
+  /// beyond "invalid").
+  virtual bool open_into(ByteSpan nonce12, ByteSpan aad,
+                         ByteSpan ciphertext_and_tag,
+                         MutByteSpan plaintext_out) const = 0;
+
+  /// Returns ciphertext ‖ 16-byte tag.
+  Bytes seal(ByteSpan nonce12, ByteSpan aad, ByteSpan plaintext) const;
+
+  /// Verifies + decrypts; nullopt on any failure.
+  std::optional<Bytes> open(ByteSpan nonce12, ByteSpan aad,
+                            ByteSpan ciphertext_and_tag) const;
 
   /// Constructs the requested suite from 32 bytes of keying material (AES
   /// suites derive their 16-byte key from it via HKDF).

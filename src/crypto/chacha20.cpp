@@ -159,27 +159,33 @@ std::size_t chacha_lanes() {
   return lanes;
 }
 
+/// Writes keystream blocks counter, counter+1, ... into ks for a run that
+/// still needs `blocks` blocks: one call of the widest kernel when the run
+/// is two blocks or longer, one scalar block otherwise. Returns the number
+/// of blocks written.
+std::size_t keystream(const std::uint8_t key[32], std::uint32_t counter,
+                      const std::uint8_t nonce[12], std::size_t blocks,
+                      std::uint8_t ks[8 * 64]) {
+  const std::size_t lanes = blocks >= 2 ? chacha_lanes() : 1;
+  if (lanes == 8)
+    detail::chacha20_blocks8_avx2(key, counter, nonce, ks);
+  else if (lanes == 4)
+    detail::chacha20_blocks4_sse2(key, counter, nonce, ks);
+  else
+    chacha20_block(key, counter, nonce, ks);
+  return lanes;
+}
+
 }  // namespace
 
 void chacha20_xcrypt(const std::uint8_t key[32], std::uint32_t counter,
                      const std::uint8_t nonce[12], ByteSpan in,
                      MutByteSpan out) {
-  const std::size_t lanes = chacha_lanes();
   std::uint8_t ks[8 * 64];
   std::size_t off = 0;
   while (off < in.size()) {
-    const std::size_t need = (in.size() - off + 63) / 64;
-    std::size_t gen;
-    if (lanes == 8 && need >= 8) {
-      detail::chacha20_blocks8_avx2(key, counter, nonce, ks);
-      gen = 8;
-    } else if (lanes >= 4 && need >= 4) {
-      detail::chacha20_blocks4_sse2(key, counter, nonce, ks);
-      gen = 4;
-    } else {
-      chacha20_block(key, counter, nonce, ks);
-      gen = 1;
-    }
+    const std::size_t gen =
+        keystream(key, counter, nonce, (in.size() - off + 63) / 64, ks);
     counter += static_cast<std::uint32_t>(gen);
     const std::size_t n = std::min(in.size() - off, gen * 64);
     for (std::size_t i = 0; i < n; ++i)
@@ -190,143 +196,135 @@ void chacha20_xcrypt(const std::uint8_t key[32], std::uint32_t counter,
 
 namespace {
 
-/// Incremental Poly1305 accumulator (5 x 26-bit limbs mod 2^130-5), the
-/// shared core of the one-shot poly1305() and the streaming AEAD tag (which
-/// authenticates aad ‖ pad ‖ ct ‖ pad ‖ lens WITHOUT materializing that
-/// concatenation — the allocation-free seal_into/open_into path).
+using u128 = unsigned __int128;
+
+/// Incremental Poly1305 accumulator mod 2^130-5 in three 64-bit limbs of
+/// 44, 44 and 42 bits with 128-bit products (the donna-64 layout fe25519
+/// uses). The shared core of the one-shot poly1305() and the streaming
+/// AEAD tag, which authenticates aad ‖ pad ‖ ct ‖ pad ‖ lens WITHOUT
+/// materializing that concatenation.
 struct Poly1305Core {
-  std::uint32_t r0, r1, r2, r3, r4;
-  std::uint32_t s1, s2, s3, s4;
-  std::uint32_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
+  static constexpr std::uint64_t kMask44 = (std::uint64_t{1} << 44) - 1;
+  static constexpr std::uint64_t kMask42 = (std::uint64_t{1} << 42) - 1;
+
+  std::uint64_t r0, r1, r2;
+  std::uint64_t s1, s2;  // 20·r1, 20·r2: 2^132 ≡ 4·5 (mod 2^130-5)
+  std::uint64_t h0 = 0, h1 = 0, h2 = 0;
 
   explicit Poly1305Core(const std::uint8_t key[32]) {
     // r with RFC 8439 clamping.
-    r0 = load_le32(key + 0) & 0x3ffffff;
-    r1 = (load_le32(key + 3) >> 2) & 0x3ffff03;
-    r2 = (load_le32(key + 6) >> 4) & 0x3ffc0ff;
-    r3 = (load_le32(key + 9) >> 6) & 0x3f03fff;
-    r4 = (load_le32(key + 12) >> 8) & 0x00fffff;
-    s1 = r1 * 5; s2 = r2 * 5; s3 = r3 * 5; s4 = r4 * 5;
+    const std::uint64_t t0 = load_le64(key);
+    const std::uint64_t t1 = load_le64(key + 8);
+    r0 = t0 & 0xffc0fffffff;
+    r1 = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+    r2 = (t1 >> 24) & 0x00ffffffc0f;
+    s1 = r1 * 20;
+    s2 = r2 * 20;
   }
 
-  /// Absorbs one 17-byte padded block (block[n] = 1 marks the 2^(8n) bit;
-  /// bytes beyond it are zero).
-  void absorb(const std::uint8_t block[17]) {
-    h0 += load_le32(block + 0) & 0x3ffffff;
-    h1 += (load_le32(block + 3) >> 2) & 0x3ffffff;
-    h2 += (load_le32(block + 6) >> 4) & 0x3ffffff;
-    h3 += (load_le32(block + 9) >> 6) & 0x3ffffff;
-    h4 += (load_le32(block + 12) >> 8) | (std::uint32_t{block[16]} << 24);
+  /// Absorbs one 16-byte block. `hibit` is 1 for a full block (the 2^128
+  /// bit) and 0 for a short final block the caller padded after its 0x01.
+  void absorb(const std::uint8_t m[16], std::uint64_t hibit) {
+    const std::uint64_t t0 = load_le64(m);
+    const std::uint64_t t1 = load_le64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += (t1 >> 24) | (hibit << 40);
 
-    const std::uint64_t d0 =
-        (std::uint64_t)h0 * r0 + (std::uint64_t)h1 * s4 +
-        (std::uint64_t)h2 * s3 + (std::uint64_t)h3 * s2 +
-        (std::uint64_t)h4 * s1;
-    const std::uint64_t d1 =
-        (std::uint64_t)h0 * r1 + (std::uint64_t)h1 * r0 +
-        (std::uint64_t)h2 * s4 + (std::uint64_t)h3 * s3 +
-        (std::uint64_t)h4 * s2;
-    const std::uint64_t d2 =
-        (std::uint64_t)h0 * r2 + (std::uint64_t)h1 * r1 +
-        (std::uint64_t)h2 * r0 + (std::uint64_t)h3 * s4 +
-        (std::uint64_t)h4 * s3;
-    const std::uint64_t d3 =
-        (std::uint64_t)h0 * r3 + (std::uint64_t)h1 * r2 +
-        (std::uint64_t)h2 * r1 + (std::uint64_t)h3 * r0 +
-        (std::uint64_t)h4 * s4;
-    const std::uint64_t d4 =
-        (std::uint64_t)h0 * r4 + (std::uint64_t)h1 * r3 +
-        (std::uint64_t)h2 * r2 + (std::uint64_t)h3 * r1 +
-        (std::uint64_t)h4 * r0;
+    const u128 d0 = u128{h0} * r0 + u128{h1} * s2 + u128{h2} * s1;
+    u128 d1 = u128{h0} * r1 + u128{h1} * r0 + u128{h2} * s2;
+    u128 d2 = u128{h0} * r2 + u128{h1} * r1 + u128{h2} * r0;
 
-    std::uint64_t c;
-    c = d0 >> 26; h0 = d0 & 0x3ffffff;
-    const std::uint64_t e1 = d1 + c; c = e1 >> 26; h1 = e1 & 0x3ffffff;
-    const std::uint64_t e2 = d2 + c; c = e2 >> 26; h2 = e2 & 0x3ffffff;
-    const std::uint64_t e3 = d3 + c; c = e3 >> 26; h3 = e3 & 0x3ffffff;
-    const std::uint64_t e4 = d4 + c; c = e4 >> 26;
-    h4 = static_cast<std::uint32_t>(e4 & 0x3ffffff);
-    h0 += static_cast<std::uint32_t>(c * 5);
-    h1 += h0 >> 26; h0 &= 0x3ffffff;
-  }
-
-  /// Absorbs one FULL 16-byte block (the 2^128 marker implied) — the AEAD
-  /// mac data is always 16-aligned.
-  void absorb_full(const std::uint8_t block16[16]) {
-    std::uint8_t block[17];
-    std::memcpy(block, block16, 16);
-    block[16] = 1;
-    absorb(block);
+    // Partial reduction; the top carry folds back in times 5.
+    d1 += static_cast<std::uint64_t>(d0 >> 44);
+    h0 = static_cast<std::uint64_t>(d0) & kMask44;
+    d2 += static_cast<std::uint64_t>(d1 >> 44);
+    h1 = static_cast<std::uint64_t>(d1) & kMask44;
+    h2 = static_cast<std::uint64_t>(d2) & kMask42;
+    h0 += static_cast<std::uint64_t>(d2 >> 42) * 5;
+    h1 += h0 >> 44;
+    h0 &= kMask44;
   }
 
   std::array<std::uint8_t, 16> finish(const std::uint8_t key[32]) {
     // Full carry and reduction mod 2^130-5.
-    std::uint32_t c;
-    c = h1 >> 26; h1 &= 0x3ffffff; h2 += c;
-    c = h2 >> 26; h2 &= 0x3ffffff; h3 += c;
-    c = h3 >> 26; h3 &= 0x3ffffff; h4 += c;
-    c = h4 >> 26; h4 &= 0x3ffffff; h0 += c * 5;
-    c = h0 >> 26; h0 &= 0x3ffffff; h1 += c;
+    std::uint64_t c;
+    for (int pass = 0; pass < 2; ++pass) {
+      c = h1 >> 44; h1 &= kMask44; h2 += c;
+      c = h2 >> 42; h2 &= kMask42; h0 += c * 5;
+      c = h0 >> 44; h0 &= kMask44; h1 += c;
+    }
 
-    // Compute h + -p and select.
-    std::uint32_t g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
-    std::uint32_t g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
-    std::uint32_t g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
-    std::uint32_t g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
-    std::uint32_t g4 = h4 + c - (1u << 26);
-
-    const std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
+    // Compute h + -p and select it when h >= p.
+    std::uint64_t g0 = h0 + 5; c = g0 >> 44; g0 &= kMask44;
+    std::uint64_t g1 = h1 + c; c = g1 >> 44; g1 &= kMask44;
+    const std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
+    const std::uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= p
     h0 = (h0 & ~mask) | (g0 & mask);
     h1 = (h1 & ~mask) | (g1 & mask);
     h2 = (h2 & ~mask) | (g2 & mask);
-    h3 = (h3 & ~mask) | (g3 & mask);
-    h4 = (h4 & ~mask) | (g4 & mask);
 
-    // h = h % 2^128, then add s = key[16..32].
-    std::uint64_t f0 = (std::uint64_t)(h0 | (h1 << 26)) + load_le32(key + 16);
-    std::uint64_t f1 =
-        (std::uint64_t)((h1 >> 6) | (h2 << 20)) + load_le32(key + 20);
-    std::uint64_t f2 =
-        (std::uint64_t)((h2 >> 12) | (h3 << 14)) + load_le32(key + 24);
-    std::uint64_t f3 =
-        (std::uint64_t)((h3 >> 18) | (h4 << 8)) + load_le32(key + 28);
-    f1 += f0 >> 32;
-    f2 += f1 >> 32;
-    f3 += f2 >> 32;
+    // tag = (h + s) mod 2^128, s = key[16..32).
+    const std::uint64_t t0 = load_le64(key + 16);
+    const std::uint64_t t1 = load_le64(key + 24);
+    h0 += t0 & kMask44; c = h0 >> 44; h0 &= kMask44;
+    h1 += (((t0 >> 44) | (t1 << 20)) & kMask44) + c; c = h1 >> 44;
+    h1 &= kMask44;
+    h2 += (t1 >> 24) + c;
 
     std::array<std::uint8_t, 16> tag;
-    store_le32(tag.data() + 0, static_cast<std::uint32_t>(f0));
-    store_le32(tag.data() + 4, static_cast<std::uint32_t>(f1));
-    store_le32(tag.data() + 8, static_cast<std::uint32_t>(f2));
-    store_le32(tag.data() + 12, static_cast<std::uint32_t>(f3));
+    store_le64(tag.data(), h0 | (h1 << 44));
+    store_le64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
     return tag;
   }
 };
 
-/// Streams a span into the core at 16-byte granularity with zero padding
-/// to the next block boundary (the RFC 8439 AEAD layout) — no
-/// concatenation buffer.
-void aead_absorb_padded(Poly1305Core& core, ByteSpan data) {
+/// Streams a span into the core at 16-byte granularity. A short final
+/// block is zero-padded: as a full block in the RFC 8439 AEAD layout
+/// (`aead_pad`), after a 0x01 marker byte for the one-shot MAC.
+void absorb_span(Poly1305Core& core, ByteSpan data, bool aead_pad) {
   std::size_t off = 0;
-  for (; off + 16 <= data.size(); off += 16) core.absorb_full(data.data() + off);
-  if (off < data.size()) {
-    std::uint8_t block[16] = {};
-    std::memcpy(block, data.data() + off, data.size() - off);
-    core.absorb_full(block);
-  }
+  for (; off + 16 <= data.size(); off += 16) core.absorb(data.data() + off, 1);
+  if (off == data.size()) return;
+  std::uint8_t block[16] = {};
+  std::memcpy(block, data.data() + off, data.size() - off);
+  if (!aead_pad) block[data.size() - off] = 1;  // the 2^(8·n) bit
+  core.absorb(block, aead_pad ? 1 : 0);
 }
 
 /// The RFC 8439 §2.8 tag over aad ‖ pad ‖ ct ‖ pad ‖ len(aad) ‖ len(ct).
 std::array<std::uint8_t, 16> aead_tag(const std::uint8_t otk[32], ByteSpan aad,
                                       ByteSpan ct) {
   Poly1305Core core(otk);
-  aead_absorb_padded(core, aad);
-  aead_absorb_padded(core, ct);
+  absorb_span(core, aad, /*aead_pad=*/true);
+  absorb_span(core, ct, /*aead_pad=*/true);
   std::uint8_t lens[16];
   store_le64(lens, aad.size());
   store_le64(lens + 8, ct.size());
-  core.absorb_full(lens);
+  core.absorb(lens, 1);
   return core.finish(otk);
+}
+
+/// Frame head: RFC 8439's block 0 (the Poly1305 key, ks[0..32)) and the
+/// first data blocks from ONE kernel call — up to 448 data bytes on AVX2,
+/// 192 on SSE2, none on the scalar tier. Returns how many of the `len`
+/// data bytes the head's keystream (ks + 64) covers.
+std::size_t aead_head(const std::uint8_t key[32], const std::uint8_t nonce[12],
+                      std::size_t len, std::uint8_t ks[8 * 64]) {
+  const std::size_t blocks = keystream(key, 0, nonce, 1 + (len + 63) / 64, ks);
+  return std::min(len, 64 * (blocks - 1));
+}
+
+/// XORs `in` with the data keystream: the head's first `head` bytes, then
+/// chacha20_xcrypt from the next block (head is a whole number of blocks
+/// whenever anything is left).
+void aead_xcrypt(const std::uint8_t key[32], const std::uint8_t nonce[12],
+                 const std::uint8_t ks[8 * 64], std::size_t head, ByteSpan in,
+                 MutByteSpan out) {
+  for (std::size_t i = 0; i < head; ++i)
+    out[i] = static_cast<std::uint8_t>(in[i] ^ ks[64 + i]);
+  chacha20_xcrypt(key, static_cast<std::uint32_t>(1 + head / 64), nonce,
+                  in.subspan(head), out.subspan(head));
 }
 
 }  // namespace
@@ -334,15 +332,7 @@ std::array<std::uint8_t, 16> aead_tag(const std::uint8_t otk[32], ByteSpan aad,
 std::array<std::uint8_t, 16> poly1305(const std::uint8_t key[32],
                                       ByteSpan msg) {
   Poly1305Core core(key);
-  std::size_t off = 0;
-  while (off < msg.size()) {
-    const std::size_t n = std::min<std::size_t>(16, msg.size() - off);
-    std::uint8_t block[17] = {};
-    std::memcpy(block, msg.data() + off, n);
-    block[n] = 1;  // the 2^(8*n) bit
-    core.absorb(block);
-    off += n;
-  }
+  absorb_span(core, msg, /*aead_pad=*/false);
   return core.finish(key);
 }
 
@@ -352,13 +342,12 @@ ChaCha20Poly1305::ChaCha20Poly1305(ByteSpan key32) {
 
 void ChaCha20Poly1305::seal_into(ByteSpan nonce, ByteSpan aad,
                                  ByteSpan plaintext, MutByteSpan out) const {
-  std::uint8_t otk[64];
-  chacha20_block(key_.data(), 0, nonce.data(), otk);
-
-  chacha20_xcrypt(key_.data(), 1, nonce.data(), plaintext,
-                  MutByteSpan(out.data(), plaintext.size()));
-  const auto tag =
-      aead_tag(otk, aad, ByteSpan(out.data(), plaintext.size()));
+  std::uint8_t ks[8 * 64];
+  const std::size_t head =
+      aead_head(key_.data(), nonce.data(), plaintext.size(), ks);
+  const MutByteSpan ct = out.first(plaintext.size());
+  aead_xcrypt(key_.data(), nonce.data(), ks, head, plaintext, ct);
+  const auto tag = aead_tag(ks, aad, ct);
   std::memcpy(out.data() + plaintext.size(), tag.data(), kTagSize);
 }
 
@@ -371,29 +360,11 @@ bool ChaCha20Poly1305::open_into(ByteSpan nonce, ByteSpan aad,
   ByteSpan ct = ciphertext_and_tag.subspan(0, ct_len);
   ByteSpan tag = ciphertext_and_tag.subspan(ct_len);
 
-  std::uint8_t otk[64];
-  chacha20_block(key_.data(), 0, nonce.data(), otk);
-  const auto expect = aead_tag(otk, aad, ct);
-  if (!ct_equal(expect, tag)) return false;
-
-  chacha20_xcrypt(key_.data(), 1, nonce.data(), ct, plaintext_out);
+  std::uint8_t ks[8 * 64];
+  const std::size_t head = aead_head(key_.data(), nonce.data(), ct_len, ks);
+  if (!ct_equal(aead_tag(ks, aad, ct), tag)) return false;
+  aead_xcrypt(key_.data(), nonce.data(), ks, head, ct, plaintext_out);
   return true;
-}
-
-Bytes ChaCha20Poly1305::seal(ByteSpan nonce, ByteSpan aad,
-                             ByteSpan plaintext) const {
-  Bytes out(plaintext.size() + kTagSize);
-  seal_into(nonce, aad, plaintext, out);
-  return out;
-}
-
-std::optional<Bytes> ChaCha20Poly1305::open(ByteSpan nonce, ByteSpan aad,
-                                            ByteSpan ciphertext_and_tag) const {
-  if (nonce.size() != kNonceSize) return std::nullopt;
-  if (ciphertext_and_tag.size() < kTagSize) return std::nullopt;
-  Bytes pt(ciphertext_and_tag.size() - kTagSize);
-  if (!open_into(nonce, aad, ciphertext_and_tag, pt)) return std::nullopt;
-  return pt;
 }
 
 }  // namespace apna::crypto

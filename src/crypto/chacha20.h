@@ -9,8 +9,8 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 
+#include "crypto/aead.h"
 #include "util/bytes.h"
 
 namespace apna::crypto {
@@ -21,12 +21,13 @@ void chacha20_block(const std::uint8_t key[32], std::uint32_t counter,
                     const std::uint8_t nonce[12], std::uint8_t out[64]);
 
 /// XORs `in` with the ChaCha20 keystream starting at block `counter`.
-/// Internally generates keystream multiple blocks at a time (8-way AVX2 /
-/// 4-way SSE2, vertical vectorization: one register lane per block), picked
-/// at first use by cpuid and capped by APNA_CRYPTO_BACKEND — `soft` forces
-/// the scalar block loop, `aesni` caps at SSE2. Output is bit-identical to
-/// the scalar chacha20_block sequence on every tier (pinned by
-/// crypto_property_test).
+/// Every remaining run of two or more blocks takes one call of the widest
+/// kernel (8-way AVX2 / 4-way SSE2, vertical vectorization: one register
+/// lane per block), a lone last block the scalar block function. The tier
+/// is picked at first use by cpuid and capped by APNA_CRYPTO_BACKEND —
+/// `soft` forces the scalar block loop, `aesni` caps at SSE2. Output is
+/// bit-identical to the scalar chacha20_block sequence on every tier
+/// (pinned by crypto_property_test).
 void chacha20_xcrypt(const std::uint8_t key[32], std::uint32_t counter,
                      const std::uint8_t nonce[12], ByteSpan in,
                      MutByteSpan out);
@@ -51,34 +52,22 @@ void chacha20_blocks8_avx2(const std::uint8_t key[32], std::uint32_t counter,
 std::array<std::uint8_t, 16> poly1305(const std::uint8_t key[32], ByteSpan msg);
 
 /// ChaCha20-Poly1305 AEAD (RFC 8439 §2.8): 32-byte key, 12-byte nonce,
-/// 16-byte tag.
-class ChaCha20Poly1305 {
+/// 16-byte tag. The chacha20_poly1305 Aead suite; the control-plane seal
+/// paths also build it on the stack (core/messages.cpp). One call of the
+/// widest ChaCha kernel yields a frame's head: block 0, whose first 32
+/// bytes are the Poly1305 key, and the first data blocks (448 bytes on
+/// AVX2, 192 on SSE2). chacha20_xcrypt continues from there.
+class ChaCha20Poly1305 final : public Aead {
  public:
   static constexpr std::size_t kKeySize = 32;
-  static constexpr std::size_t kNonceSize = 12;
-  static constexpr std::size_t kTagSize = 16;
 
   explicit ChaCha20Poly1305(ByteSpan key32);
 
-  /// Returns ciphertext ‖ tag.
-  Bytes seal(ByteSpan nonce, ByteSpan aad, ByteSpan plaintext) const;
-
-  /// Verifies and decrypts; nullopt on failure.
-  std::optional<Bytes> open(ByteSpan nonce, ByteSpan aad,
-                            ByteSpan ciphertext_and_tag) const;
-
-  /// Allocation-free form: writes ciphertext ‖ tag into `out`, which must
-  /// be exactly plaintext.size() + kTagSize bytes (callers reserve the
-  /// space in pooled storage — the control-plane hot paths). Byte output
-  /// is identical to seal().
+  AeadSuite suite() const override { return AeadSuite::chacha20_poly1305; }
   void seal_into(ByteSpan nonce, ByteSpan aad, ByteSpan plaintext,
-                 MutByteSpan out) const;
-
-  /// Allocation-free open: verifies and decrypts into `plaintext_out`
-  /// (exactly ciphertext_and_tag.size() - kTagSize bytes). Returns false —
-  /// writing nothing — on any authentication failure.
+                 MutByteSpan out) const override;
   bool open_into(ByteSpan nonce, ByteSpan aad, ByteSpan ciphertext_and_tag,
-                 MutByteSpan plaintext_out) const;
+                 MutByteSpan plaintext_out) const override;
 
  private:
   std::array<std::uint8_t, 32> key_;

@@ -9,11 +9,15 @@
 // to_owned() deep copies (the audited control-plane-only copy point).
 // Dropping a packet on any Fig 4 abort arm is held to the same zero.
 //
+// A host's session seal and open are held to exactly one allocation per
+// frame (the frame, the plaintext).
+//
 // Runs in the Release leg of ci.sh so a copy/allocation regression fails
 // CI, not just the benchmark.
 #include <gtest/gtest.h>
 
 #include "core/packet_auth.h"
+#include "core/session.h"
 #include "router/border_router.h"
 #include "router/forwarding_pool.h"
 #include "util/alloc_count_hook.h"
@@ -276,6 +280,43 @@ TEST(ZeroAlloc, DropArmsSteadyState) {
   for (int i = 0; i < kRounds; ++i) run_simulator();
   EXPECT_EQ(util::heap_alloc_count() - allocs0, 0u) << "on_outgoing";
   expect_every_arm(br->stats());
+}
+
+TEST(HostAlloc, SessionSealAndOpenOneAllocationPerFrame) {
+  // §IV-D's per-packet session AEAD: after warm-up, seal() builds counter ‖
+  // ciphertext ‖ tag in one buffer and open() returns the one plaintext
+  // buffer the AEAD filled, on both suites and at the plaintext sizes of
+  // 128 / 512 / 1518 B frames.
+  crypto::ChaChaRng rng(4242);
+  const auto a_kp = core::EphIdKeyPair::generate(rng);
+  const auto b_kp = core::EphIdKeyPair::generate(rng);
+  core::EphId a_eph, b_eph;
+  rng.fill(MutByteSpan(a_eph.bytes.data(), 16));
+  rng.fill(MutByteSpan(b_eph.bytes.data(), 16));
+  for (const auto suite : {crypto::AeadSuite::chacha20_poly1305,
+                           crypto::AeadSuite::aes128_ctr_cmac}) {
+    auto tx = core::Session::derive(a_kp, a_eph, b_kp.pub.dh, b_eph, suite,
+                                    /*initiator=*/true);
+    auto rx = core::Session::derive(b_kp, b_eph, a_kp.pub.dh, a_eph, suite,
+                                    /*initiator=*/false);
+    for (const std::size_t len : {52u, 436u, 1442u}) {
+      const Bytes pt = rng.bytes(len);
+      for (int i = 0; i < 4; ++i) ASSERT_TRUE(rx.open(tx.seal(pt)).ok());
+      for (int i = 0; i < 32; ++i) {
+        std::uint64_t allocs0 = util::heap_alloc_count();
+        const Bytes frame = tx.seal(pt);
+        const std::uint64_t seal_allocs = util::heap_alloc_count() - allocs0;
+        allocs0 = util::heap_alloc_count();
+        auto opened = rx.open(frame);
+        const std::uint64_t open_allocs = util::heap_alloc_count() - allocs0;
+        ASSERT_TRUE(opened.ok());
+        EXPECT_EQ(seal_allocs, 1u)
+            << crypto::aead_suite_name(suite) << " seal " << len;
+        EXPECT_EQ(open_allocs, 1u)
+            << crypto::aead_suite_name(suite) << " open " << len;
+      }
+    }
+  }
 }
 
 }  // namespace
