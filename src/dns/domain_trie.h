@@ -25,19 +25,39 @@
 
 namespace apna::dns {
 
+/// Steps through a dotted name's labels right-to-left without copying or
+/// allocating ("a.evil.com" → "com", "evil", "a"). Empty labels are
+/// skipped — callers validate canonical form upstream (dns_wire.h
+/// validate_name).
+class ReverseLabels {
+ public:
+  explicit ReverseLabels(std::string_view name)
+      : name_(name), end_(name.size()) {}
+
+  /// The next label, or an empty view once the name is exhausted.
+  std::string_view next() {
+    while (end_ > 0) {
+      const std::size_t dot = name_.rfind('.', end_ - 1);
+      const std::size_t start = (dot == std::string_view::npos) ? 0 : dot + 1;
+      const std::string_view label = name_.substr(start, end_ - start);
+      end_ = (dot == std::string_view::npos) ? 0 : dot;
+      if (!label.empty()) return label;
+    }
+    return {};
+  }
+
+ private:
+  std::string_view name_;
+  std::size_t end_;
+};
+
 /// Splits a dotted name into labels, right-to-left ("a.evil.com" →
-/// ["com", "evil", "a"]). Empty labels are dropped — callers validate
-/// canonical form upstream (dns_wire.h validate_name).
+/// ["com", "evil", "a"]); the ReverseLabels sequence as a vector.
 inline std::vector<std::string_view> reversed_labels(std::string_view name) {
   std::vector<std::string_view> out;
-  std::size_t end = name.size();
-  while (end > 0) {
-    std::size_t dot = name.rfind('.', end - 1);
-    const std::size_t start = (dot == std::string_view::npos) ? 0 : dot + 1;
-    if (end > start) out.push_back(name.substr(start, end - start));
-    if (start == 0) break;
-    end = dot;
-  }
+  ReverseLabels labels(name);
+  for (std::string_view l = labels.next(); !l.empty(); l = labels.next())
+    out.push_back(l);
   return out;
 }
 
@@ -72,23 +92,23 @@ class DomainTrie {
 
   /// Longest-suffix match: the deepest rule at `name` or any parent
   /// domain, or nullptr. When matched, `*matched_domain` (if non-null)
-  /// receives the rule's domain.
+  /// receives the rule's domain. Walks the name's labels in place: the
+  /// lookup path allocates nothing.
   const V* match(std::string_view name,
                  std::string* matched_domain = nullptr) const {
     const Node* best = nullptr;
     std::uint32_t node = 0;
-    const auto labels = reversed_labels(name);
-    std::size_t i = 0;
-    while (i < labels.size()) {
-      const std::uint32_t child = find_child(node, labels[i]);
+    ReverseLabels labels(name);
+    std::string_view label = labels.next();
+    while (!label.empty()) {
+      const std::uint32_t child = find_child(node, label);
       if (child == kNone) break;
       const Node& c = nodes_[child];
       // The whole (possibly multi-label) edge must match.
       std::size_t e = 0;
-      for (; e < c.edge.size() && i + e < labels.size(); ++e)
-        if (c.edge[e] != labels[i + e]) break;
+      for (; e < c.edge.size() && !label.empty() && c.edge[e] == label; ++e)
+        label = labels.next();
       if (e < c.edge.size()) break;  // partial edge — no rule at/below here
-      i += e;
       if (c.value) best = &c;
       node = child;
     }

@@ -89,10 +89,21 @@ bool Resolver::resolve_local(std::string_view name, core::ExpTime now,
 
 Resolver::Answer Resolver::resolve(std::string_view name, core::ExpTime now) {
   Answer a;
+  resolve_into(name, now, a);
+  return a;
+}
+
+void Resolver::resolve_into(std::string_view name, core::ExpTime now,
+                            Answer& out) {
   std::string canon;
   std::uint64_t gen = 0;
-  resolve_local(name, now, /*authoritative=*/true, canon, gen, a);
-  return a;
+  resolve_local(name, now, /*authoritative=*/true, canon, gen, out);
+  if (out.status != Status::ok) {
+    out.record.name.clear();
+    out.record.cert = {};
+    out.record.ipv4 = 0;
+    out.record.sig = {};
+  }
 }
 
 void Resolver::resolve_async(std::string_view name, AnswerFn done) {
@@ -293,7 +304,7 @@ void ResolverPool::process_lookups(std::span<const std::string> names,
   pool_.run(names.size(), kChunk,
             [&](std::size_t, std::size_t begin, std::size_t end) {
               for (std::size_t j = begin; j < end; ++j)
-                out[j] = resolver_.resolve(names[j], now);
+                resolver_.resolve_into(names[j], now, out[j]);
             });
 }
 

@@ -181,9 +181,14 @@ class Resolver {
         cache_(cfg.cache, zone.generations()) {}
 
   /// Synchronous, authoritative-mode lookup: policy → cache → zone; a zone
-  /// miss is a cacheable NXDOMAIN. Thread-safe — this is the path
-  /// ResolverPool fans out.
+  /// miss is a cacheable NXDOMAIN. Thread-safe.
   Answer resolve(std::string_view name, core::ExpTime now);
+
+  /// resolve() into a caller-owned answer, the path ResolverPool fans out:
+  /// the record's name keeps its capacity, so a cache hit on a reused
+  /// answer allocates nothing. A non-ok answer leaves a default record
+  /// (with that capacity).
+  void resolve_into(std::string_view name, core::ExpTime now, Answer& out);
 
   /// Async lookup: same as resolve() until the zone misses; then, with an
   /// upstream wired, forwards and answers via `done` when the response or

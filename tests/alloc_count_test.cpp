@@ -9,17 +9,22 @@
 // to_owned() deep copies (the audited control-plane-only copy point).
 // Dropping a packet on any Fig 4 abort arm is held to the same zero.
 //
-// A host's session seal and open are held to exactly one allocation per
-// frame (the frame, the plaintext).
+// Two off-router paths are held to a count as well: a host's session seal
+// and open make exactly one allocation per frame (the frame, the
+// plaintext), and a ResolverPool burst over cached names makes none.
 //
 // Runs in the Release leg of ci.sh so a copy/allocation regression fails
 // CI, not just the benchmark.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/packet_auth.h"
 #include "core/session.h"
+#include "dns/resolver.h"
 #include "router/border_router.h"
 #include "router/forwarding_pool.h"
+#include "services/dns_zone.h"
 #include "util/alloc_count_hook.h"
 
 namespace apna::router {
@@ -315,6 +320,41 @@ TEST(HostAlloc, SessionSealAndOpenOneAllocationPerFrame) {
         EXPECT_EQ(open_allocs, 1u)
             << crypto::aead_suite_name(suite) << " open " << len;
       }
+    }
+  }
+}
+
+TEST(DnsAlloc, ResolverPoolCachedBurstAllocatesNothing) {
+  // With no policy rules, a burst over cached canonical names (positive
+  // and negative answers) reuses each answer's record storage: the second
+  // burst makes no heap allocation at all.
+  services::DnsZone zone;
+  net::EventLoop loop;
+  dns::Resolver::Config cfg;
+  cfg.cache.capacity = 1 << 12;
+  dns::Resolver resolver(zone, loop, cfg);
+  std::vector<std::string> names;
+  for (std::uint32_t i = 0; i < 512; ++i) {
+    names.push_back("h" + std::to_string(i) + ".svc.apna.example");
+    if (i % 8 == 7) continue;  // NXDOMAIN: cached negative
+    core::DnsRecord rec;
+    rec.name = names.back();
+    rec.ipv4 = i + 1;
+    zone.put(rec);
+  }
+  dns::ResolverPool pool(resolver, dns::ResolverPool::Config{2});
+  std::vector<dns::Resolver::Answer> out(names.size());
+  pool.process_lookups(names, /*now=*/1, out);
+
+  const std::uint64_t allocs0 = util::heap_alloc_count();
+  pool.process_lookups(names, /*now=*/1, out);
+  EXPECT_EQ(util::heap_alloc_count() - allocs0, 0u);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i % 8 == 7) {
+      EXPECT_EQ(out[i].source, dns::Resolver::Source::negative_cache);
+    } else {
+      EXPECT_EQ(out[i].source, dns::Resolver::Source::cache);
+      EXPECT_EQ(out[i].record.name, names[i]);
     }
   }
 }
