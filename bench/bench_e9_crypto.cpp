@@ -11,7 +11,9 @@
 //   * ChaCha20: the wide keystream path (8-way AVX2 / 4-way SSE2 behind
 //     chacha20_xcrypt) against the scalar block function, plus the
 //     ChaCha20-Poly1305 issuance AEAD end to end.
-//   * The two CCA-secure payload suites (§IV-A) at MTU size.
+//   * The two CCA-secure payload suites (§IV-A) at MTU size, and per host
+//     frame: Session::seal and open (§IV-D) at the plaintext sizes of
+//     perfbench's 128 / 512 / 1518 B frames.
 //   * Ed25519: sign, scalar verify, and ed25519_verify_batch at the
 //     ServicePool chunk widths — the shared-doubling speedup the MS
 //     cert-chain check amortizes (Fig 3) — plus width 1, what paced
@@ -32,12 +34,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/ephid.h"
+#include "core/session.h"
 #include "crypto/aead.h"
 #include "crypto/aes.h"
 #include "crypto/chacha20.h"
@@ -233,6 +237,63 @@ int main(int argc, char** argv) {
     aead_rows.push_back(row);
   }
 
+  // ---- Session frames (§IV-D): one host data packet each way ------------------
+  // 52 / 436 / 1442 B of plaintext fill perfbench's 128 / 512 / 1518 B
+  // frames. open() rejects a replayed frame, so every round seals a fresh
+  // batch, then opens it in order; the fastest round counts.
+  struct SessionRow {
+    const char* suite;
+    std::uint64_t plaintext_bytes;
+    double seal_ns;
+    double open_ns;
+  };
+  std::vector<SessionRow> session_rows;
+  std::printf("\nSession frames (Session::seal / open, ns per frame):\n");
+  std::printf("%24s %10s %10s %10s\n", "suite", "plaintext", "seal", "open");
+  {
+    ChaChaRng srng(o.seed + 1);
+    const auto a_kp = core::EphIdKeyPair::generate(srng);
+    const auto b_kp = core::EphIdKeyPair::generate(srng);
+    core::EphId a_eph, b_eph;
+    srng.fill(a_eph.bytes);
+    srng.fill(b_eph.bytes);
+    const std::size_t batch = o.smoke ? 64 : 2048;
+    const int rounds = o.smoke ? 2 : 12;
+    std::vector<Bytes> frames(batch);
+    for (const auto suite :
+         {AeadSuite::aes128_ctr_cmac, AeadSuite::chacha20_poly1305}) {
+      for (const std::size_t len : {52u, 436u, 1442u}) {
+        auto tx = core::Session::derive(a_kp, a_eph, b_kp.pub.dh, b_eph, suite,
+                                        /*initiator=*/true);
+        auto rx = core::Session::derive(b_kp, b_eph, a_kp.pub.dh, a_eph, suite,
+                                        /*initiator=*/false);
+        const Bytes pt = srng.bytes(len);
+        SessionRow row{aead_suite_name(suite), len,
+                       std::numeric_limits<double>::max(),
+                       std::numeric_limits<double>::max()};
+        for (int r = 0; r < rounds; ++r) {
+          const auto t0 = bench::Clock::now();
+          for (Bytes& f : frames) f = tx.seal(pt);
+          const auto t1 = bench::Clock::now();
+          for (const Bytes& f : frames)
+            if (!rx.open(f).ok()) fatal("session frame did not open");
+          const auto t2 = bench::Clock::now();
+          const double n = static_cast<double>(batch);
+          row.seal_ns = std::min(
+              row.seal_ns,
+              std::chrono::duration<double, std::nano>(t1 - t0).count() / n);
+          row.open_ns = std::min(
+              row.open_ns,
+              std::chrono::duration<double, std::nano>(t2 - t1).count() / n);
+        }
+        std::printf("%24s %10llu %10.0f %10.0f\n", row.suite,
+                    static_cast<unsigned long long>(row.plaintext_bytes),
+                    row.seal_ns, row.open_ns);
+        session_rows.push_back(row);
+      }
+    }
+  }
+
   // ---- Ed25519: scalar vs batch at the ServicePool chunk widths --------------
   auto kp = Ed25519KeyPair::generate(rng);
   const Bytes msg137 = rng.bytes(137);  // ~certificate TBS size
@@ -356,6 +417,16 @@ int main(int argc, char** argv) {
       json.field("suite", r.suite);
       json.field("seal_mb_s", r.seal_mbps, 1);
       json.field("open_mb_s", r.open_mbps, 1);
+      json.end_object();
+    }
+    json.end_array();
+    json.begin_array("session_frames");
+    for (const auto& r : session_rows) {
+      json.begin_object();
+      json.field("suite", r.suite);
+      json.field("plaintext_bytes", r.plaintext_bytes);
+      json.field("seal_ns", r.seal_ns, 0);
+      json.field("open_ns", r.open_ns, 0);
       json.end_object();
     }
     json.end_array();
