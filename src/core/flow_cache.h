@@ -10,8 +10,9 @@
 // per-packet by design (§IV-D2), so an entry carries a borrowed pointer to
 // the host's pre-scheduled kHA CMAC instead.
 //
-// Concurrency model: one FlowCache per worker thread, no locks, no
-// cross-thread sharing (router::ForwardingPool gives each slot its own).
+// Concurrency model: no internal locks; one user at a time
+// (router::ForwardingPool gives each steered ring its own, touched only
+// under the ring's lock by whichever thread runs the ring).
 // Coherence with the shared AS state is EPOCH-BASED: AsState owns a
 // VerdictEpoch whose generation is bumped by every mutation that can turn a
 // cached pass into a drop (EphID/HID revocation, host de-registration or
@@ -63,8 +64,8 @@ class FlowCache {
     std::uint64_t stale_gen = 0;   // of misses: entry existed, epoch moved on
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;   // insertion displaced a live entry
-    /// EphIDs currently cached by MORE than one worker (each extra copy
-    /// counts one). A single cache always reports 0 — the field is filled
+    /// EphIDs currently cached by MORE than one ring's cache (each extra
+    /// copy counts one). A single cache always reports 0 — the field is filled
     /// by router::ForwardingPool::flow_cache_stats() on the merged view,
     /// where duplicates measure steering quality: flow-hash steering
     /// (core/flow_steer.h) drives this to zero.

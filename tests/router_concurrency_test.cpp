@@ -570,6 +570,62 @@ TEST(ForwardingPool, IngressDeliversAndTransits) {
   EXPECT_EQ(stats.drop_bad_ephid, 1u);
 }
 
+TEST(ForwardingPool, StatsReadableDuringBursts) {
+  // stats() and flow_cache_stats() may be read while bursts run: a reader
+  // thread loops both against a 4-thread pool. Every read must be
+  // monotone with no duplicated flow, and the final merge must equal the
+  // per-packet reference.
+  ConcurrencyFixture f;
+  BorderRouter::Config cfg;
+  cfg.replay_filter = true;
+  auto pooled_br = f.make_router(cfg);
+  EgressReference reference(*pooled_br);
+
+  const SealedBurst burst(mixed_egress_burst(f, 1));
+
+  ForwardingPool::Config pool_cfg;
+  pool_cfg.threads = 4;
+  ForwardingPool pool(*pooled_br, pool_cfg);
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::uint64_t reads = 0;
+  std::thread reader([&] {
+    std::uint64_t last_forwarded = 0, last_hits = 0;
+    do {
+      const auto s = pool.stats();
+      const auto c = pool.flow_cache_stats();
+      if (s.forwarded_out < last_forwarded || c.hits < last_hits ||
+          c.cross_worker_duplicates != 0)
+        failed.store(true);
+      last_forwarded = s.forwarded_out;
+      last_hits = c.hits;
+      ++reads;
+    } while (!done.load());
+  });
+
+  constexpr int kRounds = 200;
+  BorderRouter::Stats ref_stats;
+  for (int round = 0; round < kRounds; ++round) {
+    pool.process_outgoing(burst.views, f.now);
+    for (const wire::PacketView& v : burst.views)
+      tally(ref_stats, reference(v, f.now));
+  }
+  done.store(true);
+  reader.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(reads, 0u);
+  const auto merged = pool.stats();
+  EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
+  EXPECT_EQ(merged.drop_bad_mac, ref_stats.drop_bad_mac);
+  EXPECT_EQ(merged.drop_bad_ephid, ref_stats.drop_bad_ephid);
+  EXPECT_EQ(merged.drop_expired, ref_stats.drop_expired);
+  EXPECT_EQ(merged.drop_unknown_host, ref_stats.drop_unknown_host);
+  EXPECT_EQ(merged.drop_replayed, ref_stats.drop_replayed);
+  EXPECT_EQ(merged.total_drops(), ref_stats.total_drops());
+}
+
 /// A router with its own identity over the fixture's AS whose callbacks
 /// record every ICMP packet it emits, in emission order: the wire bytes and
 /// where they went (0 for send_external, else the HID delivered to). Sends

@@ -1,7 +1,8 @@
 // util::ChunkPool and util::Counters:
 //  * ChunkPool visits every index of [0, n) exactly once, in chunks of at
 //    most `chunk` that start on a chunk boundary, at 1, 2 and 4 threads
-//    and across back-to-back runs; the caller is slot 0, every slot is one
+//    and across back-to-back runs (including n = threads with chunk 1, the
+//    ForwardingPool's one-ring-per-chunk shape); the caller is slot 0, every slot is one
 //    thread, and a 1-thread pool runs everything on the caller.
 //  * Counters::add<&S::f>() bumps f and nothing else, concurrent adds sum
 //    exactly, snapshot() reads every field, and add_fields/sub_fields work
@@ -32,18 +33,24 @@ TEST(ChunkPool, VisitsEveryIndexExactlyOnce) {
     // The thread that ran each slot, over every run of this pool.
     std::vector<std::thread::id> slot_thread(threads);
     std::mutex mu;
-    // Back-to-back runs through one pool, sizes around the chunk edges.
+    // Back-to-back runs through one pool, sizes around the chunk edges,
+    // plus router::ForwardingPool's shape: one chunk of 1 per thread.
+    struct Shape {
+      std::size_t n, chunk;
+    };
     for (int round = 0; round < 3; ++round) {
-      for (const std::size_t n :
-           {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
-            std::size_t{1000}}) {
+      for (const Shape shape :
+           {Shape{0, kChunk}, Shape{1, kChunk}, Shape{kChunk - 1, kChunk},
+            Shape{kChunk, kChunk}, Shape{kChunk + 1, kChunk},
+            Shape{1000, kChunk}, Shape{threads, 1}}) {
+        const std::size_t n = shape.n, chunk = shape.chunk;
         std::vector<std::atomic<unsigned>> visits(n);
-        pool.run(n, kChunk, [&](std::size_t slot, std::size_t begin,
-                                std::size_t end) {
+        pool.run(n, chunk, [&](std::size_t slot, std::size_t begin,
+                               std::size_t end) {
           EXPECT_LT(slot, threads);
-          EXPECT_EQ(begin % kChunk, 0u);
+          EXPECT_EQ(begin % chunk, 0u);
           EXPECT_LT(begin, end);
-          EXPECT_LE(end - begin, kChunk);
+          EXPECT_LE(end - begin, chunk);
           EXPECT_LE(end, n);
           for (std::size_t i = begin; i < end && i < n; ++i)
             visits[i].fetch_add(1, std::memory_order_relaxed);
