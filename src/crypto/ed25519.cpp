@@ -135,6 +135,14 @@ bool ge_is_identity(const GeP2& p) {
   return fe_iszero(p.x) && fe_equal(p.y, p.z);
 }
 
+/// True iff [8]p is the identity: p lies in the small-order (torsion)
+/// subgroup, which the cofactor 8 annihilates.
+bool ge_has_small_order(const Ge& p) {
+  GeP2 q = to_p2(p);
+  for (int i = 0; i < 3; ++i) q = to_p2(ge_dbl(q));
+  return ge_is_identity(q);
+}
+
 void ge_tobytes(std::uint8_t out[32], const Ge& p) {
   const Fe zinv = fe_invert(p.z);
   const Fe x = fe_mul(p.x, zinv);
@@ -178,14 +186,11 @@ bool ge_frombytes(Ge& out, const std::uint8_t in[32]) {
 }
 
 /// Decodes a public key: ge_frombytes, and additionally rejects the eight
-/// points of small order ([8]A = identity). Under such a key k·A vanishes
-/// whenever A's order divides k, so (R, S) = (encode(B), 1) verifies for
-/// any such message and the signature proves possession of nothing.
+/// points of small order ([8]A = identity). Under such a key the cofactored
+/// equation drops k·A, so (R, S) = (encode(B), 1) verifies for every
+/// message and the signature proves possession of nothing.
 bool decode_public_key(Ge& out, const std::uint8_t in[32]) {
-  if (!ge_frombytes(out, in)) return false;
-  GeP2 p = to_p2(out);
-  for (int i = 0; i < 3; ++i) p = to_p2(ge_dbl(p));
-  return !ge_is_identity(p);
+  return ge_frombytes(out, in) && !ge_has_small_order(out);
 }
 
 std::uint8_t nibble_at(const std::uint8_t s[32], int pos) {
@@ -351,17 +356,17 @@ bool ed25519_verify(const Ed25519PublicKey& pub, ByteSpan msg,
 
   Ge a;
   if (!decode_public_key(a, pub.data())) return false;
+  Ge r;
+  if (!ge_frombytes(r, sig.data())) return false;
 
   std::uint8_t k[32];
   challenge(k, sig.data(), pub, msg);
 
-  // Check encode(S·B − k·A) == R.
+  // Check [8](S·B − k·A − R) == identity (RFC 8032 §5.1.7, cofactored).
   const Ge sb = ge_scalarmult_base(sig.data() + 32);
   const Ge ka = ge_scalarmult(ge_neg(a), k);
-  const Ge r_check = to_ext(ge_add(sb, to_cached(ka)));
-  std::uint8_t r_enc[32];
-  ge_tobytes(r_enc, r_check);
-  return ct_equal(ByteSpan(r_enc, 32), ByteSpan(sig.data(), 32));
+  const Ge sb_ka = to_ext(ge_add(sb, to_cached(ka)));
+  return ge_has_small_order(to_ext(ge_add(sb_ka, to_cached(ge_neg(r)))));
 }
 
 // ---- Batch verification -----------------------------------------------------
@@ -378,8 +383,8 @@ struct BatchEntry {
 };
 
 /// Evaluates the random-linear-combination equation over entries[lo, hi):
-/// (Σ z_i S_i)·B + Σ (z_i k_i)·(−A_i) + Σ z_i·(−R_i) == identity, with
-/// fresh z_i drawn per call. A shared-doubling Straus multi-scalar walk:
+/// [8]((Σ z_i S_i)·B + Σ (z_i k_i)·(−A_i) + Σ z_i·(−R_i)) == identity,
+/// with fresh z_i drawn per call. A shared-doubling Straus multi-scalar walk:
 /// every point gets a 1..15 multiples table (B reuses the first row of the
 /// fixed-base table), then one pass over the 64 nibble positions does 4
 /// doublings per position for the WHOLE sum.
@@ -396,12 +401,10 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
 
   for (std::size_t j = 0; j < n; ++j) {
     const BatchEntry& e = entries[lo + j];
-    // z_i: 128-bit, forced ≡ 1 (mod 8) — nonzero by construction, and the
-    // low three bits carry each signature's torsion component through the
-    // sum unscaled.
+    // z_i: 128-bit, forced odd so it is nonzero mod L.
     std::uint8_t z[32] = {};
     rng.fill(MutByteSpan(z, 16));
-    z[0] = static_cast<std::uint8_t>((z[0] & ~std::uint8_t{7}) | 1);
+    z[0] |= 1;
 
     sc_muladd(sb_coeff, z, e.s, sb_coeff);              // += z_i S_i
     sc_muladd(scalars[2 * j].data(), z, e.k, zero32);   // z_i k_i
@@ -422,7 +425,7 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
     const std::uint8_t nib = nibble_at(sb_coeff, pos);
     if (nib != 0) acc = to_ext(ge_madd(acc, base_multiples[nib - 1]));
   }
-  return ge_is_identity(to_p2(acc));
+  return ge_has_small_order(acc);
 }
 
 /// Verifies entries[lo, hi): RLC first, bisecting on failure down to scalar
@@ -462,10 +465,8 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items, bool* out,
   for (std::size_t i = 0; i < items.size(); ++i) {
     const Ed25519BatchItem& it = items[i];
     out[i] = false;
-    // Screens mirror the scalar rejects exactly: non-canonical S and
-    // public keys decode_public_key refuses. encode() only ever emits
-    // strictly decodable bytes, so an R that fails ge_frombytes can never
-    // equal encode(S·B − k·A): scalar verification rejects it too.
+    // Screens mirror the scalar rejects exactly: non-canonical S, public
+    // keys decode_public_key refuses and R that ge_frombytes refuses.
     if (!sc_is_canonical(it.sig->data() + 32)) continue;
     Ge a;
     if (!decode_public_key(a, it.pub->data())) continue;

@@ -8,13 +8,23 @@
 // first use), so a signature costs at most 64 seven-multiplication
 // additions and no doublings.
 //
-// Verification follows RFC 8032 §5.1.7 with the cofactorless equation, and
-// additionally refuses two kinds of public key: an encoding whose y is ≥ p
-// (§5.1.3 says such a decoding fails), and a point of small order
-// ([8]A = identity). Under a small-order key k·A vanishes whenever A's
-// order divides the challenge k, so (R, S) = (encode(B), 1) verifies with
+// Verification follows RFC 8032 §5.1.7 with the cofactored equation
+// [8](S·B − k·A − R) == identity, in the scalar and the batch path alike,
+// and additionally refuses two kinds of public key: an encoding whose y is
+// ≥ p (§5.1.3 says such a decoding fails), and a point of small order
+// ([8]A = identity). Under a small-order key the factor 8 removes k·A
+// altogether, so (R, S) = (encode(B), 1) verifies for every message with
 // no private key behind it — a Fig 3 proof of possession under such a key
 // proves nothing.
+//
+// The cofactored equation trades away strong unforgeability, as ZIP 215
+// does: if (R, S) verifies, so does (R + T, S) for every small-order T,
+// and the signature bytes differ. A cofactorless scalar check next to a
+// batch check cannot agree on such signatures (two offsets cancel inside
+// the batch sum), so both paths use the cofactored one. Nothing may key on
+// signature bytes as if they were unique. Nothing in src/ does: the one map
+// keyed on signed content, Host::dns_sessions_, uses the certificate's
+// EphID, which an offset on R leaves unchanged.
 #pragma once
 
 #include <array>
@@ -59,20 +69,17 @@ struct Ed25519BatchItem {
 ///
 /// How: after per-item screening that mirrors the scalar rejects exactly
 /// (non-canonical S; A that ed25519_verify refuses — undecodable,
-/// non-canonical or of small order; R whose bytes cannot be an encode()
-/// output), the survivors are checked with one random-linear-combination
-/// equation  (Σ z_i S_i)·B − Σ (z_i k_i)·A_i − Σ z_i·R_i == identity,
+/// non-canonical or of small order; R that does not decode), the survivors
+/// are checked with one random-linear-combination equation
+/// [8]((Σ z_i S_i)·B − Σ (z_i k_i)·A_i − Σ z_i·R_i) == identity,
 /// evaluated by a shared-doubling multi-scalar multiplication: 252 point
 /// doublings TOTAL instead of 252 per signature — per-signature cost decays
 /// toward the window additions alone as the batch grows. The z_i are
-/// 128-bit coefficients from `rng`, forced ≡ 1 (mod 8) so a single
-/// small-order (torsion) discrepancy is caught deterministically, not just
-/// with probability 7/8; like every cofactorless batch equation in the
-/// literature, co-crafted torsion offsets that cancel across signatures
-/// remain accepted only with the RLC's negligible probability for the
-/// prime-order component. Keys of small order never reach the equation:
-/// their forgeries are pure torsion, and two with opposite offsets would
-/// cancel.
+/// nonzero 128-bit coefficients from `rng`; the factor 8 removes every
+/// torsion component, exactly as in the scalar equation, so a torsion
+/// offset is accepted by both paths or by neither. Soundness of the
+/// combination assumes the signer cannot predict the z_i. Keys of small
+/// order never reach the equation: their forgeries are pure torsion.
 ///
 /// On ANY batch-equation failure the sweep bisects recursively down to
 /// scalar ed25519_verify leaves, so the accept/reject set is bit-identical

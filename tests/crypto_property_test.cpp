@@ -13,6 +13,7 @@
 #include "crypto/hmac.h"
 #include "crypto/modes.h"
 #include "crypto/rng.h"
+#include "crypto/sc25519.h"
 #include "crypto/sha2.h"
 #include "crypto/x25519.h"
 #include "ed25519_small_order.h"
@@ -693,6 +694,66 @@ TEST(Ed25519Batch, SwappedSignaturesBothRejected) {
   BatchFixture f(8, rng);
   std::swap(f.sigs[2], f.sigs[5]);
   f.check_matches_scalar(zrng);
+}
+
+/// A signature under `seed` whose R carries the order-2 point (0, −1):
+/// R′ = r·B + (0, −1) = −(r·B), encoded as y → p − y with the sign bit
+/// flipped, and S = r + H(R′ ‖ A ‖ M)·a, with a and r derived exactly as
+/// ed25519_sign derives them. S·B − k·A equals R′ only up to (0, −1).
+Ed25519Signature torsion_offset_signature(const Ed25519Seed& seed,
+                                          const Ed25519PublicKey& pub,
+                                          ByteSpan msg) {
+  const auto h = Sha512::hash(ByteSpan(seed.data(), seed.size()));
+  std::uint8_t a[32];
+  std::copy(h.begin(), h.begin() + 32, a);
+  a[0] &= 248;
+  a[31] &= 127;
+  a[31] |= 64;
+  Sha512 hr;
+  hr.update(ByteSpan(h.data() + 32, 32));
+  hr.update(msg);
+  std::uint8_t r[32];
+  sc_reduce(r, hr.finish().data());
+
+  Ed25519Signature sig = ed25519_sign(seed, pub, msg);  // R = encode(r·B)
+  const bool x_negative = (sig[31] & 0x80) != 0;
+  fe_tobytes(sig.data(), fe_neg(fe_frombytes(sig.data())));
+  if (!x_negative) sig[31] |= 0x80;  // r·B has x ≠ 0, so −x flips the sign
+
+  Sha512 hk;
+  hk.update(ByteSpan(sig.data(), 32));
+  hk.update(ByteSpan(pub.data(), pub.size()));
+  hk.update(msg);
+  std::uint8_t k[32];
+  sc_reduce(k, hk.finish().data());
+  sc_muladd(sig.data() + 32, k, a, r);
+  return sig;
+}
+
+TEST(Ed25519Batch, TorsionOffsetPairMatchesScalar) {
+  // Two signatures whose R each carries (0, −1): their offsets sum to the
+  // identity, so a cofactorless batch equation whose coefficients are all
+  // ≡ 1 (mod 8) accepts the pair whatever a scalar check decides. The
+  // cofactored equation accepts each one (the ZIP 215 trade-off), and the
+  // batch must agree item by item, as a pair and amid honest signatures.
+  ChaChaRng rng(2323), zrng(4646);
+  for (int round = 0; round < 8; ++round) {
+    BatchFixture f(4, rng);
+    for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+      f.sigs[i] = torsion_offset_signature(f.seeds[i], f.pubs[i], f.msgs[i]);
+      EXPECT_TRUE(ed25519_verify(f.pubs[i], f.msgs[i], f.sigs[i]));
+    }
+    f.check_matches_scalar(zrng);
+
+    BatchFixture pair(0, rng);
+    for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+      pair.seeds.push_back(f.seeds[i]);
+      pair.pubs.push_back(f.pubs[i]);
+      pair.msgs.push_back(f.msgs[i]);
+      pair.sigs.push_back(f.sigs[i]);
+    }
+    pair.check_matches_scalar(zrng);
+  }
 }
 
 TEST(Ed25519Batch, EmptyBatchAccepts) {

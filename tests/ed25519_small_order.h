@@ -4,9 +4,10 @@
 // The keys are the eight points of small order (canonical encodings; [8]A
 // is the identity) and a non-canonical encoding of the identity (y = p+1,
 // which RFC 8032 §5.1.3 says must not decode). Under each, the signature
-// (R, S) = (encode(B), 1) satisfies the cofactorless equation
-// S·B − k·A == R whenever A's order divides the challenge k — for the
-// identity, under every message. A verifier must reject all nine keys.
+// (R, S) = (encode(B), 1) satisfies the cofactored equation
+// [8](S·B − k·A − R) == identity under every message (and the cofactorless
+// one whenever A's order divides the challenge k). A verifier must reject
+// all nine keys.
 #pragma once
 
 #include <algorithm>

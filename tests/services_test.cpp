@@ -256,8 +256,8 @@ TEST(ManagementService, PopSignatureOverWrongKeyRejected) {
 
 TEST(ManagementService, SmallOrderKeyPopRejected) {
   // The identity point as the EphID signing key, "proved" with
-  // (R, S) = (encode(B), 1): k·A vanishes for every message, so a
-  // cofactorless check accepts it with no private key behind it. Refused
+  // (R, S) = (encode(B), 1): k·A vanishes for every message, so the
+  // verification equation holds with no private key behind it. Refused
   // on the scalar path (issue_into) and on the pooled batch sweep alike.
   AsFixture f;
   auto h = f.bootstrap(1, "password-1");
