@@ -165,6 +165,10 @@ class BufferPool {
   /// This thread's pool.
   static BufferPool& local();
 
+  /// The most buffers release() keeps; beyond it a released buffer is
+  /// freed, so a thread that holds more at once allocates again.
+  static constexpr std::size_t kMaxRetained = 4096;
+
   Bytes acquire(std::size_t size);
   void release(Bytes&& buf);
 
@@ -174,7 +178,6 @@ class BufferPool {
   void trim();
 
  private:
-  static constexpr std::size_t kMaxRetained = 4096;
   std::vector<Bytes> free_;
   Stats stats_;
 };
