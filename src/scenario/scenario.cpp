@@ -197,9 +197,7 @@ class Engine::ZipfPicker {
 
 Engine::Engine(const Config& cfg) : cfg_(cfg), rng_(cfg.seed) {
   as_ = std::make_unique<core::AsState>(cfg.aid,
-                                        core::AsSecrets::generate(rng_),
-                                        cfg.max_revocations_per_host,
-                                        cfg.shard_count);
+                                        core::AsSecrets::generate(rng_));
   remote_ = std::make_unique<core::AsState>(cfg.remote_aid,
                                             core::AsSecrets::generate(rng_));
   for (core::AsState* s : {as_.get(), remote_.get()}) {
@@ -229,7 +227,6 @@ Engine::Engine(const Config& cfg) : cfg_(cfg), rng_(cfg.seed) {
 
   router::ForwardingPool::Config pc;
   pc.threads = cfg.threads;
-  pc.flow_cache_entries = cfg.flow_cache_entries;
   pool_ = std::make_unique<router::ForwardingPool>(*br_, pc);
 
   attacker_tx_ = std::make_unique<net::SimTransport>(loop_);
@@ -537,7 +534,7 @@ void Engine::do_replay_tamper(const Phase& p, PhaseReport& r) {
 
 void Engine::ensure_dns() {
   if (dns_resolver_) return;
-  dns_zone_ = std::make_unique<services::DnsZone>(cfg_.shard_count);
+  dns_zone_ = std::make_unique<services::DnsZone>();
   dns::Resolver::Config rc;
   // Deliberately much smaller than the published working set can grow: the
   // storm has to contend for slots or the bounds being proven are vacuous.
@@ -766,9 +763,8 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
   as_.reset();
 
   // --- Recover ------------------------------------------------------------
-  auto recovered = core::AsState::recover(*vfs_, "as-" + std::to_string(cfg_.aid),
-                                          cfg_.max_revocations_per_host,
-                                          cfg_.shard_count);
+  auto recovered =
+      core::AsState::recover(*vfs_, "as-" + std::to_string(cfg_.aid));
   core::AsStateRecovery rv;
   if (recovered) {
     rv = recovered.take();
@@ -777,9 +773,7 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
     // Must not happen — rebuild an empty world so the engine stays usable
     // and let the mismatch count flag the failure loudly.
     as_ = std::make_unique<core::AsState>(cfg_.aid,
-                                          core::AsSecrets::generate(rng_),
-                                          cfg_.max_revocations_per_host,
-                                          cfg_.shard_count);
+                                          core::AsSecrets::generate(rng_));
   }
   r.persist_snapshot_generation = rv.snapshot_generation;
   r.journal_records_replayed = rv.journal_records_replayed;
@@ -806,7 +800,6 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
   br_ = std::make_unique<router::BorderRouter>(*as_, std::move(cb));
   router::ForwardingPool::Config fpc;
   fpc.threads = cfg_.threads;
-  fpc.flow_cache_entries = cfg_.flow_cache_entries;
   pool_ = std::make_unique<router::ForwardingPool>(*br_, fpc);
 
   // Reinstall the recovered above-core state into a fresh DNS world (no

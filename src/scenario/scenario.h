@@ -13,7 +13,7 @@
 // A scenario is a SCRIPT: an ordered vector of Phase specs (the DSL). The
 // Engine owns one AS's full infrastructure — AsState (compact HostDb +
 // revocation tables), BorderRouter + ForwardingPool (flow-hash steered
-// workers with per-worker FlowCaches), RegistryService, AccountabilityAgent,
+// rings with per-ring FlowCaches), RegistryService, AccountabilityAgent,
 // and a SimTransport pair for wire-level injection — and executes phases in
 // order, returning one PhaseReport per phase.
 //
@@ -223,20 +223,20 @@ struct PhaseReport {
 /// requests come from somewhere) and a wire-level attacker endpoint.
 class Engine {
  public:
+  /// The AS state, DNS zone and ForwardingPool run at their library
+  /// defaults: kDefaultShardCount stripes, the §VIII-G2 escalation
+  /// threshold of 16 revocations per host (shutoff storms trip it on
+  /// purpose) and 4096-entry flow caches.
   struct Config {
     std::uint64_t seed = 1;
     core::Aid aid = 64512;
     core::Aid remote_aid = 64513;
     /// ForwardingPool processing threads (flow-hash steered). Counter
-    /// determinism holds for any value: rings are steered by EphID hash
-    /// and each worker runs its ring in order.
+    /// determinism holds for any value: a flow's packets stay in one ring,
+    /// in burst order, and each ring runs on one thread at a time.
     std::size_t threads = 2;
-    std::size_t flow_cache_entries = 4096;
-    std::size_t shard_count = core::kDefaultShardCount;
     /// Sealed legitimate-flow working set per phase (distinct EphIDs).
     std::size_t active_flows = 256;
-    /// §VIII-G2 escalation threshold (shutoff storms trip it on purpose).
-    std::uint32_t max_revocations_per_host = 16;
     /// Attach the durability pipeline (MemVfs-backed snapshot + journal —
     /// in-memory so scenario JSON stays an exact function of script +
     /// seed). Required for kill_recover phases; off by default so other
