@@ -4,9 +4,10 @@
 // core/messages.h, the EphID certificate, the DNS forwarding frames (ok
 // and NXDOMAIN answers) and one sealed Fig 3 control payload — in the
 // style of crypto_kat_test. Session data frames (§IV-D) are pinned by a
-// SHA-256 digest per AEAD suite. The vectors are the wire format that journals,
-// snapshots and scenario digests already on disk were written in, so a
-// codec change that moves a single byte fails here. Each vector pins four
+// SHA-256 digest per AEAD suite, and the payload of each journal record
+// type by one vector per `emit_*` helper. The vectors are the wire format
+// that journals, snapshots and scenario digests already on disk were
+// written in, so a codec change that moves a single byte fails here. Each vector pins four
 // things:
 //   * the fixed message encodes to exactly the vector;
 //   * the vector decodes back to an equal message;
@@ -14,13 +15,18 @@
 //   * the vector plus one trailing byte is rejected.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string_view>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "core/as_persist.h"
 #include "core/messages.h"
 #include "core/session.h"
 #include "crypto/sha2.h"
 #include "dns/dns_wire.h"
+#include "persist/sink.h"
 #include "util/hex.h"
 
 namespace apna {
@@ -338,6 +344,22 @@ constexpr std::string_view kSealedControl =
     "034078b6cb03c90aeb6a19e7b414d3a7bd563bdca7d1ece8270d473882ea42ba"
     "2817293897f2a4b1c40b1d46aa11ff884428e7baca4be7f14e48ec412ea6c974"
     "b70bfcbd7ac171fc336d5662f5998dc499c1eb69a6a26c1edcfc";
+// Journal record payloads, one per emit_* helper (JournalRecordPayloads).
+// A dns_put payload is the DnsRecord wire form, kDnsRecord.
+constexpr std::string_view kHostUpsert =
+    "00000007000010920102030405060708090a0b0c0d0e0f101112131415161718"
+    "191a1b1c1d1e1f204142434445464748494a4b4c4d4e4f50c0c1c2c3c4c5c6c7"
+    "c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedf";
+constexpr std::string_view kHostErase = "00000007";
+constexpr std::string_view kRevokeEphId =
+    "101112131415161718191a1b1c1d1e1f6553f48400000007";
+constexpr std::string_view kRevokeHid = "00000009";
+constexpr std::string_view kEphIdIssued =
+    "303132333435363738393a3b3c3d3e3f6555428000000007";
+constexpr std::string_view kDomainBlock =
+    "0013626c6f636b65642e6578616d706c652e636f6d";
+constexpr std::string_view kDnsErase =
+    "000f7777772e6578616d706c652e636f6d";
 // SHA-256 digests of the session frames that SessionFrameDigests seals.
 constexpr std::string_view kSessionFramesChaCha =
     "7ea96bcf9efc9a7ac2d1fcd3c2b65d435e82d8926e411fb33b784c4b8ea651b0";
@@ -478,6 +500,48 @@ TEST(CodecGolden, SessionFrameDigests) {
     }
     EXPECT_EQ(hex_encode(digest.finish()), want)
         << crypto::aead_suite_name(suite);
+  }
+}
+
+/// Keeps every record a journal writer would get, in order.
+struct RecordingSink final : persist::Sink {
+  std::vector<std::pair<std::uint8_t, Bytes>> records;
+  bool append(std::uint8_t type, ByteSpan payload) override {
+    records.emplace_back(type, Bytes(payload.begin(), payload.end()));
+    return true;
+  }
+};
+
+TEST(CodecGolden, JournalRecordPayloads) {
+  core::HostRecord host;
+  host.hid = 7;
+  host.subscriber_id = 4242;
+  host.keys = control_keys();
+  host.host_pub = ramp<32>(0xC0);
+
+  RecordingSink sink;
+  core::emit_host_upsert(&sink, host);
+  core::emit_host_erase(&sink, 7);
+  core::emit_revoke_ephid(&sink, ephid(0x10), 1'700'000'900, 7);
+  core::emit_revoke_hid(&sink, 9);
+  core::emit_ephid_issued(&sink, ephid(0x30), 1'700'086'400, 7);
+  core::emit_domain_block(&sink, "blocked.example.com");
+  core::emit_dns_put(&sink, dns_record());
+  core::emit_dns_erase(&sink, "www.example.com");
+
+  using T = core::PersistRecordType;
+  const std::pair<T, std::string_view> want[] = {
+      {T::host_upsert, kHostUpsert},   {T::host_erase, kHostErase},
+      {T::revoke_ephid, kRevokeEphId}, {T::revoke_hid, kRevokeHid},
+      {T::ephid_issued, kEphIdIssued}, {T::domain_block, kDomainBlock},
+      {T::dns_put, kDnsRecord},        {T::dns_erase, kDnsErase},
+  };
+  ASSERT_EQ(sink.records.size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(sink.records[i].first, static_cast<std::uint8_t>(want[i].first))
+        << "record " << i;
+    EXPECT_EQ(hex_encode(sink.records[i].second), want[i].second)
+        << "record " << i;
   }
 }
 
