@@ -50,16 +50,17 @@ run_config() {
 #     here because the 10⁶-host provisioning loop is what the gate
 #     measures. `dns`: wire codec, sharded TTL/negative cache, policy trie,
 #     upstream timeout/backoff. `persist`: journal framing under every
-#     truncation point and bit flip, snapshot checksums, fault-injected
-#     short writes/fsync failures, full snapshot+journal recovery.
+#     truncation point and bit flip, every flipped byte and every cut of
+#     an AS snapshot failing recovery, fault-injected short writes/fsync
+#     failures, full snapshot+journal recovery.
 #   ASan/UBSan — `wire`: PacketView::bind and Packet::parse over
 #     truncations/mutations. `services`: the span codec's truncation
 #     properties and the pooled issuance path. `net`: recvfrom into pooled
 #     storage, the MSG_TRUNC arm, bind() over adversarial datagrams. `dns`:
 #     the name codec's truncation properties, the arena-backed cache and
-#     trie edge splits. `persist`: replay_journal over attacker-shaped
-#     bytes and the snapshot reader's self-described lengths. Each is where
-#     an out-of-bounds read would hide.
+#     trie edge splits. `persist`: the one loader, replay_journal plus a
+#     snapshot's head and end checks, over attacker-shaped bytes. Each is
+#     where an out-of-bounds read would hide.
 run_config ci       -DCMAKE_BUILD_TYPE=Release -DAPNA_WERROR=ON
 # Header self-containment, explicitly in the Release leg: every header
 # under src/ must compile on its own, so no translation unit builds only

@@ -1,8 +1,8 @@
 #include "core/as_persist.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <charconv>
+#include <limits>
 
 #include "persist/journal.h"
 #include "wire/codec.h"
@@ -11,11 +11,238 @@
 namespace apna::core {
 namespace {
 
-std::uint8_t type_byte(PersistRecordType t) {
-  return static_cast<std::uint8_t>(t);
+/// Version in every snapshot_head; a snapshot of another version does not
+/// load.
+constexpr std::uint16_t kFormatVersion = 2;
+
+// Payloads with no core type of their own.
+struct RevokedEphId {
+  EphId ephid;
+  ExpTime exp_time = 0;
+};
+struct HostRevocations {
+  Hid hid = 0;
+  std::uint32_t revocations = 0;
+  bool hid_revoked = false;
+};
+struct SnapshotHead {
+  SnapshotInfo info;
+  Aid aid = 0;
+  AsSecrets secrets;
+  std::uint64_t epoch = 0;
+};
+struct SnapshotEnd {
+  std::uint64_t records = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Record codecs: one encoder (`put`) and one decoder (`get`) per payload.
+// Record types whose payloads share a shape share its codec: host_erase
+// and revoke_hid (an HID), revoke_ephid and ephid_issued (an EphID with
+// its expiry and holder), domain_block and dns_erase (a name). A decoder
+// reads the fields it needs and ignores trailing bytes.
+
+/// Moves one decoded field into place; false once the reader runs short.
+template <class T, class Field>
+bool take(Result<T> v, Field& out) {
+  if (!v) return false;
+  out = v.take();
+  return true;
 }
 
-ByteSpan span_of(const Bytes& b) { return ByteSpan(b.data(), b.size()); }
+void put(wire::MsgWriter& w, Hid hid) { w.u32(hid); }
+bool get(wire::Reader& r, Hid& hid) { return take(r.u32(), hid); }
+
+void put(wire::MsgWriter& w, std::string_view name) { w.str(name); }
+bool get(wire::Reader& r, std::string& name) { return take(r.str(), name); }
+
+void put(wire::MsgWriter& w, const HostRecord& rec) {
+  w.u32(rec.hid);
+  w.u32(rec.subscriber_id);
+  w.raw(rec.keys.enc);
+  w.raw(rec.keys.mac);
+  w.raw(rec.host_pub);
+}
+bool get(wire::Reader& r, HostRecord& rec) {
+  return take(r.u32(), rec.hid) && take(r.u32(), rec.subscriber_id) &&
+         take(r.arr<32>(), rec.keys.enc) && take(r.arr<16>(), rec.keys.mac) &&
+         take(r.arr<32>(), rec.host_pub);
+}
+
+void put(wire::MsgWriter& w, const IssuedEphIdMeta& m) {
+  w.raw(m.ephid.bytes);
+  w.u32(m.exp_time);
+  w.u32(m.hid);
+}
+bool get(wire::Reader& r, IssuedEphIdMeta& m) {
+  return take(r.arr<16>(), m.ephid.bytes) && take(r.u32(), m.exp_time) &&
+         take(r.u32(), m.hid);
+}
+
+void put(wire::MsgWriter& w, const DnsRecord& rec) { rec.encode(w); }
+bool get(wire::Reader& r, DnsRecord& rec) {
+  return take(DnsRecord::decode(r), rec);
+}
+
+void put(wire::MsgWriter& w, const RevokedEphId& e) {
+  w.raw(e.ephid.bytes);
+  w.u32(e.exp_time);
+}
+bool get(wire::Reader& r, RevokedEphId& e) {
+  return take(r.arr<16>(), e.ephid.bytes) && take(r.u32(), e.exp_time);
+}
+
+void put(wire::MsgWriter& w, const HostRevocations& h) {
+  w.u32(h.hid);
+  w.u32(h.revocations);
+  w.u8(h.hid_revoked ? 1 : 0);
+}
+bool get(wire::Reader& r, HostRevocations& h) {
+  return take(r.u32(), h.hid) && take(r.u32(), h.revocations) &&
+         take(r.u8(), h.hid_revoked);
+}
+
+void put(wire::MsgWriter& w, const SnapshotHead& h) {
+  w.u16(kFormatVersion);
+  w.u64(h.info.generation);
+  w.u64(h.info.seed);
+  w.str(h.info.git_sha);
+  w.u32(h.aid);
+  w.raw(h.secrets.ka);
+  w.raw(h.secrets.ka_infra);
+  w.raw(h.secrets.sign.seed);
+  w.raw(h.secrets.sign.pub);
+  w.raw(h.secrets.dh.priv);
+  w.raw(h.secrets.dh.pub);
+  w.u64(h.epoch);
+}
+bool get(wire::Reader& r, SnapshotHead& h) {
+  std::uint16_t version = 0;
+  AsSecrets& s = h.secrets;
+  return take(r.u16(), version) && version == kFormatVersion &&
+         take(r.u64(), h.info.generation) && take(r.u64(), h.info.seed) &&
+         take(r.str(), h.info.git_sha) && take(r.u32(), h.aid) &&
+         take(r.arr<16>(), s.ka) && take(r.arr<16>(), s.ka_infra) &&
+         take(r.arr<32>(), s.sign.seed) && take(r.arr<32>(), s.sign.pub) &&
+         take(r.arr<32>(), s.dh.priv) && take(r.arr<32>(), s.dh.pub) &&
+         take(r.u64(), h.epoch);
+}
+
+void put(wire::MsgWriter& w, const SnapshotEnd& e) { w.u64(e.records); }
+bool get(wire::Reader& r, SnapshotEnd& e) { return take(r.u64(), e.records); }
+
+template <class Payload>
+void emit(persist::Sink* sink, PersistRecordType type, const Payload& p) {
+  if (!sink) return;
+  wire::MsgWriter w(128);
+  put(w, p);
+  sink->append(static_cast<std::uint8_t>(type), w.span());
+}
+
+template <class Payload>
+bool decode(ByteSpan payload, Payload& out) {
+  wire::Reader r(payload);
+  return get(r, out);
+}
+
+/// Applies one record through the restore-path mutators. Returns false
+/// when the payload fails its decoder or the type is a head or an end.
+bool apply_record(AsState& as, ServiceRecords& services, std::uint8_t type,
+                  ByteSpan payload) {
+  switch (static_cast<PersistRecordType>(type)) {
+    case PersistRecordType::host_upsert: {
+      HostRecord rec;
+      if (!decode(payload, rec)) return false;
+      as.host_db.restore(std::move(rec));
+      return true;
+    }
+    case PersistRecordType::host_erase: {
+      Hid hid = 0;
+      if (!decode(payload, hid)) return false;
+      as.host_db.restore_erase(hid);
+      return true;
+    }
+    case PersistRecordType::revoke_ephid: {
+      IssuedEphIdMeta m;
+      if (!decode(payload, m)) return false;
+      // The normal path: replay IS a re-application of the original
+      // mutation, escalation counters included. The epoch bumps it does
+      // are invisible — no worker observes the state until recovery
+      // finishes with the single advance_to in AsState::recover.
+      as.revoked.revoke_ephid(m.ephid, m.exp_time, m.hid);
+      return true;
+    }
+    case PersistRecordType::revoke_hid: {
+      Hid hid = 0;
+      if (!decode(payload, hid)) return false;
+      as.revoked.revoke_hid(hid);
+      return true;
+    }
+    case PersistRecordType::revoked_ephid: {
+      RevokedEphId e;
+      if (!decode(payload, e)) return false;
+      as.revoked.restore_ephid(e.ephid, e.exp_time);
+      return true;
+    }
+    case PersistRecordType::host_revocations: {
+      HostRevocations h;
+      if (!decode(payload, h)) return false;
+      as.revoked.restore_host(h.hid, h.revocations, h.hid_revoked);
+      return true;
+    }
+    default:
+      return services.apply(type, payload);
+  }
+}
+
+/// Loads one snapshot file into `out`'s state, epoch and service records.
+/// Accepts the file only whole: no torn tail, the head first, every
+/// record decodes, and the end record counts the records between.
+bool load_snapshot(persist::Vfs& vfs, const std::string& path,
+                   AsStateRecovery& out) {
+  std::unique_ptr<AsState> as;
+  ServiceRecords services;
+  SnapshotHead head;
+  std::uint64_t records = 0;
+  bool ok = true;
+  bool ended = false;
+  const persist::ReplayResult rr = persist::replay_journal_file(
+      vfs, path, [&](std::uint8_t type, ByteSpan payload) {
+        const auto t = static_cast<PersistRecordType>(type);
+        if (!ok || ended) {
+          ok = false;  // a record after the end, or after a bad one
+        } else if (!as) {
+          ok = t == PersistRecordType::snapshot_head && decode(payload, head);
+          if (ok) as = std::make_unique<AsState>(head.aid, head.secrets);
+        } else if (t == PersistRecordType::snapshot_end) {
+          SnapshotEnd end;
+          ok = decode(payload, end) && end.records == records;
+          ended = true;
+        } else {
+          ok = apply_record(*as, services, type, payload);
+          ++records;
+        }
+      });
+  if (!ok || !ended || rr.torn()) return false;
+  out.as = std::move(as);
+  out.services = std::move(services);
+  out.snapshot_epoch = head.epoch;
+  return true;
+}
+
+/// The generation in a "<stem>-<gen><ext>" name, or 0.
+std::uint64_t parse_generation(std::string_view name, std::string_view stem,
+                               std::string_view ext) {
+  if (name.size() <= stem.size() + 1 + ext.size() ||
+      !name.starts_with(stem) || name[stem.size()] != '-' ||
+      !name.ends_with(ext))
+    return 0;
+  const char* first = name.data() + stem.size() + 1;
+  const char* last = name.data() + name.size() - ext.size();
+  std::uint64_t gen = 0;
+  const auto [end, ec] = std::from_chars(first, last, gen);
+  return ec == std::errc() && end == last ? gen : 0;
+}
 
 }  // namespace
 
@@ -23,69 +250,71 @@ ByteSpan span_of(const Bytes& b) { return ByteSpan(b.data(), b.size()); }
 // Journal record emission
 
 void emit_host_upsert(persist::Sink* sink, const HostRecord& rec) {
-  if (!sink) return;
-  wire::MsgWriter w(96);
-  w.u32(rec.hid);
-  w.u32(rec.subscriber_id);
-  w.raw(rec.keys.enc);
-  w.raw(rec.keys.mac);
-  w.raw(rec.host_pub);
-  sink->append(type_byte(PersistRecordType::host_upsert), w.span());
+  emit(sink, PersistRecordType::host_upsert, rec);
 }
 
 void emit_host_erase(persist::Sink* sink, Hid hid) {
-  if (!sink) return;
-  wire::MsgWriter w(8);
-  w.u32(hid);
-  sink->append(type_byte(PersistRecordType::host_erase), w.span());
+  emit(sink, PersistRecordType::host_erase, hid);
 }
 
 void emit_revoke_ephid(persist::Sink* sink, const EphId& ephid,
                        ExpTime exp_time, Hid hid) {
-  if (!sink) return;
-  wire::MsgWriter w(32);
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.u32(hid);
-  sink->append(type_byte(PersistRecordType::revoke_ephid), w.span());
+  emit(sink, PersistRecordType::revoke_ephid,
+       IssuedEphIdMeta{ephid, exp_time, hid});
 }
 
 void emit_revoke_hid(persist::Sink* sink, Hid hid) {
-  if (!sink) return;
-  wire::MsgWriter w(8);
-  w.u32(hid);
-  sink->append(type_byte(PersistRecordType::revoke_hid), w.span());
+  emit(sink, PersistRecordType::revoke_hid, hid);
 }
 
 void emit_ephid_issued(persist::Sink* sink, const EphId& ephid,
                        ExpTime exp_time, Hid hid) {
-  if (!sink) return;
-  wire::MsgWriter w(32);
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.u32(hid);
-  sink->append(type_byte(PersistRecordType::ephid_issued), w.span());
+  emit(sink, PersistRecordType::ephid_issued,
+       IssuedEphIdMeta{ephid, exp_time, hid});
 }
 
 void emit_domain_block(persist::Sink* sink, std::string_view domain) {
-  if (!sink) return;
-  wire::MsgWriter w(domain.size() + 4);
-  w.str(domain);
-  sink->append(type_byte(PersistRecordType::domain_block), w.span());
+  emit(sink, PersistRecordType::domain_block, domain);
 }
 
 void emit_dns_put(persist::Sink* sink, const DnsRecord& rec) {
-  if (!sink) return;
-  wire::MsgWriter w(320);
-  rec.encode(w);
-  sink->append(type_byte(PersistRecordType::dns_put), w.span());
+  emit(sink, PersistRecordType::dns_put, rec);
 }
 
 void emit_dns_erase(persist::Sink* sink, std::string_view name) {
-  if (!sink) return;
-  wire::MsgWriter w(name.size() + 4);
-  w.str(name);
-  sink->append(type_byte(PersistRecordType::dns_erase), w.span());
+  emit(sink, PersistRecordType::dns_erase, name);
+}
+
+bool ServiceRecords::apply(std::uint8_t type, ByteSpan payload) {
+  switch (static_cast<PersistRecordType>(type)) {
+    case PersistRecordType::ephid_issued: {
+      IssuedEphIdMeta m;
+      if (!decode(payload, m)) return false;
+      issued.push_back(m);
+      return true;
+    }
+    case PersistRecordType::domain_block: {
+      std::string domain;
+      if (!decode(payload, domain)) return false;
+      blocked_domains.insert(std::move(domain));
+      return true;
+    }
+    case PersistRecordType::dns_put: {
+      DnsRecord rec;
+      if (!decode(payload, rec)) return false;
+      std::string name = rec.name;
+      dns.insert_or_assign(std::move(name), std::move(rec));
+      return true;
+    }
+    case PersistRecordType::dns_erase: {
+      std::string name;
+      if (!decode(payload, name)) return false;
+      dns.erase(name);
+      return true;
+    }
+    default:
+      return false;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -99,374 +328,86 @@ std::string journal_path(const std::string& dir, std::uint64_t generation) {
   return dir + "/journal-" + std::to_string(generation) + ".log";
 }
 
+Generations list_generations(persist::Vfs& vfs, const std::string& dir) {
+  Generations out;
+  for (const std::string& name : vfs.list(dir)) {
+    if (auto g = parse_generation(name, "snapshot", ".snap"))
+      out.snapshots.push_back(g);
+    if (auto g = parse_generation(name, "journal", ".log"))
+      out.journals.push_back(g);
+  }
+  for (auto* gens : {&out.snapshots, &out.journals}) {
+    std::sort(gens->begin(), gens->end());
+    gens->erase(std::unique(gens->begin(), gens->end()), gens->end());
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
-// Snapshot image
-
-namespace {
-
-constexpr std::uint16_t kImageVersion = 1;
-
-void put_secrets(wire::Writer& w, const AsSecrets& s) {
-  w.raw(ByteSpan(s.ka.data(), s.ka.size()));
-  w.raw(ByteSpan(s.ka_infra.data(), s.ka_infra.size()));
-  w.raw(ByteSpan(s.sign.seed.data(), s.sign.seed.size()));
-  w.raw(ByteSpan(s.sign.pub.data(), s.sign.pub.size()));
-  w.raw(ByteSpan(s.dh.priv.data(), s.dh.priv.size()));
-  w.raw(ByteSpan(s.dh.pub.data(), s.dh.pub.size()));
-}
-
-Result<AsSecrets> get_secrets(wire::Reader& r) {
-  AsSecrets s;
-  auto ka = r.arr<16>();
-  auto ka_infra = r.arr<16>();
-  auto seed = r.arr<32>();
-  auto pub = r.arr<32>();
-  auto dpriv = r.arr<32>();
-  auto dpub = r.arr<32>();
-  if (!ka || !ka_infra || !seed || !pub || !dpriv || !dpub)
-    return Result<AsSecrets>(Errc::malformed, "snapshot secrets");
-  s.ka = *ka;
-  s.ka_infra = *ka_infra;
-  s.sign.seed = *seed;
-  s.sign.pub = *pub;
-  s.dh.priv = *dpriv;
-  s.dh.pub = *dpub;
-  return Result<AsSecrets>(s);
-}
-
-}  // namespace
+// Snapshot
 
 Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
                                const AsState& as,
-                               const AsSnapshotExtras& extras,
-                               const persist::SnapshotInfo& info) {
-  wire::Writer w;
-  w.u16(kImageVersion);
-  w.u32(as.aid);
-  put_secrets(w, as.secrets);
-  w.u64(as.epoch.current());
-
-  // HostDb image. The count prefix is written from a first pass; the
-  // stripe locks are shared, so a concurrent writer could skew a single
-  // pass's count (snapshots are taken from the coordinator's thread with
-  // mutations quiesced per group commit, but stay honest anyway).
-  std::vector<HostRecord> hosts;
-  hosts.reserve(as.host_db.size());
-  as.host_db.for_each([&](const HostRecord& rec) { hosts.push_back(rec); });
-  w.u64(hosts.size());
-  for (const HostRecord& rec : hosts) {
-    w.u32(rec.hid);
-    w.u32(rec.subscriber_id);
-    w.raw(ByteSpan(rec.keys.enc.data(), rec.keys.enc.size()));
-    w.raw(ByteSpan(rec.keys.mac.data(), rec.keys.mac.size()));
-    w.raw(ByteSpan(rec.host_pub.data(), rec.host_pub.size()));
+                               const ServiceRecords& services,
+                               const SnapshotInfo& info) {
+  const std::string path = snapshot_path(dir, info.generation);
+  const std::string tmp = path + ".tmp";
+  Result<void> written = Result<void>::success();
+  {
+    // The whole snapshot is one group commit: one buffer, one append, one
+    // sync. The end record counts what the stripe walks actually visited.
+    persist::JournalWriter w(
+        vfs, tmp, /*truncate=*/true,
+        {persist::FsyncPolicy::every_commit,
+         std::numeric_limits<std::size_t>::max()});
+    emit(&w, PersistRecordType::snapshot_head,
+         SnapshotHead{info, as.aid, as.secrets, as.epoch.current()});
+    SnapshotEnd end;
+    as.host_db.for_each([&](const HostRecord& rec) {
+      emit_host_upsert(&w, rec);
+      ++end.records;
+    });
+    as.revoked.for_each_ephid([&](const EphId& e, ExpTime exp) {
+      emit(&w, PersistRecordType::revoked_ephid, RevokedEphId{e, exp});
+      ++end.records;
+    });
+    as.revoked.for_each_host([&](Hid hid, std::uint32_t n, bool revoked) {
+      emit(&w, PersistRecordType::host_revocations,
+           HostRevocations{hid, n, revoked});
+      ++end.records;
+    });
+    for (const IssuedEphIdMeta& m : services.issued)
+      emit_ephid_issued(&w, m.ephid, m.exp_time, m.hid);
+    for (const std::string& d : services.blocked_domains)
+      emit_domain_block(&w, d);
+    for (const auto& [name, rec] : services.dns) emit_dns_put(&w, rec);
+    end.records += services.issued.size() + services.blocked_domains.size() +
+                   services.dns.size();
+    emit(&w, PersistRecordType::snapshot_end, end);
+    written = w.commit();
+  }  // closes the file before it is published
+  if (!written) {
+    (void)vfs.remove(tmp);
+    return written;
   }
-
-  std::vector<std::pair<EphId, ExpTime>> ephids;
-  as.revoked.for_each_ephid(
-      [&](const EphId& e, ExpTime exp) { ephids.emplace_back(e, exp); });
-  w.u64(ephids.size());
-  for (const auto& [e, exp] : ephids) {
-    w.raw(ByteSpan(e.bytes.data(), e.bytes.size()));
-    w.u32(exp);
-  }
-
-  struct RevHost {
-    Hid hid;
-    std::uint32_t revocations;
-    bool hid_revoked;
-  };
-  std::vector<RevHost> rev_hosts;
-  as.revoked.for_each_host([&](Hid hid, std::uint32_t n, bool hr) {
-    rev_hosts.push_back({hid, n, hr});
-  });
-  w.u64(rev_hosts.size());
-  for (const RevHost& h : rev_hosts) {
-    w.u32(h.hid);
-    w.u32(h.revocations);
-    w.u8(h.hid_revoked ? 1 : 0);
-  }
-
-  w.u64(extras.issued.size());
-  for (const IssuedEphIdMeta& m : extras.issued) {
-    w.raw(ByteSpan(m.ephid.bytes.data(), m.ephid.bytes.size()));
-    w.u32(m.exp_time);
-    w.u32(m.hid);
-  }
-
-  w.u64(extras.blocked_domains.size());
-  for (const std::string& d : extras.blocked_domains) w.str(d);
-
-  w.u64(extras.dns_records.size());
-  wire::MsgWriter rec_buf(320);
-  for (const DnsRecord& rec : extras.dns_records) {
-    rec_buf.clear();
-    rec.encode(rec_buf);
-    w.var(rec_buf.span());
-  }
-
-  return persist::write_snapshot_file(
-      vfs, snapshot_path(dir, info.generation), info, span_of(w.bytes()));
+  return vfs.rename(tmp, path);
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 
-namespace {
-
-struct RecoveringWorld {
-  std::unique_ptr<AsState> as;
-  std::uint64_t snapshot_epoch = 0;
-  std::vector<IssuedEphIdMeta> issued;
-  std::set<std::string> blocked;
-  std::map<std::string, DnsRecord> dns;  // ordered → deterministic output
-};
-
-Result<RecoveringWorld> load_image(ByteSpan payload,
-                                   std::uint32_t max_revocations_per_host,
-                                   std::size_t shard_count) {
-  wire::Reader r(payload);
-  auto version = r.u16();
-  if (!version || *version != kImageVersion)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot image version");
-  auto aid = r.u32();
-  if (!aid) return Result<RecoveringWorld>(Errc::malformed, "snapshot aid");
-  auto secrets = get_secrets(r);
-  if (!secrets) return Result<RecoveringWorld>(secrets.error());
-  auto epoch = r.u64();
-  if (!epoch)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot epoch");
-
-  RecoveringWorld world;
-  world.snapshot_epoch = *epoch;
-  world.as = std::make_unique<AsState>(*aid, secrets.take(),
-                                       max_revocations_per_host, shard_count);
-
-  auto host_count = r.u64();
-  if (!host_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot host count");
-  for (std::uint64_t i = 0; i < *host_count; ++i) {
-    HostRecord rec;
-    auto hid = r.u32();
-    auto sub = r.u32();
-    auto enc = r.arr<32>();
-    auto mac = r.arr<16>();
-    auto pub = r.arr<32>();
-    if (!hid || !sub || !enc || !mac || !pub)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot host record");
-    rec.hid = *hid;
-    rec.subscriber_id = *sub;
-    rec.keys.enc = *enc;
-    rec.keys.mac = *mac;
-    rec.host_pub = *pub;
-    world.as->host_db.restore(std::move(rec));
-  }
-
-  auto ephid_count = r.u64();
-  if (!ephid_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot ephid count");
-  for (std::uint64_t i = 0; i < *ephid_count; ++i) {
-    auto e = r.arr<16>();
-    auto exp = r.u32();
-    if (!e || !exp)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot ephid");
-    EphId ephid;
-    ephid.bytes = *e;
-    world.as->revoked.restore_ephid(ephid, *exp);
-  }
-
-  auto rev_host_count = r.u64();
-  if (!rev_host_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot rev hosts");
-  for (std::uint64_t i = 0; i < *rev_host_count; ++i) {
-    auto hid = r.u32();
-    auto n = r.u32();
-    auto flag = r.u8();
-    if (!hid || !n || !flag)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot rev host");
-    world.as->revoked.restore_host(*hid, *n, *flag != 0);
-  }
-
-  auto issued_count = r.u64();
-  if (!issued_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot issued count");
-  for (std::uint64_t i = 0; i < *issued_count; ++i) {
-    auto e = r.arr<16>();
-    auto exp = r.u32();
-    auto hid = r.u32();
-    if (!e || !exp || !hid)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot issued");
-    IssuedEphIdMeta m;
-    m.ephid.bytes = *e;
-    m.exp_time = *exp;
-    m.hid = *hid;
-    world.issued.push_back(m);
-  }
-
-  auto blocked_count = r.u64();
-  if (!blocked_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot blocked count");
-  for (std::uint64_t i = 0; i < *blocked_count; ++i) {
-    auto d = r.str();
-    if (!d)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot blocked");
-    world.blocked.insert(d.take());
-  }
-
-  auto dns_count = r.u64();
-  if (!dns_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot dns count");
-  for (std::uint64_t i = 0; i < *dns_count; ++i) {
-    auto raw = r.var();
-    if (!raw)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot dns record");
-    auto rec = decode_msg<DnsRecord>(*raw);
-    if (!rec)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot dns parse");
-    DnsRecord d = rec.take();
-    world.dns[d.name] = std::move(d);
-  }
-  return Result<RecoveringWorld>(std::move(world));
-}
-
-/// Applies one CRC-valid journal record to the recovering world.
-/// Returns false when the payload is malformed (skipped, counted).
-bool apply_record(RecoveringWorld& world, std::uint8_t type, ByteSpan payload) {
-  wire::Reader r(payload);
-  switch (static_cast<PersistRecordType>(type)) {
-    case PersistRecordType::host_upsert: {
-      auto hid = r.u32();
-      auto sub = r.u32();
-      auto enc = r.arr<32>();
-      auto mac = r.arr<16>();
-      auto pub = r.arr<32>();
-      if (!hid || !sub || !enc || !mac || !pub) return false;
-      HostRecord rec;
-      rec.hid = *hid;
-      rec.subscriber_id = *sub;
-      rec.keys.enc = *enc;
-      rec.keys.mac = *mac;
-      rec.host_pub = *pub;
-      world.as->host_db.restore(std::move(rec));
-      return true;
-    }
-    case PersistRecordType::host_erase: {
-      auto hid = r.u32();
-      if (!hid) return false;
-      world.as->host_db.restore_erase(*hid);
-      return true;
-    }
-    case PersistRecordType::revoke_ephid: {
-      auto e = r.arr<16>();
-      auto exp = r.u32();
-      auto hid = r.u32();
-      if (!e || !exp || !hid) return false;
-      EphId ephid;
-      ephid.bytes = *e;
-      // The normal path: replay IS a re-application of the original
-      // mutation, escalation counters included. The epoch bumps it does
-      // are invisible — no worker observes the state until recovery
-      // finishes with the single advance_to below.
-      world.as->revoked.revoke_ephid(ephid, *exp, *hid);
-      return true;
-    }
-    case PersistRecordType::revoke_hid: {
-      auto hid = r.u32();
-      if (!hid) return false;
-      world.as->revoked.revoke_hid(*hid);
-      return true;
-    }
-    case PersistRecordType::ephid_issued: {
-      auto e = r.arr<16>();
-      auto exp = r.u32();
-      auto hid = r.u32();
-      if (!e || !exp || !hid) return false;
-      IssuedEphIdMeta m;
-      m.ephid.bytes = *e;
-      m.exp_time = *exp;
-      m.hid = *hid;
-      world.issued.push_back(m);
-      return true;
-    }
-    case PersistRecordType::domain_block: {
-      auto d = r.str();
-      if (!d) return false;
-      world.blocked.insert(d.take());
-      return true;
-    }
-    case PersistRecordType::dns_put: {
-      auto rec = DnsRecord::decode(r);
-      if (!rec) return false;
-      DnsRecord d = rec.take();
-      world.dns[d.name] = std::move(d);
-      return true;
-    }
-    case PersistRecordType::dns_erase: {
-      auto n = r.str();
-      if (!n) return false;
-      world.dns.erase(*n);
-      return true;
-    }
-  }
-  return false;  // unknown record type: skip, count
-}
-
-/// Parses "<stem>-<gen>.<ext>" names; returns generations ascending.
-std::vector<std::uint64_t> generations(const std::vector<std::string>& names,
-                                       std::string_view stem,
-                                       std::string_view ext) {
-  std::vector<std::uint64_t> gens;
-  for (const std::string& n : names) {
-    if (n.size() <= stem.size() + 1 + ext.size()) continue;
-    if (n.compare(0, stem.size(), stem) != 0 || n[stem.size()] != '-')
-      continue;
-    if (n.compare(n.size() - ext.size(), ext.size(), ext) != 0) continue;
-    const std::string digits =
-        n.substr(stem.size() + 1, n.size() - stem.size() - 1 - ext.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    gens.push_back(std::stoull(digits));
-  }
-  std::sort(gens.begin(), gens.end());
-  gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
-  return gens;
-}
-
-}  // namespace
-
 Result<AsStateRecovery> AsState::recover(persist::Vfs& vfs,
-                                         const std::string& dir,
-                                         std::uint32_t max_revocations_per_host,
-                                         std::size_t shard_count) {
-  const std::vector<std::string> names = vfs.list(dir);
-  const std::vector<std::uint64_t> snap_gens =
-      generations(names, "snapshot", ".snap");
-  const std::vector<std::uint64_t> journal_gens =
-      generations(names, "journal", ".log");
-
+                                         const std::string& dir) {
+  const Generations gens = list_generations(vfs, dir);
   AsStateRecovery out;
-  RecoveringWorld world;
-  bool loaded = false;
-  for (auto it = snap_gens.rbegin(); it != snap_gens.rend(); ++it) {
-    auto snap = persist::read_snapshot_file(vfs, snapshot_path(dir, *it));
-    if (!snap) {
-      ++out.snapshots_skipped;
-      continue;
+  for (auto it = gens.snapshots.rbegin(); it != gens.snapshots.rend(); ++it) {
+    if (load_snapshot(vfs, snapshot_path(dir, *it), out)) {
+      out.snapshot_generation = *it;
+      break;
     }
-    auto image = load_image(ByteSpan(snap->payload.data(),
-                                     snap->payload.size()),
-                            max_revocations_per_host, shard_count);
-    if (!image) {
-      ++out.snapshots_skipped;
-      continue;
-    }
-    world = image.take();
-    out.snapshot_generation = *it;
-    loaded = true;
-    break;
+    ++out.snapshots_skipped;
   }
-  if (!loaded)
+  if (!out.as)
     return Result<AsStateRecovery>(Errc::not_found,
                                    "no loadable snapshot generation");
 
@@ -476,11 +417,11 @@ Result<AsStateRecovery> AsState::recover(persist::Vfs& vfs,
   // generations exist when a newer snapshot was corrupt — their journals
   // continue the record stream without overlap (rotation happens exactly
   // at snapshot publication).
-  for (std::uint64_t gen : journal_gens) {
+  for (std::uint64_t gen : gens.journals) {
     if (gen < out.snapshot_generation) continue;
     const persist::ReplayResult rr = persist::replay_journal_file(
         vfs, journal_path(dir, gen), [&](std::uint8_t type, ByteSpan payload) {
-          if (apply_record(world, type, payload))
+          if (apply_record(*out.as, out.services, type, payload))
             ++out.journal_records_replayed;
           else
             ++out.records_malformed;
@@ -492,15 +433,8 @@ Result<AsStateRecovery> AsState::recover(persist::Vfs& vfs,
   // non-bumping paths (or on a world no worker can see yet); advance the
   // epoch once past everything so every per-worker FlowCache entry
   // stamped before the crash is invalid after it.
-  out.snapshot_epoch = world.snapshot_epoch;
-  world.as->epoch.advance_to(
-      std::max(world.snapshot_epoch, world.as->epoch.current()) + 1);
-
-  out.as = std::move(world.as);
-  out.issued = std::move(world.issued);
-  out.blocked_domains.assign(world.blocked.begin(), world.blocked.end());
-  out.dns_records.reserve(world.dns.size());
-  for (auto& [name, rec] : world.dns) out.dns_records.push_back(std::move(rec));
+  out.as->epoch.advance_to(
+      std::max(out.snapshot_epoch, out.as->epoch.current()) + 1);
   return Result<AsStateRecovery>(std::move(out));
 }
 

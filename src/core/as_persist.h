@@ -1,30 +1,34 @@
-// Durable image of one AS's control-plane state (ROADMAP item 4).
+// Durable image of one AS's control-plane state, in one on-disk format:
+// the CRC-framed records of persist/journal.h.
 //
-// Two cooperating representations, both built on src/persist:
-//
-//  * JOURNAL RECORDS — one typed frame per control-plane mutation,
-//    emitted at the mutation sites (RegistryService bootstrap,
+//  * JOURNALS — `journal-<gen>.log`, one record per control-plane
+//    mutation, emitted at the mutation sites (RegistryService bootstrap,
 //    AccountabilityAgent revocation/escalation/domain block,
 //    ManagementService issuance, DnsZone put/erase) through the narrow
 //    `persist::Sink` hook. The emit_* helpers below are all null-safe:
 //    with no sink attached they cost one predicted branch, keeping the
 //    hot paths' allocation gates intact.
 //
-//  * SNAPSHOTS — a full AsState image (secrets, HostDb, RevocationList,
-//    VerdictEpoch, issued-EphID metadata, AA domain blocks, DnsZone
-//    records) serialized into a persist::snapshot container and
-//    published atomically as `snapshot-<gen>.snap`; records that follow
-//    go to `journal-<gen>.log`.
+//  * SNAPSHOTS — `snapshot-<gen>.snap`, the full state as records: a
+//    snapshot_head (format version, provenance, aid, secrets, epoch), one
+//    record per host, revoked EphID, host revocation counter, issued
+//    EphID, blocked domain and zone record, then a snapshot_end holding
+//    the count of records between the two. Published atomically (temp
+//    file, sync, rename); records that follow go to `journal-<gen>.log`.
 //
-// Recovery (AsState::recover, declared in core/as_state.h) loads the
-// newest valid snapshot — falling back a generation on corruption —
-// replays every journal from that generation on up to the last valid
-// frame, and advances the verdict epoch once.
+// Every record payload has one encoder and one decoder (as_persist.cpp),
+// whichever file it sits in. Recovery (AsState::recover, declared in
+// core/as_state.h) loads the newest snapshot that replays whole — no torn
+// tail, the head first, every record decodes, the end count matches —
+// falling back a generation otherwise, replays every journal from that
+// generation on up to the last valid frame, and advances the verdict
+// epoch once.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <span>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,7 +36,6 @@
 #include "core/as_state.h"
 #include "core/messages.h"
 #include "persist/sink.h"
-#include "persist/snapshot.h"
 #include "persist/vfs.h"
 
 namespace apna::core {
@@ -46,14 +49,34 @@ enum class PersistRecordType : std::uint8_t {
   domain_block = 6,  // AA/resolver Fig-5 domain policy rule
   dns_put = 7,       // DnsZone publish (§VII-A)
   dns_erase = 8,     // DnsZone unpublish
+  // Snapshot-only records.
+  snapshot_head = 9,      // format version, provenance, aid, secrets, epoch
+  revoked_ephid = 10,     // one revoked_ids entry, restored as it stands
+  host_revocations = 11,  // one host's §VIII-G2 counter and HID flag
+  snapshot_end = 12,      // count of the records since the head
 };
 
-/// Issued-EphID metadata (who holds which EphID until when) — part of
-/// the snapshot image so a recovered AS still knows what it vouched for.
+/// Issued-EphID metadata (who holds which EphID until when) — kept across
+/// a crash so a recovered AS still knows what it vouched for.
 struct IssuedEphIdMeta {
   EphId ephid;
   ExpTime exp_time = 0;
   Hid hid = 0;
+};
+
+/// The state above core that snapshots carry and recovery hands back:
+/// what the MS issued, which domains the AA and resolver block, and what
+/// the zone publishes. Ordered containers keep snapshots byte-stable for
+/// a given mutation history.
+struct ServiceRecords {
+  std::vector<IssuedEphIdMeta> issued;
+  std::set<std::string> blocked_domains;
+  std::map<std::string, DnsRecord> dns;
+
+  /// Folds in one ephid_issued, domain_block, dns_put or dns_erase record.
+  /// Returns false for any other type and for a payload that fails to
+  /// decode.
+  bool apply(std::uint8_t type, ByteSpan payload);
 };
 
 // --- journal record emission (all null-safe on `sink`) --------------------
@@ -72,28 +95,37 @@ void emit_dns_erase(persist::Sink* sink, std::string_view name);
 std::string snapshot_path(const std::string& dir, std::uint64_t generation);
 std::string journal_path(const std::string& dir, std::uint64_t generation);
 
-/// State held above core that belongs in the snapshot image.
-struct AsSnapshotExtras {
-  std::span<const IssuedEphIdMeta> issued;
-  std::span<const std::string> blocked_domains;
-  std::span<const DnsRecord> dns_records;
+/// Generations on disk under `dir`, ascending. A name whose number is 0
+/// or does not fit 64 bits is ignored.
+struct Generations {
+  std::vector<std::uint64_t> snapshots;
+  std::vector<std::uint64_t> journals;
+};
+Generations list_generations(persist::Vfs& vfs, const std::string& dir);
+
+/// Provenance recorded in a snapshot's head record.
+struct SnapshotInfo {
+  std::uint64_t generation = 0;
+  std::uint64_t seed = 0;  // run provenance (scenario/bench seed)
+  std::string git_sha;     // build provenance
 };
 
-/// Serializes the full image and publishes `snapshot-<gen>.snap`
-/// (temp-file + rename; provenance from `info`). Does NOT rotate the
-/// journal — the coordinator owning the JournalWriter does that.
+/// Writes the full state as `snapshot-<gen>.snap` (temp file, sync,
+/// rename). Does NOT rotate the journal — the coordinator owning the
+/// JournalWriter does that.
 Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
                                const AsState& as,
-                               const AsSnapshotExtras& extras,
-                               const persist::SnapshotInfo& info);
+                               const ServiceRecords& services,
+                               const SnapshotInfo& info);
 
 /// What AsState::recover hands back: the rebuilt core state plus the
-/// recovered metadata the layers above core re-install (services put the
+/// recovered records the layers above core re-install (services put the
 /// DNS records back into a DnsZone, the resolver re-blocks domains).
 struct AsStateRecovery {
   std::unique_ptr<AsState> as;
   std::uint64_t snapshot_generation = 0;
   std::uint64_t snapshot_epoch = 0;
+  /// Journal records applied (snapshot records are not counted).
   std::uint64_t journal_records_replayed = 0;
   /// Torn/corrupt tail bytes discarded across the replayed journals.
   std::uint64_t journal_bytes_discarded = 0;
@@ -101,9 +133,7 @@ struct AsStateRecovery {
   std::uint64_t records_malformed = 0;
   /// Corrupt snapshot generations fallen past before a valid one loaded.
   std::uint32_t snapshots_skipped = 0;
-  std::vector<IssuedEphIdMeta> issued;
-  std::vector<std::string> blocked_domains;
-  std::vector<DnsRecord> dns_records;
+  ServiceRecords services;
 };
 
 }  // namespace apna::core

@@ -68,13 +68,12 @@ struct AsState {
   /// back a generation when a snapshot is corrupt, replays the journal
   /// suffix up to the last valid frame (torn tails truncate, never
   /// crash), then advances the verdict epoch ONCE so every worker
-  /// FlowCache invalidates. Returns the rebuilt state plus the
-  /// recovered metadata the layers above core must re-install (DNS zone
-  /// records, domain blocks, issued-EphID metadata).
-  static Result<AsStateRecovery> recover(
-      persist::Vfs& vfs, const std::string& dir,
-      std::uint32_t max_revocations_per_host = 16,
-      std::size_t shard_count = kDefaultShardCount);
+  /// FlowCache invalidates. Returns the rebuilt state (default escalation
+  /// threshold and striping) plus the recovered records the layers above
+  /// core must re-install (DNS zone records, domain blocks, issued-EphID
+  /// metadata).
+  static Result<AsStateRecovery> recover(persist::Vfs& vfs,
+                                         const std::string& dir);
 };
 
 }  // namespace apna::core

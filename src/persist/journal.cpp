@@ -3,23 +3,6 @@
 #include "persist/crc32c.h"
 
 namespace apna::persist {
-namespace {
-
-void put_le32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
 
 JournalWriter::JournalWriter(Vfs& vfs, std::string path, bool truncate,
                              JournalConfig cfg)
@@ -38,13 +21,13 @@ bool JournalWriter::append(std::uint8_t type, ByteSpan payload) {
     ++stats_.dropped;
     return false;
   }
-  const std::uint32_t len = 1 + static_cast<std::uint32_t>(payload.size());
-  put_le32(buf_, len);
+  std::uint8_t head[9];
+  store_le32(head, 1 + static_cast<std::uint32_t>(payload.size()));
   // CRC over type ‖ payload: seed with the type byte, continue over the
   // payload (crc32c is incremental).
-  const std::uint8_t t = type;
-  put_le32(buf_, crc32c(payload, crc32c(ByteSpan(&t, 1))));
-  buf_.push_back(type);
+  store_le32(head + 4, crc32c(payload, crc32c(ByteSpan(&type, 1))));
+  head[8] = type;
+  buf_.insert(buf_.end(), head, head + sizeof head);
   buf_.insert(buf_.end(), payload.begin(), payload.end());
   ++buffered_records_;
   ++stats_.appended;
@@ -77,12 +60,7 @@ Result<void> JournalWriter::commit_locked() {
   buf_.clear();
   buffered_records_ = 0;
   ++stats_.commits;
-  const bool want_sync =
-      cfg_.fsync == FsyncPolicy::every_commit ||
-      (cfg_.fsync == FsyncPolicy::every_n_commits &&
-       cfg_.sync_every_n_commits != 0 &&
-       stats_.commits % cfg_.sync_every_n_commits == 0);
-  if (want_sync) {
+  if (cfg_.fsync == FsyncPolicy::every_commit) {
     if (auto r = file_->sync(); !r) {
       ++stats_.sync_failures;  // counted, non-sticky: bytes reached the file
       return r;
@@ -105,8 +83,8 @@ ReplayResult replay_journal(ByteSpan data, const ReplayFn& fn) {
   ReplayResult out;
   std::size_t pos = 0;
   while (data.size() - pos >= 8) {
-    const std::uint32_t len = get_le32(data.data() + pos);
-    const std::uint32_t want_crc = get_le32(data.data() + pos + 4);
+    const std::uint32_t len = load_le32(data.data() + pos);
+    const std::uint32_t want_crc = load_le32(data.data() + pos + 4);
     if (len < 1 || len > kMaxFrameLen) break;          // insane length
     if (data.size() - pos - 8 < len) break;            // torn body
     const ByteSpan body(data.data() + pos + 8, len);

@@ -1,7 +1,8 @@
 // Append-only journal: length-prefixed, CRC32C-framed records with
-// group commit and a configurable fsync policy.
+// group commit and a configurable fsync policy. It is the one on-disk
+// format: a snapshot is a file of these frames too (core/as_persist.h).
 //
-// Frame layout (little-endian, matching the wire codec's conventions):
+// Frame layout (the two u32s little-endian; the payload is the caller's):
 //
 //   [u32 len][u32 crc32c][u8 type][payload ...]
 //
@@ -35,16 +36,14 @@ namespace apna::persist {
 inline constexpr std::uint32_t kMaxFrameLen = 1u << 20;
 
 enum class FsyncPolicy : std::uint8_t {
-  never,            // leave durability to the OS
-  every_commit,     // fsync after each group commit
-  every_n_commits,  // fsync every cfg.sync_every_n_commits commits
+  never,         // leave durability to the OS
+  every_commit,  // fsync after each group commit
 };
 
 struct JournalConfig {
   FsyncPolicy fsync = FsyncPolicy::every_commit;
   /// Auto-commit once this many records are buffered (group commit).
   std::size_t group_commit_records = 64;
-  std::size_t sync_every_n_commits = 8;
 };
 
 /// Thread-safe journal writer; implements `Sink` so it can be handed

@@ -287,11 +287,9 @@ class Engine {
   /// them.
   void ensure_dns();
   /// (Re)builds the PersistCoordinator over the current AsState, seeds
-  /// its aggregates, writes the initial snapshot generation and wires
-  /// every mutation site's sink.
-  void attach_persistence(std::vector<core::IssuedEphIdMeta> issued = {},
-                          std::vector<std::string> blocked = {},
-                          std::vector<core::DnsRecord> dns = {});
+  /// its above-core records, writes the initial snapshot generation and
+  /// wires every mutation site's sink.
+  void attach_persistence(core::ServiceRecords services = {});
 
   /// Rebuilds the sealed legitimate working set over the CURRENT live host
   /// range (churn moves it).

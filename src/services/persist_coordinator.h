@@ -6,14 +6,14 @@
 //
 //  * appends it to the current generation's journal (group commit,
 //    configurable fsync policy — persist/journal.h), and
-//  * folds the above-core metadata (issued EphIDs, domain blocks, DNS
-//    records) into in-memory aggregates, because the snapshot image
-//    needs them and no single core structure tracks them.
+//  * folds the above-core records (issued EphIDs, domain blocks, DNS
+//    records) into a core::ServiceRecords, because the snapshot carries
+//    them and no core structure tracks them.
 //
-// write_snapshot() publishes a full AsState image as generation g+1 and
+// write_snapshot() publishes the full state as generation g+1 and
 // rotates the journal to `journal-<g+1>.log`; recovery therefore needs
 // snapshot g plus journals g, g+1, ... (see core/as_persist.h). The last
-// `keep_generations` snapshot/journal pairs are retained so a corrupt
+// kKeepGenerations snapshot/journal pairs are retained so a corrupt
 // newest snapshot can fall back a generation.
 //
 // Journal-write failure degrades the pipeline explicitly (counted,
@@ -21,12 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "core/as_persist.h"
 #include "core/as_state.h"
@@ -42,11 +39,13 @@ class PersistCoordinator final : public persist::Sink {
     persist::JournalConfig journal;
     /// Auto-snapshot after this many journaled records (0 = manual only).
     std::uint64_t snapshot_every_records = 0;
-    /// Snapshot/journal generations retained (min 1).
-    std::uint32_t keep_generations = 2;
-    std::uint64_t seed = 0;   // provenance, recorded in snapshot headers
+    std::uint64_t seed = 0;   // provenance, recorded in snapshot heads
     std::string git_sha;      // provenance
   };
+
+  /// Snapshot/journal generations retained: the newest and one to fall
+  /// back to.
+  static constexpr std::uint64_t kKeepGenerations = 2;
 
   struct Stats {
     persist::JournalWriter::Stats journal;
@@ -69,11 +68,9 @@ class PersistCoordinator final : public persist::Sink {
   /// before records are emitted.
   Result<void> start();
 
-  /// Re-seeds the metadata aggregates after a recovery, so the next
+  /// Re-seeds the above-core records after a recovery, so the next
   /// snapshot still carries what the pre-crash AS vouched for.
-  void seed(std::vector<core::IssuedEphIdMeta> issued,
-            std::vector<std::string> blocked_domains,
-            std::vector<core::DnsRecord> dns_records);
+  void seed(core::ServiceRecords services);
 
   // persist::Sink
   bool append(std::uint8_t type, ByteSpan payload) override;
@@ -104,13 +101,7 @@ class PersistCoordinator final : public persist::Sink {
   std::unique_ptr<persist::JournalWriter> journal_;
   /// Totals carried across journal rotations (stats() = base + current).
   persist::JournalWriter::Stats journal_base_;
-
-  // Above-core state the snapshot image carries (core/as_persist.h
-  // AsSnapshotExtras). Ordered containers keep snapshots byte-stable for
-  // a given mutation history.
-  std::vector<core::IssuedEphIdMeta> issued_;
-  std::set<std::string> blocked_;
-  std::map<std::string, core::DnsRecord> dns_;
+  core::ServiceRecords services_;  // what the snapshot carries above core
 };
 
 }  // namespace apna::services

@@ -1,12 +1,14 @@
-// Durability layer tests (ROADMAP item 4): CRC32C KATs, journal framing
-// under every truncation point and bit flip, snapshot container round
-// trips (MemVfs and the real filesystem), fault-injected degraded modes
-// (short writes, fsync failures), and full AsState snapshot + journal
-// recovery — including the property that recovery from ANY journal
-// prefix equals a reference rebuild of the same mutation prefix, the
-// corrupt-snapshot generation fallback, and concurrent sink appends.
+// Durability layer tests: CRC32C KATs, journal framing under every
+// truncation point and bit flip, AS snapshot files (round trips on MemVfs
+// and the real filesystem; every flipped byte and every cut rejected),
+// fault-injected degraded modes (short writes, fsync failures), and full
+// AsState snapshot + journal recovery — including the property that
+// recovery from ANY journal prefix equals a reference rebuild of the same
+// mutation prefix, the corrupt-snapshot generation fallback, and
+// concurrent sink appends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -21,7 +23,6 @@
 #include "crypto/rng.h"
 #include "persist/crc32c.h"
 #include "persist/journal.h"
-#include "persist/snapshot.h"
 #include "persist/vfs.h"
 #include "services/persist_coordinator.h"
 
@@ -252,105 +253,6 @@ TEST(Journal, FsyncFailureIsCountedNotSticky) {
   EXPECT_EQ(n, 2u);
 }
 
-// ---- snapshot container ------------------------------------------------------
-
-TEST(Snapshot, RoundTripAndAtomicPublish) {
-  persist::MemVfs vfs;
-  crypto::ChaChaRng rng(5);
-  const Bytes payload = rng.bytes(4096);
-  persist::SnapshotInfo info;
-  info.generation = 7;
-  info.seed = 42;
-  info.git_sha = "deadbeef";
-  ASSERT_TRUE(
-      persist::write_snapshot_file(vfs, "s/snap", info, span_of(payload)).ok());
-  EXPECT_FALSE(vfs.exists("s/snap.tmp"));  // temp file renamed away
-
-  auto loaded = persist::read_snapshot_file(vfs, "s/snap");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->info.generation, 7u);
-  EXPECT_EQ(loaded->info.seed, 42u);
-  EXPECT_EQ(loaded->info.git_sha, "deadbeef");
-  EXPECT_EQ(loaded->payload, payload);
-}
-
-TEST(Snapshot, AnySingleByteCorruptionIsDetected) {
-  persist::MemVfs vfs;
-  crypto::ChaChaRng rng(9);
-  const Bytes payload = rng.bytes(512);
-  persist::SnapshotInfo info;
-  info.generation = 1;
-  info.git_sha = "x";
-  ASSERT_TRUE(
-      persist::write_snapshot_file(vfs, "snap", info, span_of(payload)).ok());
-  const std::size_t sz = vfs.file_size("snap");
-  for (std::size_t off = 0; off < sz; ++off) {
-    ASSERT_TRUE(vfs.corrupt("snap", off, 0x01).ok());
-    EXPECT_FALSE(persist::read_snapshot_file(vfs, "snap").ok())
-        << "flip at " << off << " went undetected";
-    ASSERT_TRUE(vfs.corrupt("snap", off, 0x01).ok());  // restore
-  }
-  EXPECT_TRUE(persist::read_snapshot_file(vfs, "snap").ok());
-}
-
-TEST(Snapshot, TruncationsAreDetected) {
-  persist::MemVfs vfs;
-  const Bytes payload = bytes_of("snapshot-payload-bytes");
-  persist::SnapshotInfo info;
-  info.generation = 3;
-  ASSERT_TRUE(
-      persist::write_snapshot_file(vfs, "snap", info, span_of(payload)).ok());
-  const Bytes full = vfs.read_all("snap").take();
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    ASSERT_TRUE(vfs.truncate("snap", cut).ok());
-    EXPECT_FALSE(persist::read_snapshot_file(vfs, "snap").ok())
-        << "truncation to " << cut << " went undetected";
-    // Restore for the next iteration.
-    auto f = vfs.open_append("snap", true).take();
-    ASSERT_TRUE(f->append(span_of(full)).ok());
-  }
-}
-
-TEST(Snapshot, SystemVfsRoundTrip) {
-  char tmpl[] = "/tmp/apna_persist_XXXXXX";
-  char* base = ::mkdtemp(tmpl);
-  ASSERT_NE(base, nullptr);
-  const std::string dir = std::string(base) + "/nested/deep";
-  persist::SystemVfs vfs;
-  ASSERT_TRUE(vfs.mkdirs(dir).ok());
-
-  const Bytes payload = bytes_of("real-disk-payload");
-  persist::SnapshotInfo info;
-  info.generation = 2;
-  info.git_sha = "cafe";
-  const std::string snap = dir + "/snapshot-2.snap";
-  ASSERT_TRUE(persist::write_snapshot_file(vfs, snap, info, span_of(payload)).ok());
-  auto loaded = persist::read_snapshot_file(vfs, snap);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->payload, payload);
-  EXPECT_EQ(loaded->info.generation, 2u);
-
-  const auto recs = make_records(9, 77);
-  const std::string jpath = dir + "/journal-2.log";
-  {
-    persist::JournalWriter w(vfs, jpath, true);
-    write_records(w, recs);
-  }
-  persist::ReplayResult res;
-  std::vector<Record> seen;
-  persist::replay_journal_file(vfs, jpath, [&](std::uint8_t t, ByteSpan p) {
-    seen.push_back(Record{t, Bytes(p.begin(), p.end())});
-  });
-  EXPECT_EQ(seen, recs);
-  const auto names = vfs.list(dir);
-  EXPECT_EQ(names.size(), 2u);
-
-  for (const auto& n : names) (void)vfs.remove(dir + "/" + n);
-  ::rmdir(dir.c_str());
-  ::rmdir((std::string(base) + "/nested").c_str());
-  ::rmdir(base);
-}
-
 // ---- AsState snapshot + journal recovery -------------------------------------
 
 core::DnsRecord make_dns(const std::string& name, std::uint32_t ipv4) {
@@ -470,14 +372,172 @@ void expect_matches_shadow(const AsState& as, const core::AsStateRecovery& rv,
   }
   EXPECT_EQ(as.host_db.size(), shadow.hosts.size());
   EXPECT_EQ(as.revoked.size(), shadow.revoked_hex.size());
-  EXPECT_EQ(rv.issued.size(), shadow.issued);
-  std::set<std::string> blocked(rv.blocked_domains.begin(),
-                                rv.blocked_domains.end());
-  EXPECT_EQ(blocked, shadow.blocked);
+  EXPECT_EQ(rv.services.issued.size(), shadow.issued);
+  EXPECT_EQ(rv.services.blocked_domains, shadow.blocked);
   std::map<std::string, std::uint32_t> dns;
-  for (const auto& r : rv.dns_records) dns[r.name] = r.ipv4;
+  for (const auto& [name, r] : rv.services.dns) dns[r.name] = r.ipv4;
   ASSERT_EQ(dns.size(), shadow.dns.size());
   EXPECT_EQ(dns, shadow.dns);
+}
+
+// ---- AS snapshot files -------------------------------------------------------
+
+/// An AS whose state, built by journaled mutations, lives in one snapshot:
+/// generation 2, with its journal empty and generation 1 deleted.
+struct LoneSnapshot {
+  crypto::ChaChaRng rng{5};
+  AsState as{64512, core::AsSecrets::generate(rng)};
+  Shadow shadow;
+  Mutator mut{as, shadow, nullptr};
+  std::string path;
+
+  void write(persist::Vfs& vfs, const std::string& dir) {
+    services::PersistCoordinator::Config cc;
+    cc.git_sha = "deadbeef";
+    services::PersistCoordinator coord(vfs, dir, as, cc);
+    ASSERT_TRUE(coord.start().ok());
+    mut.sink = &coord;
+    for (std::uint32_t i = 0; i < 30; ++i) mut.step(i * 2654435761u);
+    ASSERT_TRUE(coord.write_snapshot().ok());
+    mut.sink = nullptr;
+    path = core::snapshot_path(dir, 2);
+    ASSERT_TRUE(vfs.remove(core::snapshot_path(dir, 1)).ok());
+    ASSERT_TRUE(vfs.remove(core::journal_path(dir, 1)).ok());
+  }
+
+  /// The recovered AS matches this one: the shadow's records plus the
+  /// secrets and the §VIII-G2 counters, which only a snapshot restores.
+  void expect_recovered(const core::AsStateRecovery& rv) const {
+    EXPECT_EQ(rv.snapshot_generation, 2u);
+    EXPECT_EQ(rv.as->aid, as.aid);
+    EXPECT_EQ(rv.as->secrets.ka, as.secrets.ka);
+    EXPECT_EQ(rv.as->secrets.ka_infra, as.secrets.ka_infra);
+    EXPECT_EQ(rv.as->secrets.sign.seed, as.secrets.sign.seed);
+    EXPECT_EQ(rv.as->secrets.dh.priv, as.secrets.dh.priv);
+    using Counters = std::map<core::Hid, std::pair<std::uint32_t, bool>>;
+    Counters want, got;
+    as.revoked.for_each_host(
+        [&](core::Hid hid, std::uint32_t n, bool r) { want[hid] = {n, r}; });
+    rv.as->revoked.for_each_host(
+        [&](core::Hid hid, std::uint32_t n, bool r) { got[hid] = {n, r}; });
+    EXPECT_EQ(got, want);
+    expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
+  }
+};
+
+TEST(Snapshot, RoundTripAndAtomicPublish) {
+  persist::MemVfs vfs;
+  LoneSnapshot lone;
+  lone.write(vfs, "s");
+  EXPECT_FALSE(vfs.exists(lone.path + ".tmp"));  // temp file renamed away
+
+  // The file is journal frames: the head first, carrying the provenance,
+  // every kind of record a snapshot holds, and the end last.
+  using T = core::PersistRecordType;
+  std::vector<T> types;
+  std::string head;
+  const auto rr = persist::replay_journal_file(
+      vfs, lone.path, [&](std::uint8_t t, ByteSpan p) {
+        if (types.empty()) head.assign(p.begin(), p.end());
+        types.push_back(static_cast<T>(t));
+      });
+  EXPECT_FALSE(rr.torn());
+  ASSERT_GE(types.size(), 2u);
+  EXPECT_EQ(types.front(), T::snapshot_head);
+  EXPECT_EQ(types.back(), T::snapshot_end);
+  EXPECT_NE(head.find("deadbeef"), std::string::npos);
+  for (T kind : {T::host_upsert, T::revoked_ephid, T::host_revocations,
+                 T::ephid_issued, T::domain_block, T::dns_put})
+    EXPECT_NE(std::find(types.begin(), types.end(), kind), types.end())
+        << "no record of type " << static_cast<int>(kind);
+
+  auto rec = AsState::recover(vfs, "s");
+  ASSERT_TRUE(rec.ok()) << rec.error().detail;
+  EXPECT_EQ(rec->journal_records_replayed, 0u);
+  lone.expect_recovered(*rec);
+}
+
+/// With the snapshot as the only generation, flipping any single byte
+/// makes recovery fail: there is no generation to fall back to.
+TEST(Snapshot, AnySingleByteCorruptionIsDetected) {
+  persist::MemVfs vfs;
+  LoneSnapshot lone;
+  lone.write(vfs, "s");
+  const std::size_t sz = vfs.file_size(lone.path);
+  for (std::size_t off = 0; off < sz; ++off) {
+    ASSERT_TRUE(vfs.corrupt(lone.path, off, 0x01).ok());
+    EXPECT_FALSE(AsState::recover(vfs, "s").ok())
+        << "flip at " << off << " went undetected";
+    ASSERT_TRUE(vfs.corrupt(lone.path, off, 0x01).ok());  // restore
+  }
+  EXPECT_TRUE(AsState::recover(vfs, "s").ok());
+}
+
+/// Every cut, at a frame boundary or inside a frame, loses the end record
+/// or tears a frame; either way the snapshot does not load.
+TEST(Snapshot, TruncationsAreDetected) {
+  persist::MemVfs vfs;
+  LoneSnapshot lone;
+  lone.write(vfs, "s");
+  const Bytes full = vfs.read_all(lone.path).take();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    ASSERT_TRUE(vfs.truncate(lone.path, cut).ok());
+    EXPECT_FALSE(AsState::recover(vfs, "s").ok())
+        << "truncation to " << cut << " went undetected";
+    // Restore for the next iteration.
+    auto f = vfs.open_append(lone.path, true).take();
+    ASSERT_TRUE(f->append(span_of(full)).ok());
+  }
+  EXPECT_TRUE(AsState::recover(vfs, "s").ok());
+  // Nor does one with a record cut out of its middle (the end count no
+  // longer matches), or with a record or a torn byte after its end.
+  const std::size_t second = 8 + load_le32(full.data());
+  const std::size_t third = second + 8 + load_le32(full.data() + second);
+  Bytes holed(full.begin(), full.begin() + second);
+  holed.insert(holed.end(), full.begin() + third, full.end());
+  Bytes extended = full;
+  extended.insert(extended.end(), full.begin() + second, full.begin() + third);
+  Bytes tailed = full;
+  tailed.push_back(0);
+  for (const Bytes* bad : {&holed, &extended, &tailed}) {
+    auto f = vfs.open_append(lone.path, true).take();
+    ASSERT_TRUE(f->append(span_of(*bad)).ok());
+    EXPECT_FALSE(AsState::recover(vfs, "s").ok());
+  }
+}
+
+TEST(Snapshot, SystemVfsRoundTrip) {
+  char tmpl[] = "/tmp/apna_persist_XXXXXX";
+  char* base = ::mkdtemp(tmpl);
+  ASSERT_NE(base, nullptr);
+  const std::string dir = std::string(base) + "/nested/deep";
+  persist::SystemVfs vfs;
+  ASSERT_TRUE(vfs.mkdirs(dir).ok());
+
+  // A snapshot on the real filesystem, then a journal suffix after it.
+  LoneSnapshot lone;
+  lone.write(vfs, dir);
+  std::size_t suffix = 0;
+  {
+    persist::JournalWriter w(vfs, core::journal_path(dir, 2), false);
+    lone.mut.sink = &w;
+    for (std::uint32_t i = 30; i < 60; ++i)
+      suffix += lone.mut.step(i * 2654435761u);
+    ASSERT_TRUE(w.commit().ok());
+    lone.mut.sink = nullptr;
+  }
+  auto rec = AsState::recover(vfs, dir);
+  ASSERT_TRUE(rec.ok()) << rec.error().detail;
+  EXPECT_EQ(rec->journal_records_replayed, suffix);
+  EXPECT_EQ(rec->journal_bytes_discarded, 0u);
+  lone.expect_recovered(*rec);
+
+  const auto names = vfs.list(dir);
+  EXPECT_EQ(names.size(), 2u);  // snapshot and journal, no temp file
+  for (const auto& n : names) (void)vfs.remove(dir + "/" + n);
+  ::rmdir(dir.c_str());
+  ::rmdir((std::string(base) + "/nested").c_str());
+  ::rmdir(base);
 }
 
 TEST(AsRecovery, SnapshotPlusJournalSuffixRebuildsEverything) {
@@ -573,7 +633,6 @@ TEST(AsRecovery, CorruptNewestSnapshotFallsBackAGeneration) {
   AsState as(64512, core::AsSecrets::generate(rng));
   services::PersistCoordinator::Config cc;
   cc.git_sha = "test";
-  cc.keep_generations = 3;
   services::PersistCoordinator coord(vfs, "as", as, cc);
   ASSERT_TRUE(coord.start().ok());
 
@@ -601,11 +660,8 @@ TEST(AsRecovery, MalformedPayloadInsideValidFrameIsSkippedAndCounted) {
   persist::MemVfs vfs;
   crypto::ChaChaRng rng(4);
   AsState as(64512, core::AsSecrets::generate(rng));
-  persist::SnapshotInfo info;
-  info.generation = 1;
-  core::AsSnapshotExtras extras;
   ASSERT_TRUE(vfs.mkdirs("as").ok());
-  ASSERT_TRUE(core::write_as_snapshot(vfs, "as", as, extras, info).ok());
+  ASSERT_TRUE(core::write_as_snapshot(vfs, "as", as, {}, {1, 0, ""}).ok());
 
   persist::JournalWriter jw(vfs, core::journal_path("as", 1), true);
   core::HostRecord hr;
@@ -636,6 +692,34 @@ TEST(AsRecovery, EmptyDirectoryIsACleanError) {
   EXPECT_FALSE(rec.ok());
 }
 
+/// Stray names whose number overflows 64 bits or names generation 0 are
+/// not generations: start() begins at 1 and recovery loads it.
+TEST(AsRecovery, OutOfRangeGenerationNameIsIgnored) {
+  persist::MemVfs vfs;
+  ASSERT_TRUE(vfs.mkdirs("as").ok());
+  for (const char* name :
+       {"as/snapshot-99999999999999999999.snap",
+        "as/journal-18446744073709551616.log", "as/snapshot-0.snap"})
+    ASSERT_TRUE(vfs.open_append(name, true).ok());
+
+  crypto::ChaChaRng rng(12);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  services::PersistCoordinator coord(vfs, "as", as);
+  ASSERT_TRUE(coord.start().ok());
+  EXPECT_EQ(coord.stats().generation, 1u);
+  Shadow shadow;
+  Mutator mut{as, shadow, &coord};
+  for (std::uint32_t i = 0; i < 20; ++i) mut.step(i);
+  ASSERT_TRUE(coord.commit().ok());
+
+  auto rec = AsState::recover(vfs, "as");
+  ASSERT_TRUE(rec.ok());
+  auto rv = rec.take();
+  EXPECT_EQ(rv.snapshot_generation, 1u);
+  EXPECT_EQ(rv.snapshots_skipped, 0u);
+  expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
+}
+
 // ---- coordinator lifecycle ---------------------------------------------------
 
 TEST(Coordinator, AutoSnapshotRotatesAndPrunesGenerations) {
@@ -644,7 +728,6 @@ TEST(Coordinator, AutoSnapshotRotatesAndPrunesGenerations) {
   AsState as(64512, core::AsSecrets::generate(rng));
   services::PersistCoordinator::Config cc;
   cc.snapshot_every_records = 10;
-  cc.keep_generations = 2;
   cc.git_sha = "test";
   services::PersistCoordinator coord(vfs, "as", as, cc);
   ASSERT_TRUE(coord.start().ok());
@@ -659,7 +742,7 @@ TEST(Coordinator, AutoSnapshotRotatesAndPrunesGenerations) {
   EXPECT_EQ(st.snapshots_written, st.generation);
   EXPECT_FALSE(coord.degraded());
 
-  // Pruned to the last keep_generations snapshot/journal pairs.
+  // Pruned to the last kKeepGenerations snapshot/journal pairs.
   std::size_t snaps = 0;
   for (const auto& name : vfs.list("as"))
     if (name.find("snapshot-") == 0) ++snaps;
@@ -691,8 +774,7 @@ TEST(Coordinator, RestartResumesAtNextGeneration) {
   // A new coordinator over the recovered state starts at generation 2 and
   // leaves generation 1 on disk as the fallback.
   services::PersistCoordinator coord2(vfs, "as", *rv.as);
-  coord2.seed(std::move(rv.issued), std::move(rv.blocked_domains),
-              std::move(rv.dns_records));
+  coord2.seed(std::move(rv.services));
   ASSERT_TRUE(coord2.start().ok());
   EXPECT_EQ(coord2.stats().generation, 2u);
   EXPECT_TRUE(vfs.exists(core::snapshot_path("as", 1)));
