@@ -131,12 +131,20 @@ bool get(wire::Reader& r, SnapshotHead& h) {
 void put(wire::MsgWriter& w, const SnapshotEnd& e) { w.u64(e.records); }
 bool get(wire::Reader& r, SnapshotEnd& e) { return take(r.u64(), e.records); }
 
+/// Appends `p` to `sink` as one `type` record, encoding it in `scratch`.
+template <class Payload>
+void write_record(persist::Sink& sink, wire::MsgWriter& scratch,
+                  PersistRecordType type, const Payload& p) {
+  scratch.clear();
+  put(scratch, p);
+  sink.append(static_cast<std::uint8_t>(type), scratch.span());
+}
+
 template <class Payload>
 void emit(persist::Sink* sink, PersistRecordType type, const Payload& p) {
   if (!sink) return;
-  wire::MsgWriter w(128);
-  put(w, p);
-  sink->append(static_cast<std::uint8_t>(type), w.span());
+  wire::MsgWriter scratch(128);
+  write_record(*sink, scratch, type, p);
 }
 
 template <class Payload>
@@ -360,30 +368,37 @@ Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
         vfs, tmp, /*truncate=*/true,
         {persist::FsyncPolicy::every_commit,
          std::numeric_limits<std::size_t>::max()});
-    emit(&w, PersistRecordType::snapshot_head,
-         SnapshotHead{info, as.aid, as.secrets, as.epoch.current()});
+    // One scratch writer for every record: a pooled writer per record
+    // costs more than the encoding.
+    wire::MsgWriter scratch(128);
+    const auto record = [&](PersistRecordType type, const auto& payload) {
+      write_record(w, scratch, type, payload);
+    };
+    record(PersistRecordType::snapshot_head,
+           SnapshotHead{info, as.aid, as.secrets, as.epoch.current()});
     SnapshotEnd end;
     as.host_db.for_each([&](const HostRecord& rec) {
-      emit_host_upsert(&w, rec);
+      record(PersistRecordType::host_upsert, rec);
       ++end.records;
     });
     as.revoked.for_each_ephid([&](const EphId& e, ExpTime exp) {
-      emit(&w, PersistRecordType::revoked_ephid, RevokedEphId{e, exp});
+      record(PersistRecordType::revoked_ephid, RevokedEphId{e, exp});
       ++end.records;
     });
     as.revoked.for_each_host([&](Hid hid, std::uint32_t n, bool revoked) {
-      emit(&w, PersistRecordType::host_revocations,
-           HostRevocations{hid, n, revoked});
+      record(PersistRecordType::host_revocations,
+             HostRevocations{hid, n, revoked});
       ++end.records;
     });
     for (const IssuedEphIdMeta& m : services.issued)
-      emit_ephid_issued(&w, m.ephid, m.exp_time, m.hid);
+      record(PersistRecordType::ephid_issued, m);
     for (const std::string& d : services.blocked_domains)
-      emit_domain_block(&w, d);
-    for (const auto& [name, rec] : services.dns) emit_dns_put(&w, rec);
+      record(PersistRecordType::domain_block, std::string_view(d));
+    for (const auto& [name, rec] : services.dns)
+      record(PersistRecordType::dns_put, rec);
     end.records += services.issued.size() + services.blocked_domains.size() +
                    services.dns.size();
-    emit(&w, PersistRecordType::snapshot_end, end);
+    record(PersistRecordType::snapshot_end, end);
     written = w.commit();
   }  // closes the file before it is published
   if (!written) {
