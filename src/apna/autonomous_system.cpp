@@ -168,7 +168,6 @@ void AutonomousSystem::attach_port(core::Hid hid, net::PacketHandler handler) {
 
 void AutonomousSystem::set_persist_sink(persist::Sink* sink) {
   rs_->set_persist_sink(sink);
-  ms_->set_persist_sink(sink);
   aa_->set_persist_sink(sink);
   resolver_->set_persist_sink(sink);
   resolver_->zone().set_persist_sink(sink);

@@ -82,11 +82,12 @@ class AutonomousSystem {
   void attach_port(core::Hid hid, net::PacketHandler handler);
 
   /// Wires the durability hook through every control-plane mutation site
-  /// this AS owns (RS bootstrap, MS issuance, AA revocation, zone
-  /// put/erase, resolver domain blocks). nullptr detaches — the default,
-  /// so the hot paths keep their allocation gates. The shared DnsZone is
-  /// included: in multi-AS deployments attach persistence to ONE AS (the
-  /// zone's operator) or records duplicate.
+  /// this AS owns (RS bootstrap, AA revocation, zone put/erase, resolver
+  /// domain blocks; MS issuance journals nothing, see ManagementService).
+  /// nullptr detaches — the default, so the hot paths keep their
+  /// allocation gates. The shared DnsZone is included: in multi-AS
+  /// deployments attach persistence to ONE AS (the zone's operator) or
+  /// records duplicate.
   void set_persist_sink(persist::Sink* sink);
 
   /// Routes a packet originating inside this AS (host or service uplink).

@@ -16,6 +16,11 @@ namespace {
 constexpr std::uint16_t kFormatVersion = 2;
 
 // Payloads with no core type of their own.
+struct EphIdRevocation {
+  EphId ephid;
+  ExpTime exp_time = 0;
+  Hid hid = 0;
+};
 struct RevokedEphId {
   EphId ephid;
   ExpTime exp_time = 0;
@@ -38,8 +43,7 @@ struct SnapshotEnd {
 // ---------------------------------------------------------------------------
 // Record codecs: one encoder (`put`) and one decoder (`get`) per payload.
 // Record types whose payloads share a shape share its codec: host_erase
-// and revoke_hid (an HID), revoke_ephid and ephid_issued (an EphID with
-// its expiry and holder), domain_block and dns_erase (a name). A decoder
+// and revoke_hid (an HID), domain_block and dns_erase (a name). A decoder
 // reads the fields it needs and ignores trailing bytes.
 
 /// Moves one decoded field into place; false once the reader runs short.
@@ -69,12 +73,12 @@ bool get(wire::Reader& r, HostRecord& rec) {
          take(r.arr<32>(), rec.host_pub);
 }
 
-void put(wire::MsgWriter& w, const IssuedEphIdMeta& m) {
+void put(wire::MsgWriter& w, const EphIdRevocation& m) {
   w.raw(m.ephid.bytes);
   w.u32(m.exp_time);
   w.u32(m.hid);
 }
-bool get(wire::Reader& r, IssuedEphIdMeta& m) {
+bool get(wire::Reader& r, EphIdRevocation& m) {
   return take(r.arr<16>(), m.ephid.bytes) && take(r.u32(), m.exp_time) &&
          take(r.u32(), m.hid);
 }
@@ -153,8 +157,9 @@ bool decode(ByteSpan payload, Payload& out) {
   return get(r, out);
 }
 
-/// Applies one record through the restore-path mutators. Returns false
-/// when the payload fails its decoder or the type is a head or an end.
+/// Applies one record through the restore-path mutators; a reserved
+/// ephid_issued record applies as nothing. Returns false when the payload
+/// fails its decoder or the type is a head or an end.
 bool apply_record(AsState& as, ServiceRecords& services, std::uint8_t type,
                   ByteSpan payload) {
   switch (static_cast<PersistRecordType>(type)) {
@@ -171,12 +176,13 @@ bool apply_record(AsState& as, ServiceRecords& services, std::uint8_t type,
       return true;
     }
     case PersistRecordType::revoke_ephid: {
-      IssuedEphIdMeta m;
+      EphIdRevocation m;
       if (!decode(payload, m)) return false;
       // The normal path: replay IS a re-application of the original
-      // mutation, escalation counters included. The epoch bumps it does
-      // are invisible — no worker observes the state until recovery
-      // finishes with the single advance_to in AsState::recover.
+      // mutation, escalation counters included (an EphID the snapshot
+      // already holds counts nothing). The epoch bumps it does are
+      // invisible — no worker observes the state until recovery finishes
+      // with the single advance_to in AsState::recover.
       as.revoked.revoke_ephid(m.ephid, m.exp_time, m.hid);
       return true;
     }
@@ -198,6 +204,8 @@ bool apply_record(AsState& as, ServiceRecords& services, std::uint8_t type,
       as.revoked.restore_host(h.hid, h.revocations, h.hid_revoked);
       return true;
     }
+    case PersistRecordType::ephid_issued:
+      return true;  // reserved: files from older builds still carry it
     default:
       return services.apply(type, payload);
   }
@@ -268,17 +276,11 @@ void emit_host_erase(persist::Sink* sink, Hid hid) {
 void emit_revoke_ephid(persist::Sink* sink, const EphId& ephid,
                        ExpTime exp_time, Hid hid) {
   emit(sink, PersistRecordType::revoke_ephid,
-       IssuedEphIdMeta{ephid, exp_time, hid});
+       EphIdRevocation{ephid, exp_time, hid});
 }
 
 void emit_revoke_hid(persist::Sink* sink, Hid hid) {
   emit(sink, PersistRecordType::revoke_hid, hid);
-}
-
-void emit_ephid_issued(persist::Sink* sink, const EphId& ephid,
-                       ExpTime exp_time, Hid hid) {
-  emit(sink, PersistRecordType::ephid_issued,
-       IssuedEphIdMeta{ephid, exp_time, hid});
 }
 
 void emit_domain_block(persist::Sink* sink, std::string_view domain) {
@@ -295,12 +297,6 @@ void emit_dns_erase(persist::Sink* sink, std::string_view name) {
 
 bool ServiceRecords::apply(std::uint8_t type, ByteSpan payload) {
   switch (static_cast<PersistRecordType>(type)) {
-    case PersistRecordType::ephid_issued: {
-      IssuedEphIdMeta m;
-      if (!decode(payload, m)) return false;
-      issued.push_back(m);
-      return true;
-    }
     case PersistRecordType::domain_block: {
       std::string domain;
       if (!decode(payload, domain)) return false;
@@ -381,23 +377,21 @@ Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
       record(PersistRecordType::host_upsert, rec);
       ++end.records;
     });
-    as.revoked.for_each_ephid([&](const EphId& e, ExpTime exp) {
-      record(PersistRecordType::revoked_ephid, RevokedEphId{e, exp});
-      ++end.records;
-    });
-    as.revoked.for_each_host([&](Hid hid, std::uint32_t n, bool revoked) {
-      record(PersistRecordType::host_revocations,
-             HostRevocations{hid, n, revoked});
-      ++end.records;
-    });
-    for (const IssuedEphIdMeta& m : services.issued)
-      record(PersistRecordType::ephid_issued, m);
+    as.revoked.for_each(
+        [&](const EphId& e, ExpTime exp) {
+          record(PersistRecordType::revoked_ephid, RevokedEphId{e, exp});
+          ++end.records;
+        },
+        [&](Hid hid, std::uint32_t n, bool revoked) {
+          record(PersistRecordType::host_revocations,
+                 HostRevocations{hid, n, revoked});
+          ++end.records;
+        });
     for (const std::string& d : services.blocked_domains)
       record(PersistRecordType::domain_block, std::string_view(d));
     for (const auto& [name, rec] : services.dns)
       record(PersistRecordType::dns_put, rec);
-    end.records += services.issued.size() + services.blocked_domains.size() +
-                   services.dns.size();
+    end.records += services.blocked_domains.size() + services.dns.size();
     record(PersistRecordType::snapshot_end, end);
     written = w.commit();
   }  // closes the file before it is published

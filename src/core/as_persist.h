@@ -3,18 +3,19 @@
 //
 //  * JOURNALS — `journal-<gen>.log`, one record per control-plane
 //    mutation, emitted at the mutation sites (RegistryService bootstrap,
-//    AccountabilityAgent revocation/escalation/domain block,
-//    ManagementService issuance, DnsZone put/erase) through the narrow
-//    `persist::Sink` hook. The emit_* helpers below are all null-safe:
-//    with no sink attached they cost one predicted branch, keeping the
-//    hot paths' allocation gates intact.
+//    AccountabilityAgent revocation/escalation/domain block, DnsZone
+//    put/erase) through the narrow `persist::Sink` hook. The emit_*
+//    helpers below are all null-safe: with no sink attached they cost one
+//    predicted branch, keeping the hot paths' allocation gates intact.
+//    Fig 3 issuance journals nothing: Fig 6 seals HID ‖ ExpTime inside
+//    every EphID under kA, so no EphID→HID table exists to lose.
 //
 //  * SNAPSHOTS — `snapshot-<gen>.snap`, the full state as records: a
 //    snapshot_head (format version, provenance, aid, secrets, epoch), one
-//    record per host, revoked EphID, host revocation counter, issued
-//    EphID, blocked domain and zone record, then a snapshot_end holding
-//    the count of records between the two. Published atomically (temp
-//    file, sync, rename); records that follow go to `journal-<gen>.log`.
+//    record per host, revoked EphID, host revocation counter, blocked
+//    domain and zone record, then a snapshot_end holding the count of
+//    records between the two. Published atomically (temp file, sync,
+//    rename); records that follow go to `journal-<gen>.log`.
 //
 // Every record payload has one encoder and one decoder (as_persist.cpp),
 // whichever file it sits in. Recovery (AsState::recover, declared in
@@ -45,7 +46,7 @@ enum class PersistRecordType : std::uint8_t {
   host_erase = 2,    // HID rotation, §VIII-G2 escalation
   revoke_ephid = 3,  // AA Fig-5 shutoff
   revoke_hid = 4,    // AA §VIII-G2 escalation
-  ephid_issued = 5,  // MS Fig-3 issuance metadata
+  ephid_issued = 5,  // reserved: older files log Fig 3 issuances; dropped
   domain_block = 6,  // AA/resolver Fig-5 domain policy rule
   dns_put = 7,       // DnsZone publish (§VII-A)
   dns_erase = 8,     // DnsZone unpublish
@@ -56,24 +57,15 @@ enum class PersistRecordType : std::uint8_t {
   snapshot_end = 12,      // count of the records since the head
 };
 
-/// Issued-EphID metadata (who holds which EphID until when) — kept across
-/// a crash so a recovered AS still knows what it vouched for.
-struct IssuedEphIdMeta {
-  EphId ephid;
-  ExpTime exp_time = 0;
-  Hid hid = 0;
-};
-
 /// The state above core that snapshots carry and recovery hands back:
-/// what the MS issued, which domains the AA and resolver block, and what
-/// the zone publishes. Ordered containers keep snapshots byte-stable for
-/// a given mutation history.
+/// which domains the AA and resolver block, and what the zone publishes.
+/// Ordered containers keep snapshots byte-stable for a given mutation
+/// history.
 struct ServiceRecords {
-  std::vector<IssuedEphIdMeta> issued;
   std::set<std::string> blocked_domains;
   std::map<std::string, DnsRecord> dns;
 
-  /// Folds in one ephid_issued, domain_block, dns_put or dns_erase record.
+  /// Folds in one domain_block, dns_put or dns_erase record.
   /// Returns false for any other type and for a payload that fails to
   /// decode.
   bool apply(std::uint8_t type, ByteSpan payload);
@@ -85,8 +77,6 @@ void emit_host_erase(persist::Sink* sink, Hid hid);
 void emit_revoke_ephid(persist::Sink* sink, const EphId& ephid,
                        ExpTime exp_time, Hid hid);
 void emit_revoke_hid(persist::Sink* sink, Hid hid);
-void emit_ephid_issued(persist::Sink* sink, const EphId& ephid,
-                       ExpTime exp_time, Hid hid);
 void emit_domain_block(persist::Sink* sink, std::string_view domain);
 void emit_dns_put(persist::Sink* sink, const DnsRecord& rec);
 void emit_dns_erase(persist::Sink* sink, std::string_view name);

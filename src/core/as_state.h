@@ -70,8 +70,8 @@ struct AsState {
   /// crash), then advances the verdict epoch ONCE so every worker
   /// FlowCache invalidates. Returns the rebuilt state (default escalation
   /// threshold and striping) plus the recovered records the layers above
-  /// core must re-install (DNS zone records, domain blocks, issued-EphID
-  /// metadata).
+  /// core must re-install (DNS zone records, domain blocks). Issued EphIDs
+  /// need no recovery: each carries its HID ‖ ExpTime under kA (Fig 6).
   static Result<AsStateRecovery> recover(persist::Vfs& vfs,
                                          const std::string& dir);
 };

@@ -183,7 +183,6 @@ class FlowCache {
 
   std::size_t capacity() const { return buckets_ * kWays; }
   const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = Stats{}; }
 
  private:
   /// EphIDs are pseudorandom (ciphertext ‖ IV ‖ tag), so EphIdHash's fold

@@ -10,10 +10,13 @@
 // revoked_EphIDs" check runs on every forwarded packet from every router
 // worker, while the AA applies revocations concurrently (Fig 5). A
 // revocation becomes visible to a worker the moment its shard lock is
-// released — there is no global pause.
+// released — there is no global pause. Only the snapshot walk (for_each)
+// holds revocations off.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
+#include <shared_mutex>
 
 #include "core/ids.h"
 #include "core/sharded.h"
@@ -36,12 +39,19 @@ class RevocationList {
         hosts_(shard_count),
         epoch_(epoch) {}
 
-  /// Marks an EphID revoked. Returns the host's updated revocation count.
+  /// Marks an EphID revoked. Returns the host's updated revocation count,
+  /// which only an EphID not yet revoked raises: a replayed shutoff or a
+  /// journal record the snapshot already holds counts once (§VIII-G2
+  /// caps EphIDs revoked per host, not requests).
   std::uint32_t revoke_ephid(const EphId& ephid, ExpTime exp_time, Hid hid) {
-    ephids_.insert_or_assign(ephid, exp_time);
+    std::shared_lock walk(walk_mu_);  // revocations run side by side
+    const bool fresh = ephids_.insert_or_assign(ephid, exp_time);
     const std::uint32_t count = hosts_.update(
         hid, [] { return HostRevState{}; },
-        [](HostRevState& h) { return ++h.revocations; });
+        [fresh](HostRevState& h) {
+          if (fresh) ++h.revocations;
+          return h.revocations;
+        });
     if (epoch_) epoch_->bump();
     return count;
   }
@@ -79,16 +89,18 @@ class RevocationList {
 
   std::size_t size() const { return ephids_.size(); }
 
-  /// Snapshot iteration for the durability layer (shared-locked per
-  /// stripe, see ShardedMap::for_each).
-  template <class Fn>
-  void for_each_ephid(Fn fn) const {
-    ephids_.for_each([&](const EphId& e, ExpTime exp) { fn(e, exp); });
-  }
-  template <class Fn>
-  void for_each_host(Fn fn) const {
+  /// Snapshot iteration for the durability layer: `on_ephid(ephid, exp)`
+  /// per revoked EphID, then `on_host(hid, revocations, hid_revoked)` per
+  /// host. revoke_ephid waits for the walk, so no EphID is seen without
+  /// its count or its count without the EphID: recovery, which counts a
+  /// journaled revocation only when the snapshot lacks its EphID, then
+  /// rebuilds every counter exactly.
+  template <class EphIdFn, class HostFn>
+  void for_each(EphIdFn on_ephid, HostFn on_host) const {
+    std::unique_lock walk(walk_mu_);
+    ephids_.for_each([&](const EphId& e, ExpTime exp) { on_ephid(e, exp); });
     hosts_.for_each([&](Hid hid, const HostRevState& h) {
-      fn(hid, h.revocations, h.hid_revoked);
+      on_host(hid, h.revocations, h.hid_revoked);
     });
   }
 
@@ -125,6 +137,8 @@ class RevocationList {
   std::uint32_t max_per_host_;
   ShardedMap<EphId, ExpTime, EphIdHash> ephids_;
   ShardedMap<Hid, HostRevState> hosts_;
+  /// Pairs the two tables: revoke_ephid holds it shared, for_each unique.
+  mutable std::shared_mutex walk_mu_;
   VerdictEpoch* epoch_;
 };
 

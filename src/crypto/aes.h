@@ -94,7 +94,6 @@ class Aes128 {
   /// driver (modes.cpp aes_cmac_many), which interleaves chains under
   /// DIFFERENT keys and therefore reads schedules directly. Internal.
   const std::uint8_t* round_key_bytes() const { return round_keys_.data(); }
-  bool uses_aesni() const { return tier_ != Backend::soft; }
 
  private:
   alignas(16) std::array<std::uint8_t, (kRounds + 1) * kBlockSize> round_keys_;

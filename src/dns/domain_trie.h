@@ -124,7 +124,6 @@ class DomainTrie {
   }
 
   std::size_t size() const { return rules_; }
-  std::size_t node_count() const { return nodes_.size(); }
 
   /// Modeled footprint: node vector plus the owned edge/domain strings.
   std::size_t memory_bytes() const {

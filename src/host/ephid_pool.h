@@ -155,24 +155,6 @@ class EphIdPool {
     return n;
   }
 
-  /// Earliest expiry among usable EphIDs of `lt`; nullopt when none.
-  std::optional<core::ExpTime> earliest_expiry(core::EphIdLifetime lt,
-                                               core::ExpTime now) const {
-    std::optional<core::ExpTime> best;
-    for (const auto& e : entries_)
-      if (e->lifetime == lt && usable(*e, now) &&
-          (!best || e->cert.exp_time < *best))
-        best = e->cert.exp_time;
-    return best;
-  }
-
-  /// Distinct EphIDs actually assigned to flows (experiment E7).
-  std::size_t assigned_ephids() const {
-    std::unordered_map<const OwnedEphId*, bool> seen;
-    for (const auto& [k, v] : sticky_) seen[v] = true;
-    return seen.size();
-  }
-
   /// Largest number of flows sharing one EphID — the shutoff blast radius.
   std::uint64_t max_flows_per_ephid() const {
     std::uint64_t m = 0;

@@ -332,11 +332,6 @@ Result<void> Host::close_session(std::uint64_t id, bool retire_ephid) {
   return Result<void>::success();
 }
 
-const core::EphIdCertificate* Host::session_peer_cert(std::uint64_t id) const {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second.peer_cert;
-}
-
 std::optional<std::pair<core::EphId, core::EphId>> Host::session_ephids(
     std::uint64_t id) const {
   auto it = sessions_.find(id);

@@ -168,8 +168,6 @@ class Host {
   /// EphID are fate-sharing, §III-B).
   Result<void> close_session(std::uint64_t id, bool retire_ephid = false);
 
-  /// Peer certificate of an established/accepted session (for shutoff).
-  const core::EphIdCertificate* session_peer_cert(std::uint64_t id) const;
   /// The EphIDs a session currently uses (mine, peer's).
   std::optional<std::pair<core::EphId, core::EphId>> session_ephids(
       std::uint64_t id) const;

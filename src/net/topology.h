@@ -28,11 +28,6 @@ class Topology {
     routes_.clear();  // invalidate cache
   }
 
-  bool linked(std::uint32_t a, std::uint32_t b) const {
-    auto it = adj_.find(a);
-    return it != adj_.end() && it->second.contains(b);
-  }
-
   Result<TimeUs> link_latency(std::uint32_t a, std::uint32_t b) const {
     auto it = adj_.find(a);
     if (it == adj_.end()) return Errc::no_route;

@@ -807,8 +807,8 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
   for (const std::string& d : rv.services.blocked_domains)
     dns_resolver_->policy().block(d);
 
-  // New coordinator over the recovered world: seeds carry what the
-  // pre-crash AS vouched for, and start() publishes the post-recovery
+  // New coordinator over the recovered world: seeds carry the pre-crash
+  // domain blocks and zone records, and start() publishes the post-recovery
   // snapshot generation.
   attach_persistence(std::move(rv.services));
   r.persist_snapshots_written += persist_coord_->stats().snapshots_written;

@@ -1,6 +1,5 @@
 #include "services/management_service.h"
 
-#include "core/as_persist.h"
 #include "core/packet_auth.h"
 #include "crypto/ed25519.h"
 
@@ -90,7 +89,6 @@ Result<void> ManagementService::finish_issue(const PreparedIssue& prep,
   resp.encode(scratch);
   core::seal_control_into(out, prep.host.keys, reply_nonce,
                           /*from_host=*/false, scratch.span());
-  core::emit_ephid_issued(persist_, resp.cert.ephid, exp, prep.hid);
   counters_.add<&Stats::issued>();
   return Result<void>::success();
 }

@@ -136,11 +136,11 @@ class ManagementService : public ControlService {
     return reply_nonce_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Attaches the durability hook: issuance metadata (EphID, expiry, HID)
-  /// is journaled through `sink` so a recovered AS still knows what it
-  /// vouched for. nullptr (default) keeps the issue path at its E1
-  /// allocation gate (the emit is one predicted branch).
-  void set_persist_sink(persist::Sink* sink) { persist_ = sink; }
+  /// Accepts the durability hook the other services take, and ignores it:
+  /// issuance journals nothing. Every EphID seals its HID ‖ ExpTime under
+  /// kA (Fig 6), so after a crash the MS, AA and routers read both back
+  /// from the EphID itself and no issued-EphID table needs to survive.
+  void set_persist_sink(persist::Sink*) {}
 
   const core::EphIdCertificate& cert() const { return ident_.cert; }
   const ServiceIdentity& identity() const { return ident_; }
@@ -152,7 +152,6 @@ class ManagementService : public ControlService {
   crypto::Rng& rng_;
   ServiceIdentity ident_;
   LifetimePolicy policy_;
-  persist::Sink* persist_ = nullptr;
   util::Counters<Stats> counters_;
   std::atomic<std::uint64_t> reply_nonce_{1};
 };

@@ -57,6 +57,7 @@ bool PersistCoordinator::append(std::uint8_t type, ByteSpan payload) {
       ++records_since_snapshot_ >= cfg_.snapshot_every_records) {
     // Periodic cadence: a failed snapshot is counted and retried after
     // the next batch of records; journaling continues either way.
+    records_since_snapshot_ = 0;
     (void)write_snapshot_locked();
   }
   return appended;
@@ -125,9 +126,6 @@ PersistCoordinator::Stats PersistCoordinator::stats() const {
   s.snapshots_written = snapshots_written_;
   s.snapshot_failures = snapshot_failures_;
   s.generation = generation_;
-  s.issued_tracked = services_.issued.size();
-  s.blocked_tracked = services_.blocked_domains.size();
-  s.dns_tracked = services_.dns.size();
   return s;
 }
 

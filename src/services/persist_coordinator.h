@@ -1,14 +1,14 @@
 // PersistCoordinator — one AS's durability pipeline.
 //
 // The single `persist::Sink` every control-plane mutation site is wired
-// to (RS, MS, AA, DnsZone, resolver domain blocks). It does two things
-// with each record:
+// to (RS, AA, DnsZone, resolver domain blocks; Fig 3 issuance journals
+// nothing). It does two things with each record:
 //
 //  * appends it to the current generation's journal (group commit,
 //    configurable fsync policy — persist/journal.h), and
-//  * folds the above-core records (issued EphIDs, domain blocks, DNS
-//    records) into a core::ServiceRecords, because the snapshot carries
-//    them and no core structure tracks them.
+//  * folds the above-core records (domain blocks, DNS records) into a
+//    core::ServiceRecords, because the snapshot carries them and no core
+//    structure tracks them.
 //
 // write_snapshot() publishes the full state as generation g+1 and
 // rotates the journal to `journal-<g+1>.log`; recovery therefore needs
@@ -52,9 +52,6 @@ class PersistCoordinator final : public persist::Sink {
     std::uint64_t snapshots_written = 0;
     std::uint64_t snapshot_failures = 0;
     std::uint64_t generation = 0;
-    std::uint64_t issued_tracked = 0;
-    std::uint64_t blocked_tracked = 0;
-    std::uint64_t dns_tracked = 0;
   };
 
   PersistCoordinator(persist::Vfs& vfs, std::string dir, core::AsState& as,
@@ -69,7 +66,7 @@ class PersistCoordinator final : public persist::Sink {
   Result<void> start();
 
   /// Re-seeds the above-core records after a recovery, so the next
-  /// snapshot still carries what the pre-crash AS vouched for.
+  /// snapshot still carries the pre-crash domain blocks and zone records.
   void seed(core::ServiceRecords services);
 
   // persist::Sink

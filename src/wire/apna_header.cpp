@@ -47,19 +47,6 @@ std::size_t Packet::write_mac_preamble(
   return static_cast<std::size_t>(p - out);
 }
 
-Bytes Packet::mac_input() const {
-  // Header sans MAC, then extension and payload — the immutable parts of the
-  // packet that the source host vouches for.
-  std::uint8_t preamble[kMacPreambleMax];
-  const std::size_t n = write_mac_preamble(preamble);
-  const std::size_t body = wire_payload_size();
-  Bytes out;
-  out.reserve(n + body);
-  append(out, ByteSpan(preamble, n));
-  append(out, ByteSpan(payload.data(), body));
-  return out;
-}
-
 Result<Packet> Packet::parse(ByteSpan data) {
   Reader r(data);
   Packet p;

@@ -117,10 +117,6 @@ struct Packet {
   /// the builder to the zero-copy types of wire/packet_buf.h.
   PacketBuf seal() const;
 
-  /// Bytes covered by the per-packet source MAC: everything except the MAC
-  /// field itself (§IV-D2 — the host MACs the packet it injects).
-  Bytes mac_input() const;
-
   /// Maximum size of the MAC preamble (header-sans-MAC + extension).
   static constexpr std::size_t kMacPreambleMax = 40 + 4 + 8;
 

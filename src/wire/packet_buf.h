@@ -173,7 +173,6 @@ class BufferPool {
   void release(Bytes&& buf);
 
   const Stats& stats() const { return stats_; }
-  std::size_t free_count() const { return free_.size(); }
   /// Drops all retained buffers (tests that measure cold-start behavior).
   void trim();
 

@@ -354,8 +354,6 @@ constexpr std::string_view kHostErase = "00000007";
 constexpr std::string_view kRevokeEphId =
     "101112131415161718191a1b1c1d1e1f6553f48400000007";
 constexpr std::string_view kRevokeHid = "00000009";
-constexpr std::string_view kEphIdIssued =
-    "303132333435363738393a3b3c3d3e3f6555428000000007";
 constexpr std::string_view kDomainBlock =
     "0013626c6f636b65642e6578616d706c652e636f6d";
 constexpr std::string_view kDnsErase =
@@ -524,7 +522,6 @@ TEST(CodecGolden, JournalRecordPayloads) {
   core::emit_host_erase(&sink, 7);
   core::emit_revoke_ephid(&sink, ephid(0x10), 1'700'000'900, 7);
   core::emit_revoke_hid(&sink, 9);
-  core::emit_ephid_issued(&sink, ephid(0x30), 1'700'086'400, 7);
   core::emit_domain_block(&sink, "blocked.example.com");
   core::emit_dns_put(&sink, dns_record());
   core::emit_dns_erase(&sink, "www.example.com");
@@ -533,8 +530,8 @@ TEST(CodecGolden, JournalRecordPayloads) {
   const std::pair<T, std::string_view> want[] = {
       {T::host_upsert, kHostUpsert},   {T::host_erase, kHostErase},
       {T::revoke_ephid, kRevokeEphId}, {T::revoke_hid, kRevokeHid},
-      {T::ephid_issued, kEphIdIssued}, {T::domain_block, kDomainBlock},
-      {T::dns_put, kDnsRecord},        {T::dns_erase, kDnsErase},
+      {T::domain_block, kDomainBlock}, {T::dns_put, kDnsRecord},
+      {T::dns_erase, kDnsErase},
   };
   ASSERT_EQ(sink.records.size(), std::size(want));
   for (std::size_t i = 0; i < std::size(want); ++i) {

@@ -14,7 +14,9 @@
 #include "msg_bytes.h"
 #include "services/accountability_agent.h"
 #include "dns/dns_service.h"
+#include "persist/vfs.h"
 #include "services/management_service.h"
+#include "services/persist_coordinator.h"
 #include "services/registry_service.h"
 #include "services/service_identity.h"
 #include "services/service_runtime.h"
@@ -391,6 +393,34 @@ TEST(ServicePool, PooledIssuanceIsDeterministicVsSingleThreaded) {
   for (std::size_t i = 0; i < single.size(); ++i)
     EXPECT_EQ(single[i], quad[i]) << "response " << i
                                   << " differs across thread counts";
+}
+
+/// Fig 3 issuance leaves no state behind (Fig 6: the EphID carries its own
+/// HID and ExpTime), so with a coordinator attached neither the scalar MS
+/// path nor the pool journals a record.
+TEST(ManagementService, IssuanceAppendsNothing) {
+  constexpr std::size_t kN = 2 * services::ServicePool::kChunkJobs;
+  Fixture f;
+  persist::MemVfs vfs;
+  services::PersistCoordinator coord(vfs, "as", f.as);
+  ASSERT_TRUE(coord.start().ok());
+  f.ms.set_persist_sink(&coord);
+
+  const auto requests = f.make_requests(kN + 1, 1);
+  ASSERT_TRUE(f.ms.issue_sealed(f.ctrl, requests[kN], f.loop.now_seconds(),
+                                f.rng)
+                  .ok());
+  services::ServicePool::Config cfg;
+  cfg.threads = 2;
+  services::ServicePool pool(f.ms, nullptr, cfg);
+  std::vector<services::ServicePool::IssueJob> jobs(kN);
+  for (std::size_t i = 0; i < kN; ++i) jobs[i] = {f.ctrl, requests[i]};
+  std::vector<Result<Bytes>> results(kN, Result<Bytes>(Errc::internal));
+  pool.process_issuance(jobs, f.loop.now_seconds(), results);
+
+  EXPECT_EQ(f.ms.stats().issued, kN + 1);
+  ASSERT_TRUE(coord.commit().ok());
+  EXPECT_EQ(coord.stats().journal.appended, 0u);
 }
 
 TEST(ServicePool, MixedValidAndInvalidRequests) {

@@ -4,11 +4,14 @@
 // fault-injected degraded modes (short writes, fsync failures), and full
 // AsState snapshot + journal recovery — including the property that
 // recovery from ANY journal prefix equals a reference rebuild of the same
-// mutation prefix, the corrupt-snapshot generation fallback, and
-// concurrent sink appends.
+// mutation prefix, the corrupt-snapshot generation fallback, the reserved
+// Fig 3 issuance records older files carry, and concurrent sink appends
+// racing snapshot rotation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -25,6 +28,7 @@
 #include "persist/journal.h"
 #include "persist/vfs.h"
 #include "services/persist_coordinator.h"
+#include "util/hex.h"
 
 namespace apna {
 namespace {
@@ -272,8 +276,15 @@ struct Shadow {
   std::set<core::Hid> revoked_hids;
   std::set<std::string> blocked;
   std::map<std::string, std::uint32_t> dns;  // name -> ipv4
-  std::size_t issued = 0;
 };
+
+/// A Fig 3 issuance record as older builds journaled and snapshotted it:
+/// type 5, payload EphID ‖ ExpTime ‖ HID (the retired `ephid_issued`
+/// golden vector). Recovery must accept it and drop it.
+constexpr auto kIssuedType =
+    static_cast<std::uint8_t>(core::PersistRecordType::ephid_issued);
+constexpr std::string_view kEphIdIssued =
+    "303132333435363738393a3b3c3d3e3f6555428000000007";
 
 /// One deterministic mutation applied to (AsState, Shadow) and journaled
 /// through `sink`. Returns the number of journal records emitted.
@@ -331,7 +342,7 @@ struct Mutator {
         core::emit_dns_put(sink, make_dns(name, ipv4));
         return 1;
       }
-      default: {  // issuance metadata, occasionally an escalation or block
+      default: {  // a reserved issuance record, or an escalation or block
         const std::uint32_t sub = rng.next_u32() % 3;
         if (sub == 0 && !live_ephids.empty()) {
           const core::Hid hid = live_ephids.back().second;
@@ -347,11 +358,7 @@ struct Mutator {
           core::emit_domain_block(sink, d);
           return 1;
         }
-        const core::Hid hid = 100 + rng.next_u32() % std::max<core::Hid>(
-                                        1, next_hid - 100);
-        const core::EphId e = as.codec.issue(hid, 3'000'000, rng);
-        ++shadow.issued;
-        core::emit_ephid_issued(sink, e, 3'000'000, hid);
+        if (sink) (void)sink->append(kIssuedType, must_hex(kEphIdIssued));
         return 1;
       }
     }
@@ -372,12 +379,22 @@ void expect_matches_shadow(const AsState& as, const core::AsStateRecovery& rv,
   }
   EXPECT_EQ(as.host_db.size(), shadow.hosts.size());
   EXPECT_EQ(as.revoked.size(), shadow.revoked_hex.size());
-  EXPECT_EQ(rv.services.issued.size(), shadow.issued);
+  EXPECT_EQ(rv.records_malformed, 0u);
   EXPECT_EQ(rv.services.blocked_domains, shadow.blocked);
   std::map<std::string, std::uint32_t> dns;
   for (const auto& [name, r] : rv.services.dns) dns[r.name] = r.ipv4;
   ASSERT_EQ(dns.size(), shadow.dns.size());
   EXPECT_EQ(dns, shadow.dns);
+}
+
+/// Every host's §VIII-G2 revocation counter and HID flag.
+std::map<core::Hid, std::pair<std::uint32_t, bool>> host_counters(
+    const AsState& as) {
+  std::map<core::Hid, std::pair<std::uint32_t, bool>> out;
+  as.revoked.for_each(
+      [](const core::EphId&, core::ExpTime) {},
+      [&](core::Hid hid, std::uint32_t n, bool r) { out[hid] = {n, r}; });
+  return out;
 }
 
 // ---- AS snapshot files -------------------------------------------------------
@@ -414,13 +431,7 @@ struct LoneSnapshot {
     EXPECT_EQ(rv.as->secrets.ka_infra, as.secrets.ka_infra);
     EXPECT_EQ(rv.as->secrets.sign.seed, as.secrets.sign.seed);
     EXPECT_EQ(rv.as->secrets.dh.priv, as.secrets.dh.priv);
-    using Counters = std::map<core::Hid, std::pair<std::uint32_t, bool>>;
-    Counters want, got;
-    as.revoked.for_each_host(
-        [&](core::Hid hid, std::uint32_t n, bool r) { want[hid] = {n, r}; });
-    rv.as->revoked.for_each_host(
-        [&](core::Hid hid, std::uint32_t n, bool r) { got[hid] = {n, r}; });
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(host_counters(*rv.as), host_counters(as));
     expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
   }
 };
@@ -432,7 +443,8 @@ TEST(Snapshot, RoundTripAndAtomicPublish) {
   EXPECT_FALSE(vfs.exists(lone.path + ".tmp"));  // temp file renamed away
 
   // The file is journal frames: the head first, carrying the provenance,
-  // every kind of record a snapshot holds, and the end last.
+  // every kind of record a snapshot holds, and the end last. Issuance
+  // leaves no state, so no issuance record.
   using T = core::PersistRecordType;
   std::vector<T> types;
   std::string head;
@@ -447,14 +459,58 @@ TEST(Snapshot, RoundTripAndAtomicPublish) {
   EXPECT_EQ(types.back(), T::snapshot_end);
   EXPECT_NE(head.find("deadbeef"), std::string::npos);
   for (T kind : {T::host_upsert, T::revoked_ephid, T::host_revocations,
-                 T::ephid_issued, T::domain_block, T::dns_put})
+                 T::domain_block, T::dns_put})
     EXPECT_NE(std::find(types.begin(), types.end(), kind), types.end())
         << "no record of type " << static_cast<int>(kind);
+  EXPECT_EQ(std::find(types.begin(), types.end(), T::ephid_issued),
+            types.end());
 
   auto rec = AsState::recover(vfs, "s");
   ASSERT_TRUE(rec.ok()) << rec.error().detail;
   EXPECT_EQ(rec->journal_records_replayed, 0u);
   lone.expect_recovered(*rec);
+}
+
+/// Rewrites the snapshot at `path` as older builds laid it out: `n`
+/// reserved issuance records after the revocation counters, counted in
+/// the end record.
+void add_reserved_issuance_records(persist::Vfs& vfs, const std::string& path,
+                                   std::size_t n) {
+  using T = core::PersistRecordType;
+  std::vector<std::pair<std::uint8_t, Bytes>> frames;
+  persist::replay_journal_file(vfs, path, [&](std::uint8_t t, ByteSpan p) {
+    frames.emplace_back(t, Bytes(p.begin(), p.end()));
+  });
+  persist::JournalWriter w(vfs, path, /*truncate=*/true);
+  bool added = false;
+  for (auto& [t, p] : frames) {
+    const auto type = static_cast<T>(t);
+    if (!added && (type == T::domain_block || type == T::dns_put ||
+                   type == T::snapshot_end)) {
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(w.append(kIssuedType, must_hex(kEphIdIssued)));
+      added = true;
+    }
+    if (type == T::snapshot_end) store_be64(p.data(), load_be64(p.data()) + n);
+    ASSERT_TRUE(w.append(t, p));
+  }
+  ASSERT_TRUE(w.commit().ok());
+}
+
+/// A snapshot an older build wrote, issuance records and all, still loads
+/// whole and recovers the same state.
+TEST(Snapshot, ReservedIssuanceRecordsStillLoad) {
+  persist::MemVfs vfs;
+  LoneSnapshot lone;
+  lone.write(vfs, "s");
+  const std::size_t size = vfs.file_size(lone.path);
+  add_reserved_issuance_records(vfs, lone.path, 3);
+  EXPECT_EQ(vfs.file_size(lone.path), size + 3 * (8 + 1 + 24));
+
+  auto rec = AsState::recover(vfs, "s");
+  ASSERT_TRUE(rec.ok()) << rec.error().detail;
+  EXPECT_EQ(rec->journal_records_replayed, 0u);
+  lone.expect_recovered(*rec);  // records_malformed == 0 included
 }
 
 /// With the snapshot as the only generation, flipping any single byte
@@ -686,6 +742,61 @@ TEST(AsRecovery, MalformedPayloadInsideValidFrameIsSkippedAndCounted) {
   EXPECT_TRUE(rv.as->host_db.find(100).has_value());  // survivors applied
 }
 
+/// Journals an older build wrote hold reserved issuance records between
+/// the others. Replay applies each as nothing, whatever its payload, and
+/// never counts one malformed.
+TEST(AsRecovery, ReservedIssuanceRecordsInJournalAreDropped) {
+  persist::MemVfs vfs;
+  crypto::ChaChaRng rng(13);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  ASSERT_TRUE(vfs.mkdirs("as").ok());
+  ASSERT_TRUE(core::write_as_snapshot(vfs, "as", as, {}, {1, 0, ""}).ok());
+
+  persist::JournalWriter jw(vfs, core::journal_path("as", 1), true);
+  core::HostRecord hr;
+  hr.hid = 100;
+  rng.fill(MutByteSpan(hr.keys.enc.data(), hr.keys.enc.size()));
+  core::emit_host_upsert(&jw, hr);
+  ASSERT_TRUE(jw.append(kIssuedType, must_hex(kEphIdIssued)));
+  const core::EphId e = as.codec.issue(100, 2'000'000, rng);
+  core::emit_revoke_ephid(&jw, e, 2'000'000, 100);
+  ASSERT_TRUE(jw.append(kIssuedType, span_of(bytes_of("zx"))));
+  ASSERT_TRUE(jw.commit().ok());
+
+  auto rec = AsState::recover(vfs, "as");
+  ASSERT_TRUE(rec.ok());
+  auto rv = rec.take();
+  EXPECT_EQ(rv.journal_records_replayed, 4u);
+  EXPECT_EQ(rv.records_malformed, 0u);
+  EXPECT_TRUE(rv.as->host_db.find(100).has_value());
+  EXPECT_TRUE(rv.as->revoked.is_revoked(e));
+  EXPECT_EQ(rv.as->revoked.size(), 1u);
+}
+
+/// A snapshot written between a revocation and its journal append holds
+/// the revoked EphID and its count; the append then lands in the new
+/// generation's journal. Replaying it must not count the EphID again.
+TEST(AsRecovery, RevocationAlreadyInSnapshotCountsOnce) {
+  persist::MemVfs vfs;
+  crypto::ChaChaRng rng(14);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  services::PersistCoordinator coord(vfs, "as", as);
+  ASSERT_TRUE(coord.start().ok());
+
+  const core::EphId e = as.codec.issue(100, 2'000'000, rng);
+  as.revoked.revoke_ephid(e, 2'000'000, 100);
+  ASSERT_TRUE(coord.write_snapshot().ok());
+  core::emit_revoke_ephid(&coord, e, 2'000'000, 100);
+  ASSERT_TRUE(coord.commit().ok());
+
+  auto rec = AsState::recover(vfs, "as");
+  ASSERT_TRUE(rec.ok());
+  auto rv = rec.take();
+  EXPECT_EQ(rv.snapshot_generation, 2u);
+  EXPECT_EQ(rv.journal_records_replayed, 1u);
+  EXPECT_EQ(host_counters(*rv.as), host_counters(as));
+}
+
 TEST(AsRecovery, EmptyDirectoryIsACleanError) {
   persist::MemVfs vfs;
   auto rec = AsState::recover(vfs, "nowhere");
@@ -755,6 +866,41 @@ TEST(Coordinator, AutoSnapshotRotatesAndPrunesGenerations) {
   expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
 }
 
+/// A snapshot that fails is retried after the next batch of records, not
+/// on every record: each attempt walks the whole AS state under the sink
+/// lock.
+TEST(Coordinator, FailedSnapshotRetriesAfterNextBatch) {
+  persist::MemVfs mem;
+  persist::FaultVfs vfs(mem);
+  crypto::ChaChaRng rng(15);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  services::PersistCoordinator::Config cc;
+  cc.journal.fsync = persist::FsyncPolicy::never;
+  cc.snapshot_every_records = 10;
+  services::PersistCoordinator coord(vfs, "as", as, cc);
+  ASSERT_TRUE(coord.start().ok());
+
+  // From here on every snapshot fails at its sync; the journal, which
+  // never syncs, keeps taking records.
+  vfs.faults().fail_all_syncs = true;
+  Shadow shadow;
+  Mutator mut{as, shadow, &coord};
+  std::size_t records = 0;
+  for (std::uint32_t i = 0; records < 100; ++i) records += mut.step(i);
+  ASSERT_TRUE(coord.commit().ok());
+
+  const auto st = coord.stats();
+  EXPECT_EQ(st.journal.appended, 100u);
+  EXPECT_EQ(st.snapshot_failures, 10u);
+  EXPECT_EQ(st.snapshots_written, 1u);
+  EXPECT_FALSE(coord.degraded());
+  auto rec = AsState::recover(mem, "as");
+  ASSERT_TRUE(rec.ok());
+  auto rv = rec.take();
+  EXPECT_EQ(rv.snapshot_generation, 1u);
+  expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
+}
+
 TEST(Coordinator, RestartResumesAtNextGeneration) {
   persist::MemVfs vfs;
   crypto::ChaChaRng rng(8);
@@ -788,23 +934,32 @@ TEST(Coordinator, ConcurrentSinkAppendsRecoverCompletely) {
   services::PersistCoordinator coord(vfs, "as", as);
   ASSERT_TRUE(coord.start().ok());
 
-  // The real contention shape: the AA revokes from several threads while
-  // the RS enrolls, all funneling through one sink (exercised under TSan
-  // by the `persist` concurrency leg).
+  // The real contention shape: the AA revokes from several threads, all
+  // funneling through one sink, while the main thread rotates snapshots
+  // (exercised under TSan by the `persist` concurrency leg). Each thread
+  // revokes some EphIDs twice, as a replayed shutoff would.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 400;
+  std::atomic<int> running{kThreads};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       crypto::ChaChaRng trng(1000 + t);
+      const core::Hid hid = static_cast<core::Hid>(100 + t);
+      core::EphId e;
       for (int i = 0; i < kPerThread; ++i) {
-        const core::Hid hid = static_cast<core::Hid>(100 + t);
-        const core::EphId e = as.codec.issue(hid, 2'000'000, trng);
+        if (i % 8 != 7) e = as.codec.issue(hid, 2'000'000, trng);
         as.revoked.revoke_ephid(e, 2'000'000, hid);
         core::emit_revoke_ephid(&coord, e, 2'000'000, hid);
       }
+      running.fetch_sub(1);
     });
   }
+  // Paced, so the threads get the sink lock between snapshots.
+  do {
+    EXPECT_TRUE(coord.write_snapshot().ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  } while (running.load() > 0);
   for (auto& th : threads) th.join();
   ASSERT_TRUE(coord.commit().ok());
   EXPECT_EQ(coord.stats().journal.appended,
@@ -812,8 +967,16 @@ TEST(Coordinator, ConcurrentSinkAppendsRecoverCompletely) {
 
   auto rec = AsState::recover(vfs, "as");
   ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->as->revoked.size(),
-            static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_EQ(rec->records_malformed, 0u);
+  EXPECT_EQ(rec->as->revoked.size(), as.revoked.size());
+  as.revoked.for_each(
+      [&](const core::EphId& e, core::ExpTime) {
+        EXPECT_TRUE(rec->as->revoked.is_revoked(e)) << e.hex();
+      },
+      [](core::Hid, std::uint32_t, bool) {});
+  EXPECT_EQ(host_counters(*rec->as), host_counters(as));
+  EXPECT_EQ(host_counters(as)[100],
+            std::make_pair(std::uint32_t{kPerThread - kPerThread / 8}, false));
 }
 
 }  // namespace

@@ -514,6 +514,27 @@ TEST(AccountabilityAgent, ForeignSourceEphIdRejected) {
             Errc::decrypt_failed);
 }
 
+TEST(AccountabilityAgent, ReplayedShutoffCountsOnce) {
+  // §VIII-G2 caps the EphIDs revoked per host. One offending packet's
+  // request, replayed as often as the cap, revokes one EphID and counts
+  // once: it never escalates to the host's HID.
+  ShutoffFixture f;
+  const auto req = f.valid_request();
+  const std::uint32_t limit = 16;  // RevocationList default
+  for (std::uint32_t i = 0; i < limit; ++i)
+    ASSERT_TRUE(f.aa.process(req, f.loop.now_seconds()).ok()) << i;
+  std::uint32_t count = 0;
+  f.as.revoked.for_each([](const core::EphId&, core::ExpTime) {},
+                         [&](core::Hid hid, std::uint32_t n, bool) {
+                           if (hid == f.attacker.hid) count = n;
+                         });
+  EXPECT_EQ(count, 1u);
+  EXPECT_EQ(f.as.revoked.size(), 1u);
+  EXPECT_EQ(f.aa.stats().hid_escalations, 0u);
+  EXPECT_FALSE(f.as.revoked.is_hid_revoked(f.attacker.hid));
+  EXPECT_TRUE(f.as.host_db.contains(f.attacker.hid));
+}
+
 TEST(AccountabilityAgent, EscalatesAfterTooManyShutoffs) {
   // §VIII-G2: repeated shutoffs against one host revoke the HID itself.
   ShutoffFixture f;

@@ -1,6 +1,7 @@
 // Wire-format tests: codec primitives, the Fig 7 header, IPv4/GRE (Fig 9).
 #include <gtest/gtest.h>
 
+#include "core/packet_auth.h"
 #include "crypto/rng.h"
 #include "util/hex.h"
 #include "wire/apna_header.h"
@@ -123,11 +124,13 @@ TEST(ApnaHeader, RoundtripWithPayloadAndNonce) {
 TEST(ApnaHeader, MacInputExcludesMacField) {
   crypto::ChaChaRng rng(4);
   Packet p = sample_packet(rng, 32);
-  const Bytes before = p.mac_input();
-  p.mac[0] ^= 0xff;  // changing the MAC must not change the MAC input
-  EXPECT_EQ(hex_encode(p.mac_input()), hex_encode(before));
-  p.payload[0] ^= 1;  // changing payload must change it
-  EXPECT_NE(hex_encode(p.mac_input()), hex_encode(before));
+  const Bytes key = rng.bytes(16);
+  const crypto::AesCmac cmac(key);
+  const auto before = core::compute_packet_mac(cmac, p);
+  p.mac[0] ^= 0xff;  // changing the MAC field must not change the MAC
+  EXPECT_EQ(core::compute_packet_mac(cmac, p), before);
+  p.payload[0] ^= 1;  // changing a payload byte must change it
+  EXPECT_NE(core::compute_packet_mac(cmac, p), before);
 }
 
 TEST(ApnaHeader, ParseRejectsTruncationAnywhere) {
