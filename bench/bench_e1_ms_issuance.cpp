@@ -10,7 +10,7 @@
 // higher than the request rate [peak 3,888 sessions/s]." The paper
 // parallelizes across 4 processes; ServicePool is that parallelization as
 // a first-class runtime (M workers over the sharded AS state, per-request
-// deterministic rng/nonce).
+// deterministic reply nonce, which also fixes the EphID's IV).
 //
 // We measure the identical server-side work (Fig 3): open the control
 // EphID, validate, decrypt the request, generate the EphID, sign C_EphID
@@ -191,8 +191,7 @@ int main(int argc, char** argv) {
   // --- Single-call baseline (no pool machinery at all) ----------------------
   const double ns_per_issue = bench::time_per_op_ns(
       std::max<std::size_t>(kRequests / 4, 1), [&](std::size_t i) {
-        auto r = s.ms.issue_sealed(s.ctrl, requests[i % kRequests], now,
-                                   s.rng);
+        auto r = s.ms.issue_sealed(s.ctrl, requests[i % kRequests], now);
         if (!r.ok()) std::abort();
       });
   const double us_single = ns_per_issue / 1000.0;

@@ -18,8 +18,9 @@
 //     ServicePool chunk widths — the shared-doubling speedup the MS
 //     cert-chain check amortizes (Fig 3) — plus width 1, what paced
 //     issuance runs (a lone signature goes straight to scalar verify).
-//   * HMAC-DRBG: instantiate + fill against ChaChaRng (the per-request
-//     generator swap in ServicePool).
+//   * EphID IV: one FF1 (radix 2, 32 bits) of the Management Service's
+//     reply counter, what EphIdCodec::issue_counted adds to an issuance,
+//     against a 32-byte ChaChaRng fill.
 //
 // Emits BENCH_e9.json (machine_shape records the active tier; provenance
 // the seed/commit). The checked-in baseline at the repo root is
@@ -45,7 +46,6 @@
 #include "crypto/aead.h"
 #include "crypto/aes.h"
 #include "crypto/chacha20.h"
-#include "crypto/drbg.h"
 #include "crypto/ed25519.h"
 #include "crypto/modes.h"
 #include "crypto/rng.h"
@@ -333,12 +333,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < width; ++i)
       items.push_back({&pubs[i], msgs[i], &sigs[i]});
     std::vector<char> ok(width);
-    HmacDrbg zrng(o.seed, width);
     const double batch_ns = bench::time_per_op_ns(
         asym_iters / width + 1, [&](std::size_t) {
           auto out = std::make_unique<bool[]>(width);
-          if (!ed25519_verify_batch({items.data(), items.size()}, out.get(),
-                                    zrng))
+          if (!ed25519_verify_batch({items.data(), items.size()}, out.get()))
             fatal("batch rejected an all-valid chunk");
         });
     BatchRow row{width, batch_ns / width / 1e3,
@@ -358,22 +356,19 @@ int main(int argc, char** argv) {
   });
   std::printf("\nX25519 shared secret: %.1f µs\n", x25519_ns / 1e3);
 
-  // ---- DRBGs: the ServicePool per-request generator ---------------------------
+  // ---- EphID IV: FF1 of the MS reply counter ---------------------------------
+  // Chained, so each IV waits for the last: the ten dependent AES calls of
+  // one issuance, not the throughput of many in flight.
+  const Ff1Binary ff1(rng.bytes(16));
+  std::uint32_t counter = 0;
+  const double iv_ns = bench::time_per_op_ns(
+      aes_iters, [&](std::size_t) { counter = ff1.encrypt(counter); });
   std::array<std::uint8_t, 32> rnd{};
-  const double drbg_inst_ns = bench::time_per_op_ns(
-      aes_iters, [&](std::size_t i) {
-        HmacDrbg d(o.seed, i);
-        d.fill(rnd);
-      });
-  HmacDrbg drbg(o.seed, 1);
-  const double drbg_fill_ns = bench::time_per_op_ns(
-      aes_iters, [&](std::size_t) { drbg.fill(rnd); });
   ChaChaRng crng(o.seed);
   const double chacha_fill_ns = bench::time_per_op_ns(
       aes_iters, [&](std::size_t) { crng.fill(rnd); });
-  std::printf("\nHMAC-DRBG: instantiate+32B %.0f ns, 32B fill %.0f ns "
-              "(ChaChaRng fill: %.0f ns)\n",
-              drbg_inst_ns, drbg_fill_ns, chacha_fill_ns);
+  std::printf("\nEphID IV (FF1, 32 bits): %.0f ns (ChaChaRng 32B fill: %.0f ns)\n",
+              iv_ns, chacha_fill_ns);
 
   // ---- EphID codec roundtrip (issue + open, tier-sensitive) ------------------
   core::EphIdCodec codec(rng.bytes(16));
@@ -442,8 +437,7 @@ int main(int argc, char** argv) {
     }
     json.end_array();
     json.field("x25519_us", x25519_ns / 1e3);
-    json.field("hmac_drbg_instantiate_ns", drbg_inst_ns, 0);
-    json.field("hmac_drbg_fill32_ns", drbg_fill_ns, 0);
+    json.field("ephid_iv_ns", iv_ns, 0);
     json.field("chacha_rng_fill32_ns", chacha_fill_ns, 0);
     json.field("ephid_roundtrip_ns", ephid_ns, 0);
     if (json.close())

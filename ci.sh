@@ -7,7 +7,7 @@
 #   3. ThreadSanitizer over the `tsan`-labelled suites: util::ChunkPool and
 #      util::Counters (util_test), the router/core concurrency tests, the
 #      service and resolver pools built on that chunk pool, the crypto suites
-#      (per-slot DRBG independence, concurrent batch verification), the
+#      (concurrent batch verification), the
 #      persistence coordinator's multi-threaded sink, the zero-allocation
 #      pool checks and the bounded scenario storms (bounded runtime — TSan
 #      over the full integration matrix would dominate CI time for no extra
@@ -81,7 +81,8 @@ python3 perfbench/selftest.py
 # On an AVX2 host the uncapped run only ever takes the 8-way ChaCha kernel,
 # so these two runs are what exercise the SSE2 and scalar paths, frame
 # head and tail alike, where a host without AVX2 (or without AES-NI) runs
-# them in production.
+# them in production. The KAT suite's FF1 vectors check the EphID IV
+# permutation on each AES tier the same way.
 for cap in soft aesni; do
   APNA_CRYPTO_BACKEND=${cap} ctest --test-dir build-ci --output-on-failure \
     -R '^crypto_(kat|property)_test$'
@@ -108,9 +109,10 @@ echo "=== [tsan] build (tsan-labelled tests only)"
 #     and striped revocation tables under racing epoch bumps.
 #   dns_concurrency_test — resolver lookups racing zone put/erase and
 #     domain-policy churn, plus the M-worker ResolverPool on the chunk pool.
-#   the crypto suites — per-slot HMAC-DRBG independence and concurrent
-#     ed25519_verify_batch, where a shared-scratch race would hide; the
-#     KAT/property suites are cheap enough to keep as ballast.
+#   the crypto suites — concurrent ed25519_verify_batch, whose coefficient
+#     transcript and scratch are per call, where a shared-scratch race
+#     would hide; the KAT/property suites are cheap enough to keep as
+#     ballast.
 #   persist_test — service threads funnel journal records through one
 #     PersistCoordinator sink while the main thread rotates snapshots.
 cmake --build build-tsan -j "${jobs}" --target tsan_tests

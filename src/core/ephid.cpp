@@ -9,7 +9,8 @@ namespace apna::core {
 
 EphIdCodec::EphIdCodec(ByteSpan ka16)
     : enc_(crypto::derive_key16(ka16, "apna-ka-prime")),
-      mac_(crypto::derive_key16(ka16, "apna-ka-double-prime")) {}
+      mac_(crypto::derive_key16(ka16, "apna-ka-double-prime")),
+      iv_(crypto::derive_key16(ka16, "apna-ka-iv")) {}
 
 EphId EphIdCodec::issue_with_iv(Hid hid, ExpTime exp_time,
                                 std::uint32_t iv) const {
@@ -43,6 +44,11 @@ EphId EphIdCodec::issue_with_iv(Hid hid, ExpTime exp_time,
 
 EphId EphIdCodec::issue(Hid hid, ExpTime exp_time, crypto::Rng& rng) const {
   return issue_with_iv(hid, exp_time, rng.next_u32());
+}
+
+EphId EphIdCodec::issue_counted(Hid hid, ExpTime exp_time,
+                                std::uint32_t counter) const {
+  return issue_with_iv(hid, exp_time, iv_.encrypt(counter));
 }
 
 Result<EphIdPlain> EphIdCodec::open(const EphId& ephid) const {

@@ -9,7 +9,11 @@
 //    rejected before the HID is even looked at (§VI-A "Unauthorized EphID
 //    Generation"). CBC-MAC is safe here because its input length is fixed
 //    at exactly one block (footnote 3).
-//  * the random IV lets one HID hold many unlinkable EphIDs (§V-A1).
+//  * a fresh IV lets one HID hold many unlinkable EphIDs (§V-A1). Two
+//    EphIDs under one IV XOR their first 4 ciphertext bytes to HID₁ ⊕ HID₂,
+//    so the Management Service never repeats one: its IV is FF1 under a
+//    third kA-derived key (kA‴) of its reply counter (issue_counted), which
+//    is unique per counter and which nobody without kA can compute.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +42,17 @@ class EphIdCodec {
   static constexpr std::size_t kIvOffset = 8;   // 4 B IV
   static constexpr std::size_t kMacOffset = 12; // 4 B CBC-MAC tag
 
-  /// Derives kA' (encryption) and kA'' (authentication) from kA.
+  /// Derives kA' (encryption), kA'' (authentication) and kA''' (the IV
+  /// permutation) from kA.
   explicit EphIdCodec(ByteSpan ka16);
 
   /// Issues a fresh EphID with a random IV.
   EphId issue(Hid hid, ExpTime exp_time, crypto::Rng& rng) const;
+
+  /// Issues the EphID whose IV is FF1_{kA'''}(counter), a permutation of
+  /// the 32-bit counter space: distinct counters give distinct IVs. The
+  /// Management Service passes its reply nonce and uses each at most once.
+  EphId issue_counted(Hid hid, ExpTime exp_time, std::uint32_t counter) const;
 
   /// Deterministic-IV variant (tests; also lets callers manage IV space).
   EphId issue_with_iv(Hid hid, ExpTime exp_time, std::uint32_t iv) const;
@@ -69,8 +79,9 @@ class EphIdCodec {
   const char* backend() const { return enc_.backend(); }
 
  private:
-  crypto::Aes128 enc_;  // kA'
-  crypto::Aes128 mac_;  // kA''
+  crypto::Aes128 enc_;    // kA'
+  crypto::Aes128 mac_;    // kA''
+  crypto::Ff1Binary iv_;  // kA'''
 };
 
 }  // namespace apna::core

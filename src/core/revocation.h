@@ -39,21 +39,20 @@ class RevocationList {
         hosts_(shard_count),
         epoch_(epoch) {}
 
-  /// Marks an EphID revoked. Returns the host's updated revocation count,
-  /// which only an EphID not yet revoked raises: a replayed shutoff or a
-  /// journal record the snapshot already holds counts once (§VIII-G2
-  /// caps EphIDs revoked per host, not requests).
-  std::uint32_t revoke_ephid(const EphId& ephid, ExpTime exp_time, Hid hid) {
+  /// Marks an EphID revoked. Returns true when the EphID was not revoked
+  /// yet. Only such an EphID raises the host's revocation count and bumps
+  /// the verdict epoch: a replayed shutoff or a journal record the
+  /// snapshot already holds counts once (§VIII-G2 caps EphIDs revoked per
+  /// host, not requests) and leaves every worker's flow cache alone.
+  bool revoke_ephid(const EphId& ephid, ExpTime exp_time, Hid hid) {
     std::shared_lock walk(walk_mu_);  // revocations run side by side
     const bool fresh = ephids_.insert_or_assign(ephid, exp_time);
-    const std::uint32_t count = hosts_.update(
+    if (!fresh) return false;
+    hosts_.update(
         hid, [] { return HostRevState{}; },
-        [fresh](HostRevState& h) {
-          if (fresh) ++h.revocations;
-          return h.revocations;
-        });
+        [](HostRevState& h) { ++h.revocations; });
     if (epoch_) epoch_->bump();
-    return count;
+    return true;
   }
 
   bool is_revoked(const EphId& ephid) const { return ephids_.contains(ephid); }

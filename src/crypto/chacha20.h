@@ -4,7 +4,8 @@
 // The paper requires "any conventional CCA-secure scheme" for payload
 // encryption (§IV-A). ChaCha20-Poly1305 is this repo's default software
 // suite: it is fast without hardware support. ChaCha20 also drives the
-// deterministic RNG (drbg.h).
+// deterministic RNG (ChaChaRng, rng.h) and expands the Ed25519
+// batch-verification coefficients (ed25519.cpp).
 #pragma once
 
 #include <array>

@@ -13,8 +13,10 @@
 #include "crypto/ed25519.h"
 
 #include <cstring>
+#include <string_view>
 #include <vector>
 
+#include "crypto/chacha20.h"
 #include "crypto/fe25519.h"
 #include "crypto/sc25519.h"
 #include "crypto/sha2.h"
@@ -383,15 +385,34 @@ struct BatchEntry {
 };
 
 /// Evaluates the random-linear-combination equation over entries[lo, hi):
-/// [8]((Σ z_i S_i)·B + Σ (z_i k_i)·(−A_i) + Σ z_i·(−R_i)) == identity,
-/// with fresh z_i drawn per call. A shared-doubling Straus multi-scalar walk:
-/// every point gets a 1..15 multiples table (B reuses the first row of the
-/// fixed-base table), then one pass over the 64 nibble positions does 4
-/// doublings per position for the WHOLE sum.
+/// [8]((Σ z_i S_i)·B + Σ (z_i k_i)·(−A_i) + Σ z_i·(−R_i)) == identity.
+/// The z_i come from the sub-range itself: a SHA-512 transcript of lo, hi
+/// and every entry's k_i and S_i (k_i = SHA512(R_i ‖ A_i ‖ M_i) binds R_i,
+/// A_i and the message) keys a ChaCha20 stream, 16 bytes per entry. A
+/// signer must fix its signatures before it can learn the z_i that decide
+/// whether two invalid ones cancel. A shared-doubling Straus multi-scalar
+/// walk: every point gets a 1..15 multiples table (B reuses the first row
+/// of the fixed-base table), then one pass over the 64 nibble positions
+/// does 4 doublings per position for the WHOLE sum.
 bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
-               std::size_t hi, Rng& rng) {
+               std::size_t hi) {
   const std::size_t n = hi - lo;
   const std::size_t m = 2 * n;  // −A_i, −R_i pairs
+
+  constexpr std::string_view kLabel = "apna ed25519 batch z";
+  std::uint8_t range[16];
+  store_le64(range, lo);
+  store_le64(range + 8, hi);
+  Sha512 transcript;
+  transcript.update(ByteSpan(
+      reinterpret_cast<const std::uint8_t*>(kLabel.data()), kLabel.size()));
+  transcript.update(ByteSpan(range, 16));
+  for (std::size_t j = lo; j < hi; ++j) {
+    transcript.update(ByteSpan(entries[j].k, 32));
+    transcript.update(ByteSpan(entries[j].s, 32));
+  }
+  const auto seed = transcript.finish();  // ChaCha20 key ‖ nonce
+  std::uint8_t stream[64];
 
   std::vector<std::array<GeCached, 15>> tables(m);
   std::vector<std::array<std::uint8_t, 32>> scalars(m);
@@ -402,8 +423,11 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
   for (std::size_t j = 0; j < n; ++j) {
     const BatchEntry& e = entries[lo + j];
     // z_i: 128-bit, forced odd so it is nonzero mod L.
+    if (j % 4 == 0)
+      chacha20_block(seed.data(), static_cast<std::uint32_t>(j / 4),
+                     seed.data() + 32, stream);
     std::uint8_t z[32] = {};
-    rng.fill(MutByteSpan(z, 16));
+    std::memcpy(z, stream + 16 * (j % 4), 16);
     z[0] |= 1;
 
     sc_muladd(sb_coeff, z, e.s, sb_coeff);              // += z_i S_i
@@ -432,26 +456,26 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
 /// ed25519_verify leaves so the result is bit-identical to the scalar path.
 void batch_bisect(const std::vector<BatchEntry>& entries, std::size_t lo,
                   std::size_t hi, std::span<const Ed25519BatchItem> items,
-                  bool* out, Rng& rng) {
+                  bool* out) {
   if (hi == lo) return;
   if (hi - lo == 1) {
     const Ed25519BatchItem& it = items[entries[lo].index];
     out[entries[lo].index] = ed25519_verify(*it.pub, it.msg, *it.sig);
     return;
   }
-  if (rlc_check(entries, lo, hi, rng)) {
+  if (rlc_check(entries, lo, hi)) {
     for (std::size_t j = lo; j < hi; ++j) out[entries[j].index] = true;
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
-  batch_bisect(entries, lo, mid, items, out, rng);
-  batch_bisect(entries, mid, hi, items, out, rng);
+  batch_bisect(entries, lo, mid, items, out);
+  batch_bisect(entries, mid, hi, items, out);
 }
 
 }  // namespace
 
-bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items, bool* out,
-                          Rng& rng) {
+bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
+                          bool* out) {
   // A lone signature gains nothing from the combined equation: screening
   // it and then re-verifying it at the bisection leaf would pay twice.
   if (items.size() == 1) {
@@ -482,7 +506,7 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items, bool* out,
     entries.push_back(e);
   }
 
-  batch_bisect(entries, 0, entries.size(), items, out, rng);
+  batch_bisect(entries, 0, entries.size(), items, out);
 
   bool all = true;
   for (std::size_t i = 0; i < items.size(); ++i) all = all && out[i];

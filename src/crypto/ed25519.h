@@ -75,18 +75,22 @@ struct Ed25519BatchItem {
 /// evaluated by a shared-doubling multi-scalar multiplication: 252 point
 /// doublings TOTAL instead of 252 per signature — per-signature cost decays
 /// toward the window additions alone as the batch grows. The z_i are
-/// nonzero 128-bit coefficients from `rng`; the factor 8 removes every
-/// torsion component, exactly as in the scalar equation, so a torsion
-/// offset is accepted by both paths or by neither. Soundness of the
-/// combination assumes the signer cannot predict the z_i. Keys of small
-/// order never reach the equation: their forgeries are pure torsion.
+/// nonzero 128-bit coefficients derived from the batch itself: a SHA-512
+/// transcript of every checked signature's S_i and challenge k_i (which
+/// binds R_i, A_i and the message) seeds a ChaCha20 stream. Soundness
+/// needs a signer who cannot choose its signatures after seeing the z_i;
+/// with z a hash of those signatures, making two invalid ones cancel takes
+/// a search over about 2^127 transcripts. The factor 8 removes every torsion component, exactly as
+/// in the scalar equation, so a torsion offset is accepted by both paths
+/// or by neither. Keys of small order never reach the equation: their
+/// forgeries are pure torsion.
 ///
 /// On ANY batch-equation failure the sweep bisects recursively down to
 /// scalar ed25519_verify leaves, so the accept/reject set is bit-identical
 /// to calling ed25519_verify per item (property-tested over randomized
 /// corrupted batches in crypto_property_test).
-bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items, bool* out,
-                          Rng& rng);
+bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
+                          bool* out);
 
 /// AS / host long-term signing identity.
 struct Ed25519KeyPair {

@@ -1,6 +1,7 @@
 #include "crypto/modes.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace apna::crypto {
@@ -67,6 +68,36 @@ std::array<std::uint8_t, 16> aes_cbc_mac(const Aes128& aes, ByteSpan data) {
     aes.encrypt_block(x.data(), x.data());
   }
   return x;
+}
+
+Ff1Binary::Ff1Binary(ByteSpan key16, unsigned bits)
+    : aes_(key16), u_(bits / 2), v_(bits - bits / 2) {
+  assert(bits >= 2 && bits <= 32);
+  // P = [1] ‖ [2] ‖ [1] ‖ [radix]^3 ‖ [10] ‖ [u mod 256] ‖ [n]^4 ‖ [t]^4.
+  p_mac_ = {1, 2, 1, 0, 0, 2, 10, static_cast<std::uint8_t>(u_)};
+  store_be32(p_mac_.data() + 8, bits);
+  aes_.encrypt_block(p_mac_.data(), p_mac_.data());
+}
+
+std::uint32_t Ff1Binary::encrypt(std::uint32_t x) const {
+  // b = ceil(v / 8) bytes carry NUM(B); d = 8, so y is R's first 8 bytes.
+  const unsigned b = (v_ + 7) / 8;
+  std::uint32_t a = (x >> v_) & ((1u << u_) - 1);
+  std::uint32_t bb = x & ((1u << v_) - 1);
+  for (unsigned i = 0; i < 10; ++i) {
+    // Q = [0]^(15-b) ‖ [i] ‖ [NUM(B)]^b; R = CIPH_K(CIPH_K(P) ⊕ Q).
+    std::uint8_t r[16];
+    std::memcpy(r, p_mac_.data(), 16);
+    r[15 - b] ^= static_cast<std::uint8_t>(i);
+    for (unsigned j = 0; j < b; ++j)
+      r[15 - j] ^= static_cast<std::uint8_t>(bb >> (8 * j));
+    aes_.encrypt_block(r, r);
+    const unsigned m = (i % 2 == 0) ? u_ : v_;
+    const std::uint64_t c = (a + load_be64(r)) & ((1ull << m) - 1);
+    a = bb;
+    bb = static_cast<std::uint32_t>(c);
+  }
+  return (a << v_) | bb;
 }
 
 AesCmac::AesCmac(ByteSpan key16, Aes128::Backend backend)

@@ -7,6 +7,9 @@
 //  * CMAC      — RFC 4493 variable-length MAC; used for the per-packet
 //                source-authentication MAC under k_HA (§IV-D2) and for
 //                infrastructure-internal message authentication.
+//  * FF1       — NIST SP 800-38G format-preserving encryption at radix 2:
+//                the keyed 32-bit permutation that turns the Management
+//                Service's reply counter into an EphID IV.
 #pragma once
 
 #include <array>
@@ -33,6 +36,29 @@ Bytes aes_ctr(const Aes128& aes, const std::uint8_t counter_block[16],
 /// MUST be fixed per key (CBC-MAC is insecure for variable lengths — the
 /// paper cites [6]; EphID construction always MACs exactly one block).
 std::array<std::uint8_t, 16> aes_cbc_mac(const Aes128& aes, ByteSpan data);
+
+/// FF1 (NIST SP 800-38G) over binary strings of `bits` digits with an empty
+/// tweak: a keyed permutation of [0, 2^bits). A value is read as its
+/// `bits`-digit string, most significant bit first. `bits` runs from 2 to
+/// 32; the EphID IV uses 32. SP 800-38G Rev. 1 asks for a domain of at
+/// least 10^6 values, so widths below 20 serve only to test the
+/// construction exhaustively. Each of the ten Feistel rounds costs one AES
+/// call: the PRF's first block P depends only on the key and the width, so
+/// its CBC-MAC state is computed once here. Immutable after construction;
+/// safe for concurrent encrypt() calls.
+class Ff1Binary {
+ public:
+  explicit Ff1Binary(ByteSpan key16, unsigned bits = 32);
+
+  /// FF1.Encrypt of the low `bits` bits of `x`.
+  std::uint32_t encrypt(std::uint32_t x) const;
+
+ private:
+  Aes128 aes_;
+  std::array<std::uint8_t, 16> p_mac_{};  // CIPH_K(P)
+  unsigned u_;                            // digits in the left half
+  unsigned v_;                            // digits in the right half
+};
 
 /// AES-CMAC (RFC 4493): secure for variable-length messages.
 /// Immutable after construction; safe for concurrent mac() calls.

@@ -107,8 +107,10 @@ Result<void> AccountabilityAgent::instruct_revocation(const core::EphId& ephid,
     return Result<void>(Errc::internal, "infra MAC self-check failed");
   counters_.add<&Stats::revocation_instructions>();
 
-  const std::uint32_t host_count = as_.revoked.revoke_ephid(ephid, exp_time, hid);
-  (void)host_count;
+  // A replayed request has passed every check above but changes nothing:
+  // it journals no record, bumps no epoch and cannot escalate again.
+  if (!as_.revoked.revoke_ephid(ephid, exp_time, hid))
+    return Result<void>::success();
   core::emit_revoke_ephid(persist_, ephid, exp_time, hid);
 
   // §VIII-G2 escalation: too many revocations ⇒ revoke the HID itself.

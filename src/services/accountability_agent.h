@@ -122,7 +122,8 @@ class AccountabilityAgent : public ControlService {
  private:
   /// Models "MAC_kAS(revoke EphID_s)" + BR-side verification (Fig 5 tail):
   /// builds the authenticated instruction, verifies it as a border router
-  /// would, then applies it to revoked_ids.
+  /// would, then applies it to revoked_ids. An EphID already there is left
+  /// as it is: nothing journaled, no epoch bump, no escalation.
   Result<void> instruct_revocation(const core::EphId& ephid,
                                    core::ExpTime exp_time, core::Hid hid);
 

@@ -1,5 +1,7 @@
 #include "services/management_service.h"
 
+#include <limits>
+
 #include "core/packet_auth.h"
 #include "crypto/ed25519.h"
 
@@ -54,9 +56,14 @@ Result<void> ManagementService::begin_issue(const core::EphId& ctrl_ephid,
 
 Result<void> ManagementService::finish_issue(const PreparedIssue& prep,
                                              bool pop_ok, core::ExpTime now,
-                                             crypto::Rng& rng,
                                              std::uint64_t reply_nonce,
                                              wire::MsgWriter& out) {
+  // The reply nonce is the IV counter: past 2^32 - 1 every IV of kA has
+  // been used once, and a second use would XOR two HIDs together.
+  if (reply_nonce > std::numeric_limits<std::uint32_t>::max()) {
+    counters_.add<&Stats::rejected_iv_exhausted>();
+    return Result<void>(Errc::exhausted, "EphID IV space of kA used up");
+  }
   // Never certify a public key the requester cannot use: the PoP signature
   // proves possession of the new EphID's Ed25519 secret.
   if (!pop_ok) {
@@ -68,7 +75,8 @@ Result<void> ManagementService::finish_issue(const PreparedIssue& prep,
   // EphID = E_kA(HID, ExpTime); C_EphID = {...} signed K-_AS.
   const core::ExpTime exp = now + policy_.seconds_for(request.lifetime);
   core::EphIdCertificate cert;
-  cert.ephid = as_.codec.issue(prep.hid, exp, rng);
+  cert.ephid = as_.codec.issue_counted(
+      prep.hid, exp, static_cast<std::uint32_t>(reply_nonce));
   cert.exp_time = exp;
   cert.pub = request.ephid_pub;
   cert.aid = as_.aid;
@@ -95,7 +103,7 @@ Result<void> ManagementService::finish_issue(const PreparedIssue& prep,
 
 Result<void> ManagementService::issue_into(const core::EphId& ctrl_ephid,
                                            ByteSpan sealed_request,
-                                           core::ExpTime now, crypto::Rng& rng,
+                                           core::ExpTime now,
                                            std::uint64_t reply_nonce,
                                            wire::MsgWriter& out) {
   PreparedIssue prep;
@@ -103,17 +111,15 @@ Result<void> ManagementService::issue_into(const core::EphId& ctrl_ephid,
     return begun;
   const bool pop_ok = crypto::ed25519_verify(
       prep.request.ephid_pub.sig, prep.pop_tbs, prep.request.pop_sig);
-  return finish_issue(prep, pop_ok, now, rng, reply_nonce, out);
+  return finish_issue(prep, pop_ok, now, reply_nonce, out);
 }
 
 Result<Bytes> ManagementService::issue_sealed(const core::EphId& ctrl_ephid,
                                               ByteSpan sealed_request,
-                                              core::ExpTime now,
-                                              crypto::Rng& rng) {
+                                              core::ExpTime now) {
   const std::uint64_t nonce = reserve_reply_nonces(1);
   wire::MsgWriter out(320);
-  if (auto r = issue_into(ctrl_ephid, sealed_request, now, rng, nonce, out);
-      !r)
+  if (auto r = issue_into(ctrl_ephid, sealed_request, now, nonce, out); !r)
     return Result<Bytes>(r.error());
   return out.take();
 }
@@ -130,7 +136,7 @@ Result<wire::PacketBuf> ManagementService::handle_packet(
   // region; finish() patches the length and the MAC is stamped in place.
   wire::PacketWriter pw(as_.aid, ident_.cert.ephid.bytes, req.src_aid(),
                         req.src_ephid(), wire::NextProto::control);
-  auto issued = issue_into(ctrl, req.payload(), loop_.now_seconds(), rng_,
+  auto issued = issue_into(ctrl, req.payload(), loop_.now_seconds(),
                            reserve_reply_nonces(1), pw);
   if (!issued) return Result<wire::PacketBuf>(issued.error());
   wire::PacketBuf out = pw.finish();

@@ -10,9 +10,15 @@
 // paper's MS experiment (§V-A3); bench E1 drives it directly — single
 // threaded and fanned across M workers through services::ServicePool. It
 // is thread-safe: the AS state is sharded/immutable, the counters are a
-// util::Counters set of relaxed atomics, and the caller supplies the rng
-// and the reply nonce (so pooled bursts stay deterministic regardless of
-// worker scheduling).
+// util::Counters set of relaxed atomics, and the caller supplies the reply
+// nonce (so pooled bursts stay deterministic regardless of worker
+// scheduling).
+//
+// The reply nonce also picks the new EphID's IV: EphIdCodec::issue_counted
+// permutes it under a kA-derived key, so IVs never repeat within one MS
+// lifetime and only the AS can relate an IV to its reply. The counter's
+// 2^32 values are the budget of one kA; past it the MS refuses
+// (Stats::rejected_iv_exhausted) instead of reusing an IV.
 #pragma once
 
 #include <atomic>
@@ -59,15 +65,14 @@ class ManagementService : public ControlService {
     std::uint64_t rejected_bad_payload = 0;
     std::uint64_t rejected_revoked = 0;
     std::uint64_t rejected_bad_pop = 0;  // proof-of-possession sig invalid
+    std::uint64_t rejected_iv_exhausted = 0;  // reply counter past 2^32 - 1
   };
 
-  ManagementService(core::AsState& as, net::EventLoop& loop, crypto::Rng& rng,
+  /// Issuance draws no randomness (the IV comes from the reply counter);
+  /// the Rng& parameter is kept for existing callers and not used.
+  ManagementService(core::AsState& as, net::EventLoop& loop, crypto::Rng&,
                     ServiceIdentity ident, LifetimePolicy policy)
-      : as_(as),
-        loop_(loop),
-        rng_(rng),
-        ident_(std::move(ident)),
-        policy_(policy) {}
+      : as_(as), loop_(loop), ident_(std::move(ident)), policy_(policy) {}
   ManagementService(core::AsState& as, net::EventLoop& loop, crypto::Rng& rng,
                     ServiceIdentity ident)
       : ManagementService(as, loop, rng, std::move(ident), LifetimePolicy()) {}
@@ -89,15 +94,16 @@ class ManagementService : public ControlService {
 
   /// The server side of Fig 3 for one request, everything except
   /// transport: appends the E_kHA-sealed EphIdResponse to `out`.
-  /// Thread-safe; the rng and reply nonce come from the caller so pooled
-  /// bursts are deterministic (ServicePool derives both from the request
-  /// index). Verifies the request's proof-of-possession signature with the
-  /// scalar ed25519_verify; ServicePool uses the begin/finish split below
-  /// to amortize that check across a chunk with ed25519_verify_batch.
+  /// Thread-safe; the reply nonce comes from the caller so pooled bursts
+  /// are deterministic (ServicePool derives it from the request index).
+  /// Each nonce must come from reserve_reply_nonces and be used once: it
+  /// is also the EphID's IV counter. Verifies the request's
+  /// proof-of-possession signature with the scalar ed25519_verify;
+  /// ServicePool uses the begin/finish split below to amortize that check
+  /// across a chunk with ed25519_verify_batch.
   Result<void> issue_into(const core::EphId& ctrl_ephid,
                           ByteSpan sealed_request, core::ExpTime now,
-                          crypto::Rng& rng, std::uint64_t reply_nonce,
-                          wire::MsgWriter& out);
+                          std::uint64_t reply_nonce, wire::MsgWriter& out);
 
   /// A validated, decrypted, decoded issuance request whose
   /// proof-of-possession signature has NOT yet been checked — the split
@@ -119,16 +125,16 @@ class ManagementService : public ControlService {
   /// Fig 3 steps after the PoP check. `pop_ok` is the verdict for
   /// prep.request.pop_sig over prep.pop_tbs (scalar or batch verified —
   /// the two are bit-identical); false is counted and rejected here so
-  /// both paths share the bookkeeping.
+  /// both paths share the bookkeeping. A reply nonce past 2^32 - 1 is
+  /// refused (Errc::exhausted) before anything is signed.
   Result<void> finish_issue(const PreparedIssue& prep, bool pop_ok,
-                            core::ExpTime now, crypto::Rng& rng,
-                            std::uint64_t reply_nonce, wire::MsgWriter& out);
+                            core::ExpTime now, std::uint64_t reply_nonce,
+                            wire::MsgWriter& out);
 
   /// Bytes-returning convenience over issue_into (tests, single-thread
   /// bench path); draws the reply nonce from the internal counter.
   Result<Bytes> issue_sealed(const core::EphId& ctrl_ephid,
-                             ByteSpan sealed_request, core::ExpTime now,
-                             crypto::Rng& rng);
+                             ByteSpan sealed_request, core::ExpTime now);
 
   /// Reserves a contiguous block of `n` reply nonces (ServicePool bursts:
   /// request i of a burst uses base+i, independent of worker scheduling).
@@ -149,7 +155,6 @@ class ManagementService : public ControlService {
  private:
   core::AsState& as_;
   net::EventLoop& loop_;
-  crypto::Rng& rng_;
   ServiceIdentity ident_;
   LifetimePolicy policy_;
   util::Counters<Stats> counters_;

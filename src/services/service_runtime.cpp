@@ -1,11 +1,10 @@
 #include "services/service_runtime.h"
 
 #include <cassert>
+#include <memory>
 #include <vector>
 
-#include "crypto/drbg.h"
 #include "crypto/ed25519.h"
-#include "crypto/rng.h"
 #include "services/accountability_agent.h"
 #include "services/management_service.h"
 #include "wire/msg_codec.h"
@@ -39,10 +38,7 @@ ServicePool::ServicePool(ManagementService& ms, AccountabilityAgent* aa,
     : ms_(ms),
       aa_(aa),
       slots_(util::ChunkPool::resolve(cfg.threads)),
-      pool_(slots_.size()) {
-  for (std::size_t i = 0; i < slots_.size(); ++i)
-    slots_[i].drbg = std::make_unique<crypto::HmacDrbg>(kRngSeed, i);
-}
+      pool_(slots_.size()) {}
 
 void ServicePool::issue_chunk(std::size_t slot, std::span<const IssueJob> jobs,
                               core::ExpTime now, std::uint64_t nonce0,
@@ -60,9 +56,7 @@ void ServicePool::issue_chunk(std::size_t slot, std::span<const IssueJob> jobs,
 
   // Stage 2 — one ed25519_verify_batch sweep over the chunk's
   // proof-of-possession signatures (bit-identical to per-request scalar
-  // verification; see ed25519.h). The z coefficients come from this
-  // SLOT's private DRBG — they never influence the verdicts, so
-  // determinism per (seed, burst index) is preserved.
+  // verification; see ed25519.h).
   std::vector<crypto::Ed25519BatchItem> items;
   std::vector<std::size_t> item_index;
   items.reserve(m);
@@ -78,14 +72,14 @@ void ServicePool::issue_chunk(std::size_t slot, std::span<const IssueJob> jobs,
   if (!items.empty()) {
     auto verdicts = std::make_unique<bool[]>(items.size());
     (void)crypto::ed25519_verify_batch({items.data(), items.size()},
-                                       verdicts.get(), *st.drbg);
+                                       verdicts.get());
     for (std::size_t v = 0; v < items.size(); ++v)
       pop_ok[item_index[v]] = verdicts[v] ? 1 : 0;
   }
 
-  // Stage 3 — finish each request with its own (seed, index)-derived
-  // DRBG and reply nonce: results are bit-identical no matter which
-  // worker (or how many workers) ran the request.
+  // Stage 3 — finish each request with its own index-derived reply
+  // nonce (and so IV): results are bit-identical no matter which worker
+  // (or how many workers) ran the request.
   st.stats.add<&Stats::issuance_jobs>(m);
   for (std::size_t j = 0; j < m; ++j) {
     if (!begun[j]) {
@@ -93,10 +87,9 @@ void ServicePool::issue_chunk(std::size_t slot, std::span<const IssueJob> jobs,
       results[j] = Result<Bytes>(begun[j].error());
       continue;
     }
-    crypto::HmacDrbg rng(kRngSeed, nonce0 + j);
     wire::MsgWriter out(320);
     auto issued =
-        ms_.finish_issue(preps[j], pop_ok[j] != 0, now, rng, nonce0 + j, out);
+        ms_.finish_issue(preps[j], pop_ok[j] != 0, now, nonce0 + j, out);
     if (issued) {
       results[j] = out.take();
     } else {

@@ -17,10 +17,11 @@
 //  * ServicePool      — fans bursts of independent control-plane jobs
 //    (EphID issuance, shutoff verification) across M worker threads on a
 //    util::ChunkPool, kChunkJobs jobs per claimed chunk. Job results are
-//    deterministic and thread-count independent: each request gets its
-//    own counter-derived rng and reply nonce, so a 4-worker pool emits
-//    bit-identical responses to a single-threaded loop (pinned by
-//    control_plane_test). Per-slot counters are summed on read.
+//    deterministic and thread-count independent: request i of a burst gets
+//    reply nonce i of the burst's reserved block, which also fixes its
+//    EphID IV, so a 4-worker pool emits bit-identical responses to a
+//    single-threaded loop (pinned by control_plane_test). Per-slot
+//    counters are summed on read.
 //
 // Threading model (see ARCHITECTURE.md "Concurrency model"): dispatcher on
 // the event loop only; ServicePool::process_* may not be called from two
@@ -31,14 +32,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/ids.h"
 #include "core/messages.h"
-#include "crypto/rng.h"
 #include "util/chunk_pool.h"
 #include "util/counters.h"
 #include "util/result.h"
@@ -120,12 +119,6 @@ class ServicePool {
   /// ed25519_verify_batch PoP sweep: 16 amortizes the shared point
   /// doublings across the whole chunk.
   static constexpr std::size_t kChunkJobs = 16;
-  /// Base seed of every DRBG the pool instantiates. Request i of a burst
-  /// gets HmacDrbg(kRngSeed, nonce0 + i), so results depend on the request
-  /// index only — never on worker assignment or thread count. Each worker
-  /// SLOT additionally owns HmacDrbg(kRngSeed, slot) for randomness that
-  /// never surfaces in outputs (batch-verification coefficients).
-  static constexpr std::uint64_t kRngSeed = 0x5eedc0de;
 
   /// Plain copyable counters, summed across worker slots on read.
   struct Stats {
@@ -153,7 +146,8 @@ class ServicePool {
   /// Issues the whole burst across all processing threads; results[i] is
   /// the sealed response (or error) for burst[i]. Blocks until done.
   /// Deterministic: a contiguous block of reply nonces is reserved up
-  /// front and request i uses nonce0+i and HmacDrbg(kRngSeed, nonce0+i).
+  /// front and request i uses nonce0+i, as its reply nonce and as the
+  /// counter its EphID IV is derived from.
   void process_issuance(std::span<const IssueJob> burst, core::ExpTime now,
                         std::span<Result<Bytes>> results);
 
@@ -174,13 +168,6 @@ class ServicePool {
 
   struct alignas(64) Slot {
     util::Counters<Stats> stats;
-    /// Worker-private DRBG (crypto::HmacDrbg, seeded per slot) for
-    /// randomness that must never contend across threads and never shows
-    /// up in deterministic outputs: the z coefficients of the chunk PoP
-    /// batch verification. Only this slot's thread touches it
-    /// (crypto_concurrency_test stresses the no-sharing invariant under
-    /// TSan).
-    std::unique_ptr<crypto::Rng> drbg;
   };
 
   ManagementService& ms_;

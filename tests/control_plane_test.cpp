@@ -5,7 +5,8 @@
 //  * PacketWriter ↔ Packet::seal wire-image equivalence,
 //  * ServiceDispatcher routing by destination EphID,
 //  * ServicePool issuance determinism: M workers emit bit-identical
-//    responses to the single-threaded pool, plus pooled shutoff bursts.
+//    responses to the single-threaded pool, plus pooled shutoff bursts,
+//  * the EphID IV each pooled reply takes from its reply nonce.
 #include <gtest/gtest.h>
 
 #include "core/packet_auth.h"
@@ -223,7 +224,7 @@ TEST(MsgCodec, PacketWriterMatchesPacketSeal) {
 // ---- Service fixture (mirrors services_test's AsFixture) --------------------
 
 struct Fixture {
-  crypto::ChaChaRng rng{7001};
+  crypto::ChaChaRng rng;
   net::EventLoop loop;
   core::AsState as{64512, core::AsSecrets::generate(rng)};
   core::AsDirectory dir;
@@ -247,7 +248,7 @@ struct Fixture {
   core::EphId ctrl;
   core::HostAsKeys keys;
 
-  Fixture() {
+  explicit Fixture(std::uint64_t seed = 7001) : rng(seed) {
     core::AsPublicInfo info;
     info.aid = as.aid;
     info.sign_pub = as.secrets.sign.pub;
@@ -395,6 +396,88 @@ TEST(ServicePool, PooledIssuanceIsDeterministicVsSingleThreaded) {
                                   << " differs across thread counts";
 }
 
+/// A pooled reply as its host reads it: the clear nonce and the certificate.
+struct PooledReply {
+  std::uint64_t nonce = 0;  // sent in clear, first 8 bytes
+  core::EphIdCertificate cert;
+};
+
+PooledReply open_reply(const Fixture& f, ByteSpan sealed) {
+  PooledReply out;
+  out.nonce = load_be64(sealed.data());
+  auto opened = core::open_control(f.keys, false, sealed);
+  EXPECT_TRUE(opened.ok());
+  auto resp = core::decode_msg<core::EphIdResponse>(*opened);
+  EXPECT_TRUE(resp.ok());
+  out.cert = resp->cert;
+  return out;
+}
+
+std::uint32_t iv_of(const core::EphId& e) {
+  return load_be32(e.bytes.data() + core::EphIdCodec::kIvOffset);
+}
+
+/// Issues `n` requests of `f`'s host through a pool of `threads`.
+std::vector<Result<Bytes>> issue_burst(Fixture& f, std::size_t n,
+                                       std::size_t threads) {
+  services::ServicePool::Config cfg;
+  cfg.threads = threads;
+  services::ServicePool pool(f.ms, nullptr, cfg);
+  const auto requests = f.make_requests(n, 1);
+  std::vector<services::ServicePool::IssueJob> jobs(n);
+  for (std::size_t i = 0; i < n; ++i) jobs[i] = {f.ctrl, requests[i]};
+  std::vector<Result<Bytes>> results(n, Result<Bytes>(Errc::internal));
+  pool.process_issuance(jobs, f.loop.now_seconds(), results);
+  return results;
+}
+
+TEST(ServicePool, IvsAreKeyedNotReadableFromTheClearNonce) {
+  // §IV-C seals the reply so no observer can relate the fresh EphID to the
+  // request. Two ASes under different kA issue the same burst: reply i
+  // carries the same clear nonce in both, and the IVs must still differ —
+  // an IV anyone can compute from the nonce would be that link.
+  constexpr std::size_t kN = 2 * services::ServicePool::kChunkJobs;
+  Fixture a(7001), b(7002);
+  ASSERT_NE(a.as.secrets.ka, b.as.secrets.ka);
+  const auto ra = issue_burst(a, kN, 2);
+  const auto rb = issue_burst(b, kN, 2);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(ra[i].ok() && rb[i].ok()) << i;
+    const PooledReply pa = open_reply(a, *ra[i]);
+    const PooledReply pb = open_reply(b, *rb[i]);
+    EXPECT_EQ(pa.nonce, pb.nonce) << i;
+    EXPECT_NE(iv_of(pa.cert.ephid), iv_of(pb.cert.ephid)) << i;
+  }
+}
+
+TEST(ServicePool, PooledIvsArePermutedReplyNonces) {
+  // Every pooled reply's IV is the codec's permutation of that reply's
+  // nonce, and the scalar path, given the same nonces, emits the same
+  // bytes.
+  constexpr std::size_t kN = 40;
+  Fixture f;
+  const auto results = issue_burst(f, kN, 4);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(results[i].ok()) << i;
+    const PooledReply r = open_reply(f, *results[i]);
+    EXPECT_EQ(r.nonce, 1 + i);
+    EXPECT_EQ(r.cert.ephid,
+              f.as.codec.issue_counted(f.hid, r.cert.exp_time,
+                                       static_cast<std::uint32_t>(r.nonce)))
+        << i;
+  }
+
+  Fixture g;  // same seed, so the same keys and requests
+  const auto requests = g.make_requests(kN, 1);
+  for (std::size_t i = 0; i < kN; ++i) {
+    wire::MsgWriter out(320);
+    ASSERT_TRUE(g.ms.issue_into(g.ctrl, requests[i], g.loop.now_seconds(),
+                                g.ms.reserve_reply_nonces(1), out)
+                    .ok());
+    EXPECT_EQ(out.take(), *results[i]) << i;
+  }
+}
+
 /// Fig 3 issuance leaves no state behind (Fig 6: the EphID carries its own
 /// HID and ExpTime), so with a coordinator attached neither the scalar MS
 /// path nor the pool journals a record.
@@ -407,9 +490,8 @@ TEST(ManagementService, IssuanceAppendsNothing) {
   f.ms.set_persist_sink(&coord);
 
   const auto requests = f.make_requests(kN + 1, 1);
-  ASSERT_TRUE(f.ms.issue_sealed(f.ctrl, requests[kN], f.loop.now_seconds(),
-                                f.rng)
-                  .ok());
+  ASSERT_TRUE(
+      f.ms.issue_sealed(f.ctrl, requests[kN], f.loop.now_seconds()).ok());
   services::ServicePool::Config cfg;
   cfg.threads = 2;
   services::ServicePool pool(f.ms, nullptr, cfg);

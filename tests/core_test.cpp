@@ -4,6 +4,9 @@
 // the control-message codecs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/as_directory.h"
 #include "core/cert.h"
 #include "core/ephid.h"
@@ -74,6 +77,32 @@ TEST(EphId, DeterministicForSameIv) {
   const EphIdCodec codec = make_codec();
   EXPECT_EQ(codec.issue_with_iv(7, 42, 9).hex(),
             codec.issue_with_iv(7, 42, 9).hex());
+}
+
+TEST(EphId, CountedIvsAreAKeyedPermutation) {
+  // issue_counted's IV is a kA-keyed permutation of the counter: 2^18
+  // consecutive counters give 2^18 distinct IVs, every EphID opens to what
+  // it sealed, and another kA maps the same counters to other IVs.
+  const EphIdCodec codec = make_codec(1);
+  const EphIdCodec other = make_codec(2);
+  const auto iv_of = [](const EphId& e) {
+    return load_be32(e.bytes.data() + EphIdCodec::kIvOffset);
+  };
+  constexpr std::uint32_t kN = 1u << 18;
+  std::vector<std::uint32_t> ivs;
+  ivs.reserve(kN);
+  for (std::uint32_t c = 1; c <= kN; ++c) {
+    const EphId e = codec.issue_counted(7, 42, c);
+    ivs.push_back(iv_of(e));
+    if (c % 4096 != 0) continue;
+    auto plain = codec.open(e);
+    ASSERT_TRUE(plain.ok()) << c;
+    EXPECT_EQ(plain->hid, 7u);
+    EXPECT_EQ(plain->exp_time, 42u);
+    EXPECT_NE(iv_of(other.issue_counted(7, 42, c)), ivs.back()) << c;
+  }
+  std::sort(ivs.begin(), ivs.end());
+  EXPECT_EQ(std::adjacent_find(ivs.begin(), ivs.end()), ivs.end());
 }
 
 TEST(EphId, DifferentAsKeysCannotOpen) {

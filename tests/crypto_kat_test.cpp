@@ -10,6 +10,7 @@
 //   AES-128           — FIPS 197 Appendix B / C.1 (both backends)
 //   X25519            — RFC 7748 §5.2 and §6.1
 //   Ed25519           — RFC 8032 §7.1 tests 1-3
+//   FF1 (radix 2)     — an independent SP 800-38G reference (see below)
 //
 // These pin the implementations so backend swaps (e.g. AES-NI vs soft) can
 // be validated against the exact same answers.
@@ -18,14 +19,15 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "crypto/aes.h"
 #include "crypto/chacha20.h"
-#include "crypto/drbg.h"
 #include "crypto/ed25519.h"
 #include "crypto/hmac.h"
+#include "crypto/modes.h"
 #include "crypto/sha2.h"
 #include "crypto/x25519.h"
 #include "util/bytes.h"
@@ -515,115 +517,77 @@ TEST(Ed25519Kat, Rfc8032_71) {
   }
 }
 
-// ------------------------------------------------------- HMAC-DRBG (SP 800-90A) --
+// ------------------------------------------------ FF1 (NIST SP 800-38G) --
 
-// NIST CAVP HMAC_DRBG SHA-256 vector (no reseed, no personalization, count
-// 0): instantiate, generate 1024 bits twice, compare the SECOND output.
-TEST(HmacDrbgKat, NistCavpSha256NoReseed) {
-  const Bytes entropy = must_hex(
-      "ca851911349384bffe89de1cbdc46e6831e44d34a4fb935ee285dd14b71a7488");
-  const Bytes nonce = must_hex("659ba96c601dc69fc902940805ec0ca8");
-  apna::crypto::HmacDrbg drbg(entropy, nonce, {});
-  std::array<std::uint8_t, 128> out{};
-  ASSERT_TRUE(drbg.generate(out));
-  ASSERT_TRUE(drbg.generate(out));
-  EXPECT_EQ(
-      hex_encode(out),
-      "e528e9abf2dece54d47c7e75e5fe302149f817ea9fb4bee6f4199697d04d5b89"
-      "d54fbb978a15b5c443c9ec21036d2460b6f73ebad0dc2aba6e624abf07745bc1"
-      "07694bb7547bb0995f70de25d6b29e2d3011bb19d27676c07162c8b5ccde0668"
-      "961df86803482cb37ed6d5c0bb8d50cf1f50d476aa0458bdaba806f48be9dcb8");
-}
-
-// fips140-shaped known answers (drbg_nopr_hmac_sha256 shapes), pinned from
-// an independent SP 800-90A reference implementation: instantiate with
-// entropy+nonce+personalization, then (1) plain generate x2, (2) reseed
-// with additional input before generating, (3) additional input on both
-// generate calls. The vector is always the SECOND generate output.
-TEST(HmacDrbgKat, Fips140InstantiateGenerateShapes) {
-  const Bytes entropy = must_hex(
-      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  const Bytes nonce = must_hex("202122232425262728292a2b2c2d2e2f");
-  const Bytes pers = to_bytes("apna-fips140-kat");
-  std::array<std::uint8_t, 64> out{};
-
-  {
-    apna::crypto::HmacDrbg drbg(entropy, nonce, pers);
-    ASSERT_TRUE(drbg.generate(out));
-    ASSERT_TRUE(drbg.generate(out));
-    EXPECT_EQ(
-        hex_encode(out),
-        "4591c5022d4917ff082f3f4f55324aa397b4708bfb72fb72fff6282f3a6dd62d"
-        "25bf81c9dc646f3bf495e317f2a14096faa71df6bdd73cb5ba221a925f7959ac");
-  }
-  {
-    apna::crypto::HmacDrbg drbg(entropy, nonce, pers);
-    drbg.reseed(must_hex("404142434445464748494a4b4c4d4e4f"
-                         "505152535455565758595a5b5c5d5e5f"),
-                to_bytes("additional-input"));
-    ASSERT_TRUE(drbg.generate(out));
-    ASSERT_TRUE(drbg.generate(out));
-    EXPECT_EQ(
-        hex_encode(out),
-        "7cd6601df690817ef69d5c841e48a7e15ca7e95e5e469b9967b0a0e7832269ca"
-        "1a49f8ffd02296c3a8f018b3e3339d71d8f6a25ea99598c96134b54401dbf0ac");
-  }
-  {
-    apna::crypto::HmacDrbg drbg(entropy, nonce, pers);
-    ASSERT_TRUE(drbg.generate(out, to_bytes("add-1")));
-    ASSERT_TRUE(drbg.generate(out, to_bytes("add-2")));
-    EXPECT_EQ(
-        hex_encode(out),
-        "6821bdb9c4ab20708942ef43a834b5290c6de6682eaea6f2b5fa8259ab34fd24"
-        "ea93f567478315c52e934d9b6fa49a6484c1b7091c3e9882dcc2ceb3a54d2715");
+// Radix-2 FF1 vectors under the key of the SP 800-38G AES-128 samples, empty
+// tweak, the value read most significant bit first. Generated offline with
+// this independent reference over Python's `cryptography` package, which
+// also reproduces NIST samples 1-3 (2433477484, 6124200773,
+// a9tv40mll9kdu509eum):
+//
+//   import math
+//   from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+//   def aes(k, b):
+//       e = Cipher(algorithms.AES(k), modes.ECB()).encryptor()
+//       return e.update(b) + e.finalize()
+//   def num(xs, r):
+//       v = 0
+//       for x in xs: v = v * r + x
+//       return v
+//   def ff1(k, tweak, radix, xs):
+//       n, t = len(xs), len(tweak); u = n // 2; v = n - u
+//       a, b = xs[:u], xs[u:]
+//       bl = math.ceil(math.ceil(v * math.log2(radix)) / 8)
+//       d = 4 * math.ceil(bl / 4) + 4
+//       p = (bytes([1, 2, 1]) + radix.to_bytes(3, 'big') + bytes([10, u % 256])
+//            + n.to_bytes(4, 'big') + t.to_bytes(4, 'big'))
+//       for i in range(10):
+//           q = (tweak + bytes((-t - bl - 1) % 16) + bytes([i])
+//                + num(b, radix).to_bytes(bl, 'big'))
+//           r = bytes(16)
+//           for j in range(0, len(p + q), 16):
+//               r = aes(k, bytes(x ^ y for x, y in zip(r, (p + q)[j:j + 16])))
+//           s, j = r, 1
+//           while len(s) < d:
+//               s += aes(k, bytes(x ^ y for x, y in zip(r, j.to_bytes(16, 'big'))))
+//               j += 1
+//           m = u if i % 2 == 0 else v
+//           c = (num(a, radix) + int.from_bytes(s[:d], 'big')) % radix ** m
+//           a, b = b, [c // radix ** (m - 1 - e) % radix for e in range(m)]
+//       return a + b
+//   def ff1_bits(k, x, n):
+//       return num(ff1(k, b'', 2, [(x >> (n - 1 - i)) & 1 for i in range(n)]), 2)
+TEST(Ff1Kat, Radix2VectorsFromIndependentReference) {
+  const Bytes key = must_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  struct Vector {
+    unsigned bits;
+    std::uint32_t in, out;
+  };
+  constexpr Vector kVectors[] = {
+      {32, 0x00000000, 0x2adba0a6}, {32, 0x00000001, 0x449f7846},
+      {32, 0xffffffff, 0x01fe2a1f}, {32, 0x12345678, 0x430451c6},
+      {31, 0x7fffffff, 0x1a5fb67c}, {31, 0x00000005, 0x5e1393a0},
+      {17, 0x00000000, 0x000003fd}, {17, 0x0001ffff, 0x0001f134},
+      {16, 0x00000000, 0x0000708a}, {16, 0x00000001, 0x0000d037},
+      {16, 0x0000ffff, 0x0000116f},
+  };
+  for (const Vector& v : kVectors) {
+    const apna::crypto::Ff1Binary ff1(key, v.bits);
+    EXPECT_EQ(ff1.encrypt(v.in), v.out) << v.bits << " bits, in " << v.in;
   }
 }
 
-// The (seed, stream) pool ctor is LE64(seed) ‖ LE64(stream) entropy with
-// personalization "apna-pool" — pinned so ServicePool per-request outputs
-// can never silently change seed derivation.
-TEST(HmacDrbgKat, PoolCtorPinnedAndStreamSeparated) {
-  apna::crypto::HmacDrbg drbg(0x5eedc0de, 7);
-  std::array<std::uint8_t, 32> out{};
-  ASSERT_TRUE(drbg.generate(out));
-  EXPECT_EQ(
-      hex_encode(out),
-      "95018ca0497d9b18932e4d38e50c86f28f2608974c8db394c830c31ec1e5ee70");
-
-  // Same (seed, stream) → identical; different stream → disjoint output.
-  apna::crypto::HmacDrbg again(0x5eedc0de, 7);
-  apna::crypto::HmacDrbg other(0x5eedc0de, 8);
-  std::array<std::uint8_t, 32> b{}, c{};
-  ASSERT_TRUE(again.generate(b));
-  ASSERT_TRUE(other.generate(c));
-  EXPECT_EQ(hex_encode(b), hex_encode(out));
-  EXPECT_NE(hex_encode(c), hex_encode(out));
-}
-
-TEST(HmacDrbgKat, ReseedIntervalEnforcedAndFillStirs) {
-  const Bytes entropy = must_hex("00112233445566778899aabbccddeeff");
-  apna::crypto::HmacDrbg drbg(entropy, {}, {}, /*reseed_interval=*/3);
-  std::array<std::uint8_t, 16> out{};
-  EXPECT_EQ(drbg.reseed_counter(), 1u);
-  ASSERT_TRUE(drbg.generate(out));
-  ASSERT_TRUE(drbg.generate(out));
-  ASSERT_TRUE(drbg.generate(out));
-  // Interval exhausted: generate refuses until a reseed.
-  EXPECT_TRUE(drbg.needs_reseed());
-  EXPECT_FALSE(drbg.generate(out));
-  drbg.reseed(entropy);
-  EXPECT_EQ(drbg.reseed_counter(), 1u);
-  ASSERT_TRUE(drbg.generate(out));
-
-  // fill() must never fail (Rng contract): past the interval it performs a
-  // deterministic entropy-free state-stir. Two same-seeded instances stay
-  // in lockstep through the stir.
-  apna::crypto::HmacDrbg a(entropy, {}, {}, 2), b2(entropy, {}, {}, 2);
-  std::array<std::uint8_t, 16> av{}, bv{};
-  for (int i = 0; i < 6; ++i) {
-    a.fill(av);
-    b2.fill(bv);
-    EXPECT_EQ(hex_encode(av), hex_encode(bv)) << "draw " << i;
+// At 16 bits the whole domain fits in a test: every output is in range and
+// no two inputs share one.
+TEST(Ff1Kat, SixteenBitInstanceIsABijection) {
+  const apna::crypto::Ff1Binary ff1(
+      must_hex("000102030405060708090a0b0c0d0e0f"), 16);
+  std::vector<bool> seen(1u << 16);
+  for (std::uint32_t x = 0; x < (1u << 16); ++x) {
+    const std::uint32_t y = ff1.encrypt(x);
+    ASSERT_LT(y, 1u << 16) << x;
+    ASSERT_FALSE(seen[y]) << "collision at input " << x;
+    seen[y] = true;
   }
 }
 

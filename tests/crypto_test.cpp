@@ -879,7 +879,7 @@ TEST(Ed25519, SmallOrderAndNonCanonicalKeysRejected) {
 
     bool one = true;
     const Ed25519BatchItem lone{&pub, msg, &forged};
-    EXPECT_FALSE(ed25519_verify_batch({&lone, 1}, &one, rng));
+    EXPECT_FALSE(ed25519_verify_batch({&lone, 1}, &one));
     EXPECT_FALSE(one) << test::kSmallOrderKeysHex[i];
 
     // Amid valid signatures, so the batch screen (not a lone-item
@@ -888,7 +888,7 @@ TEST(Ed25519, SmallOrderAndNonCanonicalKeysRejected) {
                                        {&pub, msg, &forged},
                                        {&honest_b.pub, honest_msg, &sig_b}};
     bool out[3] = {};
-    EXPECT_FALSE(ed25519_verify_batch(mixed, out, rng));
+    EXPECT_FALSE(ed25519_verify_batch(mixed, out));
     EXPECT_TRUE(out[0]);
     EXPECT_FALSE(out[1]) << test::kSmallOrderKeysHex[i];
     EXPECT_TRUE(out[2]);

@@ -4,6 +4,7 @@
 // dns_test.cpp since the resolver rewrite).
 #include <gtest/gtest.h>
 
+#include "core/as_persist.h"
 #include "core/packet_auth.h"
 #include "crypto/x25519.h"
 #include "ed25519_small_order.h"
@@ -157,7 +158,7 @@ TEST(ManagementService, IssuesValidCertificate) {
   core::EphIdKeyPair kp;
   const Bytes sealed = make_request(*h, f.rng, 1,
                                     core::EphIdLifetime::short_term, 0, &kp);
-  auto resp = f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng);
+  auto resp = f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds());
   ASSERT_TRUE(resp.ok());
 
   auto opened = core::open_control(h->keys, false, *resp);
@@ -189,7 +190,7 @@ TEST(ManagementService, LifetimeClassesHonored) {
            {core::EphIdLifetime::medium_term, 7200},
            {core::EphIdLifetime::long_term, 86400}}) {
     const Bytes sealed = make_request(*h, f.rng, nonce++, lt);
-    auto resp = f.ms.issue_sealed(h->ctrl, sealed, now, f.rng);
+    auto resp = f.ms.issue_sealed(h->ctrl, sealed, now);
     ASSERT_TRUE(resp.ok());
     auto opened = core::open_control(h->keys, false, *resp);
     auto parsed = core::decode_msg<core::EphIdResponse>(*opened);
@@ -203,7 +204,7 @@ TEST(ManagementService, ReceiveOnlyFlagPropagates) {
   const Bytes sealed = make_request(*h, f.rng, 1,
                                     core::EphIdLifetime::long_term,
                                     core::kRequestReceiveOnly);
-  auto resp = f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng);
+  auto resp = f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds());
   ASSERT_TRUE(resp.ok());
   auto opened = core::open_control(h->keys, false, *resp);
   auto parsed = core::decode_msg<core::EphIdResponse>(*opened);
@@ -227,7 +228,7 @@ TEST(ManagementService, BadProofOfPossessionRejected) {
   const Bytes sealed =
       core::seal_control(h->keys, 1, true, test::encoded(req));
   EXPECT_EQ(
-      f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng).code(),
+      f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds()).code(),
       Errc::bad_signature);
   EXPECT_EQ(f.ms.stats().rejected_bad_pop, 1u);
   EXPECT_EQ(f.ms.stats().issued, 0u);
@@ -249,7 +250,7 @@ TEST(ManagementService, PopSignatureOverWrongKeyRejected) {
   const Bytes sealed =
       core::seal_control(h->keys, 1, true, test::encoded(req));
   EXPECT_EQ(
-      f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(), f.rng).code(),
+      f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds()).code(),
       Errc::bad_signature);
   EXPECT_EQ(f.ms.stats().rejected_bad_pop, 1u);
 }
@@ -278,7 +279,7 @@ TEST(ManagementService, SmallOrderKeyPopRejected) {
 
   const Bytes sealed = make(1, true);
   wire::MsgWriter out(320);
-  EXPECT_EQ(f.ms.issue_into(h->ctrl, sealed, f.loop.now_seconds(), f.rng,
+  EXPECT_EQ(f.ms.issue_into(h->ctrl, sealed, f.loop.now_seconds(),
                             f.ms.reserve_reply_nonces(1), out)
                 .code(),
             Errc::bad_signature);
@@ -306,13 +307,89 @@ TEST(ManagementService, SmallOrderKeyPopRejected) {
   EXPECT_EQ(f.ms.stats().issued, 3u);
 }
 
+TEST(ManagementService, PacketAndSealedPathsTakeTheIvFromTheReplyNonce) {
+  // issue_sealed and handle_packet both reserve their reply nonce from the
+  // MS counter, and the EphID each reply delivers has the codec's
+  // permutation of the nonce the reply carries in clear as its IV (the
+  // pool and issue_into: control_plane_test).
+  AsFixture f;
+  auto h = f.bootstrap(1, "password-1");
+  ASSERT_TRUE(h.ok());
+  const auto check = [&](ByteSpan reply, std::uint64_t expect_nonce) {
+    const std::uint64_t nonce = load_be64(reply.data());
+    EXPECT_EQ(nonce, expect_nonce);
+    auto parsed = core::decode_msg<core::EphIdResponse>(
+        *core::open_control(h->keys, false, reply));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->cert.ephid,
+              f.as.codec.issue_counted(h->hid, parsed->cert.exp_time,
+                                       static_cast<std::uint32_t>(nonce)));
+  };
+
+  auto sealed = f.ms.issue_sealed(h->ctrl, make_request(*h, f.rng, 1),
+                                  f.loop.now_seconds());
+  ASSERT_TRUE(sealed.ok());
+  check(*sealed, 1);
+
+  wire::PacketWriter pw(f.as.aid, h->ctrl.bytes, f.as.aid,
+                        f.ms.service_ephid().bytes, wire::NextProto::control);
+  pw.raw(make_request(*h, f.rng, 2));
+  const wire::PacketBuf request = pw.finish();
+  auto reply = f.ms.handle_packet(request.view());
+  ASSERT_TRUE(reply.ok());
+  check(reply->view().payload(), 2);
+}
+
+TEST(ManagementService, IvCounterExhaustionIsRefusedAndCounted) {
+  // The reply counter is also the IV counter: its last value, 2^32 - 1,
+  // still issues; from 2^32 on, the scalar path and the pool refuse
+  // instead of reusing an IV.
+  AsFixture f;
+  auto h = f.bootstrap(1, "password-1");
+  ASSERT_TRUE(h.ok());
+  constexpr std::uint64_t kLast = (std::uint64_t{1} << 32) - 1;
+  f.ms.reserve_reply_nonces(kLast - 1);  // the counter starts at 1
+  auto last = f.ms.issue_sealed(h->ctrl, make_request(*h, f.rng, 1),
+                                f.loop.now_seconds());
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(load_be64(last->data()), kLast);
+
+  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, make_request(*h, f.rng, 2),
+                              f.loop.now_seconds())
+                .code(),
+            Errc::exhausted);
+  wire::MsgWriter out(320);
+  EXPECT_EQ(f.ms.issue_into(h->ctrl, make_request(*h, f.rng, 3),
+                            f.loop.now_seconds(), f.ms.reserve_reply_nonces(1),
+                            out)
+                .code(),
+            Errc::exhausted);
+
+  ServicePool::Config cfg;
+  cfg.threads = 2;
+  ServicePool pool(f.ms, nullptr, cfg);
+  std::vector<Bytes> requests;
+  for (std::uint64_t i = 0; i < 20; ++i)
+    requests.push_back(make_request(*h, f.rng, 4 + i));
+  std::vector<ServicePool::IssueJob> jobs;
+  for (const Bytes& r : requests) jobs.push_back({h->ctrl, r});
+  std::vector<Result<Bytes>> results(jobs.size(),
+                                     Result<Bytes>(Errc::internal));
+  pool.process_issuance(jobs, f.loop.now_seconds(), results);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(results[i].code(), Errc::exhausted) << i;
+  EXPECT_EQ(pool.stats().failed_jobs, jobs.size());
+  EXPECT_EQ(f.ms.stats().rejected_iv_exhausted, 2 + jobs.size());
+  EXPECT_EQ(f.ms.stats().issued, 1u);
+}
+
 TEST(ManagementService, ExpiredControlEphIdRejected) {
   AsFixture f;
   auto h = f.bootstrap(1, "password-1");
   const Bytes sealed = make_request(*h, f.rng, 1);
   // Jump past the control EphID lifetime (24 h default).
   const core::ExpTime later = f.loop.now_seconds() + 25 * 3600;
-  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, later, f.rng).code(),
+  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, later).code(),
             Errc::expired);
   EXPECT_EQ(f.ms.stats().rejected_expired, 1u);
 }
@@ -322,8 +399,7 @@ TEST(ManagementService, UnknownHostRejected) {
   auto h = f.bootstrap(1, "password-1");
   const Bytes sealed = make_request(*h, f.rng, 1);
   f.as.host_db.erase(h->hid);
-  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(),
-                              f.rng).code(),
+  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds()).code(),
             Errc::unknown_host);
 }
 
@@ -332,8 +408,7 @@ TEST(ManagementService, RevokedHidRejected) {
   auto h = f.bootstrap(1, "password-1");
   f.as.revoked.revoke_hid(h->hid);
   const Bytes sealed = make_request(*h, f.rng, 1);
-  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(),
-                              f.rng).code(),
+  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds()).code(),
             Errc::revoked);
 }
 
@@ -342,14 +417,13 @@ TEST(ManagementService, GarbledRequestRejected) {
   auto h = f.bootstrap(1, "password-1");
   Bytes sealed = make_request(*h, f.rng, 1);
   sealed[sealed.size() / 2] ^= 1;
-  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds(),
-                              f.rng).code(),
+  EXPECT_EQ(f.ms.issue_sealed(h->ctrl, sealed, f.loop.now_seconds()).code(),
             Errc::decrypt_failed);
   // A request sealed under another host's key also fails.
   auto h2 = f.bootstrap(2, "password-2");
   const Bytes sealed2 = make_request(*h2, f.rng, 1);
-  EXPECT_FALSE(f.ms.issue_sealed(h->ctrl, sealed2, f.loop.now_seconds(),
-                                 f.rng).ok());
+  EXPECT_FALSE(
+      f.ms.issue_sealed(h->ctrl, sealed2, f.loop.now_seconds()).ok());
 }
 
 TEST(ManagementService, ForeignEphIdAsControlRejected) {
@@ -358,8 +432,7 @@ TEST(ManagementService, ForeignEphIdAsControlRejected) {
   const Bytes sealed = make_request(*h, f.rng, 1);
   core::EphId forged;
   f.rng.fill(MutByteSpan(forged.bytes.data(), 16));
-  EXPECT_EQ(f.ms.issue_sealed(forged, sealed, f.loop.now_seconds(),
-                              f.rng).code(),
+  EXPECT_EQ(f.ms.issue_sealed(forged, sealed, f.loop.now_seconds()).code(),
             Errc::decrypt_failed);
 }
 
@@ -514,15 +587,32 @@ TEST(AccountabilityAgent, ForeignSourceEphIdRejected) {
             Errc::decrypt_failed);
 }
 
+/// Keeps the type of every record a journal writer would get, in order.
+struct RecordingSink final : persist::Sink {
+  std::vector<std::uint8_t> types;
+  bool append(std::uint8_t type, ByteSpan) override {
+    types.push_back(type);
+    return true;
+  }
+};
+
 TEST(AccountabilityAgent, ReplayedShutoffCountsOnce) {
   // §VIII-G2 caps the EphIDs revoked per host. One offending packet's
   // request, replayed as often as the cap, revokes one EphID and counts
-  // once: it never escalates to the host's HID.
+  // once: it never escalates to the host's HID, journals one revocation
+  // and steps the verdict epoch (every worker's flow-cache flush) once.
   ShutoffFixture f;
+  RecordingSink sink;
+  f.aa.set_persist_sink(&sink);
   const auto req = f.valid_request();
+  const std::uint64_t epoch0 = f.as.epoch.current();
   const std::uint32_t limit = 16;  // RevocationList default
   for (std::uint32_t i = 0; i < limit; ++i)
     ASSERT_TRUE(f.aa.process(req, f.loop.now_seconds()).ok()) << i;
+  EXPECT_EQ(f.aa.stats().accepted, limit);  // Fig 5 checks ran on each copy
+  EXPECT_EQ(sink.types, std::vector<std::uint8_t>{static_cast<std::uint8_t>(
+                            core::PersistRecordType::revoke_ephid)});
+  EXPECT_EQ(f.as.epoch.current(), epoch0 + 1);
   std::uint32_t count = 0;
   f.as.revoked.for_each([](const core::EphId&, core::ExpTime) {},
                          [&](core::Hid hid, std::uint32_t n, bool) {
