@@ -80,10 +80,10 @@ struct Ed25519BatchItem {
 /// binds R_i, A_i and the message) seeds a ChaCha20 stream. Soundness
 /// needs a signer who cannot choose its signatures after seeing the z_i;
 /// with z a hash of those signatures, making two invalid ones cancel takes
-/// a search over about 2^127 transcripts. The factor 8 removes every torsion component, exactly as
-/// in the scalar equation, so a torsion offset is accepted by both paths
-/// or by neither. Keys of small order never reach the equation: their
-/// forgeries are pure torsion.
+/// a search over about 2^127 transcripts. The factor 8 removes every
+/// torsion component, exactly as in the scalar equation, so a torsion
+/// offset is accepted by both paths or by neither. Keys of small order
+/// never reach the equation: their forgeries are pure torsion.
 ///
 /// On ANY batch-equation failure the sweep bisects recursively down to
 /// scalar ed25519_verify leaves, so the accept/reject set is bit-identical
