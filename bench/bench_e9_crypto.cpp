@@ -16,8 +16,12 @@
 //     perfbench's 128 / 512 / 1518 B frames.
 //   * Ed25519: sign, scalar verify, and ed25519_verify_batch at the
 //     ServicePool chunk widths — the shared-doubling speedup the MS
-//     cert-chain check amortizes (Fig 3) — plus width 1, what paced
-//     issuance runs (a lone signature goes straight to scalar verify).
+//     cert-chain check amortizes (Fig 3) — plus widths 1 and 2, what
+//     paced issuance mostly runs (both go straight to scalar verify).
+//     Sign and verify are also given as ratios to X25519, which shares
+//     only the field arithmetic with them: the host's speed swings
+//     between runs, the ratios much less. sc_half_split times the lattice
+//     reduction each scalar verify runs.
 //   * EphID IV: one FF1 (radix 2, 32 bits) of the Management Service's
 //     reply counter, what EphIdCodec::issue_counted adds to an issuance,
 //     against a 32-byte ChaChaRng fill.
@@ -49,6 +53,7 @@
 #include "crypto/ed25519.h"
 #include "crypto/modes.h"
 #include "crypto/rng.h"
+#include "crypto/sc25519.h"
 #include "crypto/x25519.h"
 
 using namespace apna;
@@ -316,7 +321,7 @@ int main(int argc, char** argv) {
   };
   std::vector<BatchRow> batch_rows;
   std::printf("%12s %18s %12s\n", "batch", "verify/sig (µs)", "vs scalar");
-  for (const std::size_t width : {1u, 4u, 16u, 64u}) {
+  for (const std::size_t width : {1u, 2u, 4u, 16u, 64u}) {
     std::vector<Ed25519PublicKey> pubs;
     std::vector<Bytes> msgs;
     std::vector<Ed25519Signature> sigs;
@@ -355,6 +360,24 @@ int main(int argc, char** argv) {
     if (s[0] == 0 && s[31] == 0) fatal("degenerate shared secret");
   });
   std::printf("\nX25519 shared secret: %.1f µs\n", x25519_ns / 1e3);
+  // X25519 shares no code with Ed25519 verification but the field
+  // arithmetic: the in-run yardstick when the host speed moves between runs.
+  std::printf("Ed25519 against X25519: sign %.3f, verify %.3f\n",
+              sign_ns / x25519_ns, verify_ns / x25519_ns);
+
+  // ---- sc_half_split: the lattice reduction inside every scalar verify ------
+  std::vector<std::array<std::uint8_t, 32>> challenges(256);
+  for (auto& k : challenges) {
+    const Bytes wide = rng.bytes(64);
+    sc_reduce(k.data(), wide.data());
+  }
+  std::uint8_t split_c[32], split_d[32];
+  const double split_ns = bench::time_per_op_ns(
+      aes_iters, [&](std::size_t i) {
+        sc_half_split(split_c, split_d, challenges[i % challenges.size()].data());
+      });
+  std::printf("sc_half_split (half-size verification scalars): %.0f ns\n",
+              split_ns);
 
   // ---- EphID IV: FF1 of the MS reply counter ---------------------------------
   // Chained, so each IV waits for the last: the ten dependent AES calls of
@@ -437,6 +460,9 @@ int main(int argc, char** argv) {
     }
     json.end_array();
     json.field("x25519_us", x25519_ns / 1e3);
+    json.field("ed25519_sign_per_x25519", sign_ns / x25519_ns, 3);
+    json.field("ed25519_verify_per_x25519", verify_ns / x25519_ns, 3);
+    json.field("sc_half_split_ns", split_ns, 0);
     json.field("ephid_iv_ns", iv_ns, 0);
     json.field("chacha_rng_fill32_ns", chacha_fill_ns, 0);
     json.field("ephid_roundtrip_ns", ephid_ns, 0);

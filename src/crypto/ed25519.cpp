@@ -5,8 +5,9 @@
 // formula stops before its last four products (GeCompleted), so a caller
 // that does not need T — a doubling followed by another doubling — skips
 // one multiplication. Addends are stored pre-processed: variable-base
-// tables in cached form (Y+X, Y-X, 2Z, 2d·T; 8 multiplications per
-// addition) and the fixed-base table in affine Niels form (y+x, y-x,
+// window tables (1..8 times the point, picked with a sign by signed
+// radix-16 digits) in cached form (Y+X, Y-X, 2Z, 2d·T; 8 multiplications
+// per addition) and the fixed-base table in affine Niels form (y+x, y-x,
 // 2d·xy; 7). Curve constants (d, 2d, base point) are derived at startup
 // from first principles (d = -121665/121666, By = 4/5) instead of being
 // transcribed, and validated by the RFC 8032 known-answer tests.
@@ -201,27 +202,42 @@ std::uint8_t nibble_at(const std::uint8_t s[32], int pos) {
                         : static_cast<std::uint8_t>(byte & 0xf);
 }
 
-/// table[j-1] = j·p for j in [1, 15].
-void build_cached_table(GeCached table[15], const Ge& p) {
-  table[0] = to_cached(p);
-  Ge multiple = p;
-  for (int i = 1; i < 15; ++i) {
-    multiple = to_ext(ge_add(multiple, table[0]));
-    table[i] = to_cached(multiple);
+/// Signed radix-16 digits: s = Σ digits[i]·16^i over `n` nibble positions,
+/// every digit in [-8, 8) but the top one, which is in [0, 8] when the
+/// top nibble of s is at most 7 (any s < 2^(4n-1)).
+void signed_digits(std::int8_t* digits, const std::uint8_t s[32], int n) {
+  int carry = 0;
+  for (int i = 0; i < n; ++i) {
+    const int v = nibble_at(s, i) + carry;
+    carry = i + 1 < n ? (v + 8) >> 4 : 0;
+    digits[i] = static_cast<std::int8_t>(v - 16 * carry);
   }
 }
 
-/// Variable-base scalar multiplication, 4-bit fixed window.
-Ge ge_scalarmult(const Ge& p, const std::uint8_t scalar_le[32]) {
-  GeCached table[15];
-  build_cached_table(table, p);
-  Ge r = ge_identity();
-  for (int i = 63; i >= 0; --i) {
-    r = ge_dbl4(r);
-    if (const std::uint8_t nib = nibble_at(scalar_le, i); nib != 0)
-      r = to_ext(ge_add(r, table[nib - 1]));
+/// −q for a cached point: Y+X and Y−X swap, 2d·T changes sign.
+GeCached cached_neg(const GeCached& q) {
+  return GeCached{q.y_minus_x, q.y_plus_x, q.z2, fe_neg(q.t2d)};
+}
+
+GeNiels niels_neg(const GeNiels& q) {
+  return GeNiels{q.y_minus_x, q.y_plus_x, fe_neg(q.xy2d)};
+}
+
+/// multiple[j-1] = j·p for j in [1, 8]: what a signed radix-16 digit
+/// selects (its sign picks ±). Four doublings and three additions.
+struct WindowTable {
+  GeCached multiple[8];
+};
+
+void build_window_table(WindowTable& table, const Ge& p) {
+  Ge m[8];
+  m[0] = p;
+  table.multiple[0] = to_cached(p);
+  for (int j = 2; j <= 8; ++j) {
+    m[j - 1] = j % 2 == 0 ? to_ext(ge_dbl(to_p2(m[j / 2 - 1])))
+                          : to_ext(ge_add(m[j - 2], table.multiple[0]));
+    table.multiple[j - 1] = to_cached(m[j - 1]);
   }
-  return r;
 }
 
 // ---- Base point and fixed-base table ---------------------------------------
@@ -295,6 +311,39 @@ Ge ge_scalarmult_base(const std::uint8_t scalar_le[32]) {
   return r;
 }
 
+/// Σ_j scalar_j·P_j + base·B by a Straus walk over `positions` signed
+/// radix-16 digits: the 4 doublings per position are shared by every
+/// point. digits[j·positions + i] is digit i of scalar j, and tables[j]
+/// holds P_j's multiples; base_digits, when given, adds its multiples of B
+/// from the first row of the fixed-base table.
+Ge straus_walk(const WindowTable* tables, const std::int8_t* digits,
+               std::size_t points, int positions,
+               const std::int8_t* base_digits) {
+  const GeNiels* base_multiples = base_table().entry[0];  // j·B
+  Ge acc = ge_identity();
+  for (int i = positions - 1; i >= 0; --i) {
+    if (i != positions - 1) acc = ge_dbl4(acc);
+    for (std::size_t j = 0; j < points; ++j) {
+      const int digit = digits[j * positions + i];
+      if (digit > 0)
+        acc = to_ext(ge_add(acc, tables[j].multiple[digit - 1]));
+      else if (digit < 0)
+        acc = to_ext(ge_add(acc, cached_neg(tables[j].multiple[-digit - 1])));
+    }
+    const int digit = base_digits ? base_digits[i] : 0;
+    if (digit > 0)
+      acc = to_ext(ge_madd(acc, base_multiples[digit - 1]));
+    else if (digit < 0)
+      acc = to_ext(ge_madd(acc, niels_neg(base_multiples[-digit - 1])));
+  }
+  return acc;
+}
+
+// Scalars below 2^127 (sc_half_split's c and |d|) in signed radix-16.
+constexpr int kHalfDigits = 32;
+// Scalars below L < 2^253.
+constexpr int kFullDigits = 64;
+
 // ---- Signing and verification helpers --------------------------------------
 
 void clamp(std::uint8_t s[32]) {
@@ -364,11 +413,24 @@ bool ed25519_verify(const Ed25519PublicKey& pub, ByteSpan msg,
   std::uint8_t k[32];
   challenge(k, sig.data(), pub, msg);
 
-  // Check [8](S·B − k·A − R) == identity (RFC 8032 §5.1.7, cofactored).
-  const Ge sb = ge_scalarmult_base(sig.data() + 32);
-  const Ge ka = ge_scalarmult(ge_neg(a), k);
-  const Ge sb_ka = to_ext(ge_add(sb, to_cached(ka)));
-  return ge_has_small_order(to_ext(ge_add(sb_ka, to_cached(ge_neg(r)))));
+  // [8]((c·S)·B − d·A − c·R) == identity for d ≡ c·k (mod L) with c and
+  // |d| below 2^127: the cofactored RFC 8032 §5.1.7 check in half-size
+  // scalars (ed25519.h has the equivalence).
+  std::uint8_t c[32], d[32];
+  const bool d_negative = sc_half_split(c, d, k);
+  WindowTable tables[2];
+  build_window_table(tables[0], d_negative ? a : ge_neg(a));
+  build_window_table(tables[1], ge_neg(r));
+  std::int8_t digits[2 * kHalfDigits];
+  signed_digits(digits, d, kHalfDigits);
+  signed_digits(digits + kHalfDigits, c, kHalfDigits);
+  const Ge walk = straus_walk(tables, digits, 2, kHalfDigits, nullptr);
+
+  std::uint8_t cs[32];
+  const std::uint8_t zero[32] = {};
+  sc_muladd(cs, c, sig.data() + 32, zero);
+  const Ge cs_b = ge_scalarmult_base(cs);
+  return ge_has_small_order(to_ext(ge_add(walk, to_cached(cs_b))));
 }
 
 // ---- Batch verification -----------------------------------------------------
@@ -390,10 +452,10 @@ struct BatchEntry {
 /// and every entry's k_i and S_i (k_i = SHA512(R_i ‖ A_i ‖ M_i) binds R_i,
 /// A_i and the message) keys a ChaCha20 stream, 16 bytes per entry. A
 /// signer must fix its signatures before it can learn the z_i that decide
-/// whether two invalid ones cancel. A shared-doubling Straus multi-scalar
-/// walk: every point gets a 1..15 multiples table (B reuses the first row
-/// of the fixed-base table), then one pass over the 64 nibble positions
-/// does 4 doublings per position for the WHOLE sum.
+/// whether two invalid ones cancel. One Straus walk over 64 digit
+/// positions evaluates the whole sum: every point gets a window table and
+/// B reuses the first row of the fixed-base table, so the doublings are
+/// paid once for the batch.
 bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
                std::size_t hi) {
   const std::size_t n = hi - lo;
@@ -414,8 +476,8 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
   const auto seed = transcript.finish();  // ChaCha20 key ‖ nonce
   std::uint8_t stream[64];
 
-  std::vector<std::array<GeCached, 15>> tables(m);
-  std::vector<std::array<std::uint8_t, 32>> scalars(m);
+  std::vector<WindowTable> tables(m);
+  std::vector<std::int8_t> digits(m * kFullDigits);
 
   std::uint8_t sb_coeff[32] = {};  // Σ z_i S_i mod L
   const std::uint8_t zero32[32] = {};
@@ -430,37 +492,36 @@ bool rlc_check(const std::vector<BatchEntry>& entries, std::size_t lo,
     std::memcpy(z, stream + 16 * (j % 4), 16);
     z[0] |= 1;
 
-    sc_muladd(sb_coeff, z, e.s, sb_coeff);              // += z_i S_i
-    sc_muladd(scalars[2 * j].data(), z, e.k, zero32);   // z_i k_i
-    std::memcpy(scalars[2 * j + 1].data(), z, 32);      // z_i
+    sc_muladd(sb_coeff, z, e.s, sb_coeff);  // += z_i S_i
+    std::uint8_t zk[32];
+    sc_muladd(zk, z, e.k, zero32);  // z_i k_i
+    signed_digits(&digits[2 * j * kFullDigits], zk, kFullDigits);
+    signed_digits(&digits[(2 * j + 1) * kFullDigits], z, kFullDigits);
 
-    build_cached_table(tables[2 * j].data(), e.neg_a);
-    build_cached_table(tables[2 * j + 1].data(), e.neg_r);
+    build_window_table(tables[2 * j], e.neg_a);
+    build_window_table(tables[2 * j + 1], e.neg_r);
   }
-  const GeNiels* base_multiples = base_table().entry[0];  // j·B
-
-  Ge acc = ge_identity();
-  for (int pos = 63; pos >= 0; --pos) {
-    acc = ge_dbl4(acc);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint8_t nib = nibble_at(scalars[j].data(), pos);
-      if (nib != 0) acc = to_ext(ge_add(acc, tables[j][nib - 1]));
-    }
-    const std::uint8_t nib = nibble_at(sb_coeff, pos);
-    if (nib != 0) acc = to_ext(ge_madd(acc, base_multiples[nib - 1]));
-  }
-  return ge_has_small_order(acc);
+  std::int8_t base_digits[kFullDigits];
+  signed_digits(base_digits, sb_coeff, kFullDigits);
+  return ge_has_small_order(
+      straus_walk(tables.data(), digits.data(), m, kFullDigits, base_digits));
 }
+
+/// Up to this many signatures verify one by one: one combined walk over
+/// two costs at least as much as two scalar verifies (bench_e9's width-2
+/// row), and a failed walk would pay for both again.
+constexpr std::size_t kMaxScalarRun = 2;
 
 /// Verifies entries[lo, hi): RLC first, bisecting on failure down to scalar
 /// ed25519_verify leaves so the result is bit-identical to the scalar path.
 void batch_bisect(const std::vector<BatchEntry>& entries, std::size_t lo,
                   std::size_t hi, std::span<const Ed25519BatchItem> items,
                   bool* out) {
-  if (hi == lo) return;
-  if (hi - lo == 1) {
-    const Ed25519BatchItem& it = items[entries[lo].index];
-    out[entries[lo].index] = ed25519_verify(*it.pub, it.msg, *it.sig);
+  if (hi - lo <= kMaxScalarRun) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      const Ed25519BatchItem& it = items[entries[j].index];
+      out[entries[j].index] = ed25519_verify(*it.pub, it.msg, *it.sig);
+    }
     return;
   }
   if (rlc_check(entries, lo, hi)) {
@@ -476,11 +537,14 @@ void batch_bisect(const std::vector<BatchEntry>& entries, std::size_t lo,
 
 bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
                           bool* out) {
-  // A lone signature gains nothing from the combined equation: screening
-  // it and then re-verifying it at the bisection leaf would pay twice.
-  if (items.size() == 1) {
-    out[0] = ed25519_verify(*items[0].pub, items[0].msg, *items[0].sig);
-    return out[0];
+  // Too few signatures for the combined equation: skip the screening too.
+  if (items.size() <= kMaxScalarRun) {
+    bool all = true;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      out[i] = ed25519_verify(*items[i].pub, items[i].msg, *items[i].sig);
+      all = all && out[i];
+    }
+    return all;
   }
 
   std::vector<BatchEntry> entries;

@@ -17,6 +17,25 @@
 // no private key behind it — a Fig 3 proof of possession under such a key
 // proves nothing.
 //
+// The scalar path checks that equation with half-size scalars (Pornin,
+// "Optimized Lattice Basis Reduction in Dimension 2, and Fast Schnorr and
+// EdDSA Signature Verification", IACR ePrint 2020/454). sc_half_split
+// finds c and d with d ≡ c·k (mod L), 0 < c < 2^127 and |d| < 2^127, and
+// verification checks
+//   [8]((c·S mod L)·B − d·A − c·R) == identity.
+// Why the verdicts agree: write d = c·k − m·L. B has order L, so the
+// point inside is c·(S·B − k·A − R) + m·L·A, and [8]·L·P is the identity
+// for every curve point P (the group has order 8L). So the left side is
+// c·[8](S·B − k·A − R). That point lies in the prime-order subgroup and c
+// is a unit mod L, so it is the identity exactly when [8](S·B − k·A − R)
+// is: every verdict is the one the full-size equation gives, for keys
+// with a torsion component and for torsion on R alike.
+//
+// The d·A and c·R terms are one Straus walk over 32 signed radix-16
+// digits: 124 doublings shared by both points, where a full-size k·A walk
+// doubles 252 times. (c·S)·B comes from the fixed-base table with no
+// doublings.
+//
 // The cofactored equation trades away strong unforgeability, as ZIP 215
 // does: if (R, S) verifies, so does (R + T, S) for every small-order T,
 // and the signature bytes differ. A cofactorless scalar check next to a
@@ -63,18 +82,20 @@ struct Ed25519BatchItem {
 /// *items[i].sig) for every item, with the expensive part amortized.
 /// Returns true iff every signature verified.
 ///
-/// A batch of one is ed25519_verify itself (paced issuance runs width 1;
-/// screening a lone signature and then re-verifying it at the bisection
-/// leaf would pay twice).
+/// A batch of one or two is ed25519_verify per item, and so is any
+/// sub-batch of one or two that bisection reaches: on a 2-item batch the
+/// combined equation costs as much as two scalar verifies (bench_e9's
+/// width-2 row), and paced issuance runs widths 1 and 2.
 ///
 /// How: after per-item screening that mirrors the scalar rejects exactly
 /// (non-canonical S; A that ed25519_verify refuses — undecodable,
 /// non-canonical or of small order; R that does not decode), the survivors
 /// are checked with one random-linear-combination equation
 /// [8]((Σ z_i S_i)·B − Σ (z_i k_i)·A_i − Σ z_i·R_i) == identity,
-/// evaluated by a shared-doubling multi-scalar multiplication: 252 point
-/// doublings TOTAL instead of 252 per signature — per-signature cost decays
-/// toward the window additions alone as the batch grows. The z_i are
+/// evaluated by a shared-doubling Straus walk over 64 signed radix-16
+/// digits: 252 point doublings TOTAL instead of 124 per signature —
+/// per-signature cost decays toward the window additions alone as the
+/// batch grows (the z_i·k_i are full-size, so no half-size split). The z_i are
 /// nonzero 128-bit coefficients derived from the batch itself: a SHA-512
 /// transcript of every checked signature's S_i and challenge k_i (which
 /// binds R_i, A_i and the message) seeds a ChaCha20 stream. Soundness

@@ -114,14 +114,16 @@ void Sha256::update(ByteSpan data) {
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(ByteSpan(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(ByteSpan(&zero, 1));
-  std::uint8_t len_be[8];
-  store_be64(len_be, bit_len);
-  update(ByteSpan(len_be, 8));
+  // 0x80, zeros to 56 mod 64, then the 64-bit length: one or two blocks.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, kBlockSize - buf_len_);
+    compress(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  store_be64(buf_.data() + 56, total_len_ * 8);
+  compress(buf_.data());
 
   std::array<std::uint8_t, kDigestSize> out;
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, h_[i]);
@@ -192,15 +194,17 @@ void Sha512::update(ByteSpan data) {
 }
 
 std::array<std::uint8_t, Sha512::kDigestSize> Sha512::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(ByteSpan(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 112) update(ByteSpan(&zero, 1));
-  // 128-bit length; high 64 bits are zero for all inputs we handle.
-  std::uint8_t len_be[16] = {};
-  store_be64(len_be + 8, bit_len);
-  update(ByteSpan(len_be, 16));
+  // 0x80, zeros to 112 mod 128, then the 128-bit length (high 64 bits
+  // zero for every input here): one or two blocks.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 112) {
+    std::memset(buf_.data() + buf_len_, 0, kBlockSize - buf_len_);
+    compress(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 120 - buf_len_);
+  store_be64(buf_.data() + 120, total_len_ * 8);
+  compress(buf_.data());
 
   std::array<std::uint8_t, kDigestSize> out;
   for (int i = 0; i < 8; ++i) store_be64(out.data() + 8 * i, h_[i]);

@@ -62,6 +62,12 @@ void ChunkPool::run_chunks(std::size_t n, std::size_t chunk, ChunkFn fn,
                            const void* ctx) {
   assert(chunk > 0);
   if (n == 0) return;
+  // A single chunk is the caller's alone: waking a worker for it would
+  // only cost a futex wake and a lock hand-off.
+  if (n <= chunk) {
+    fn(ctx, 0, 0, n);
+    return;
+  }
   {
     std::lock_guard lock(mu_);
     fn_ = fn;

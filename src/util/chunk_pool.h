@@ -5,7 +5,8 @@
 // fn(slot, begin, end) exactly once per chunk. The pool's thread count is
 // the TOTAL parallelism: threads-1 background workers (slots 1..threads-1)
 // plus the calling thread, which is slot 0 and claims chunks like any
-// worker instead of blocking — so a 1-thread pool starts no thread at all.
+// worker instead of blocking — so a 1-thread pool starts no thread at all,
+// and a run of one chunk runs on the caller without waking a worker.
 // run() returns once every chunk has finished; a worker that slept through
 // the whole burst is never waited for. A slot is always the same thread,
 // so per-slot state indexed by `slot` needs no lock of its own.

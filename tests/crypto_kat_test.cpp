@@ -1,7 +1,8 @@
 // Known-answer tests for the crypto layer against published RFC/NIST vectors.
 //
 // Sources:
-//   SHA-256 / SHA-512 — FIPS 180-4 (NIST CAVP example messages)
+//   SHA-256 / SHA-512 — FIPS 180-4 (NIST CAVP example messages), and
+//                       every length 0-300 against Python's hashlib
 //   HMAC-SHA256       — RFC 4231 test cases 1-4, 6, 7
 //   ChaCha20/Poly1305 — RFC 8439 §2.3.2, §2.4.2, §2.5.2, §2.8.2 and the
 //                       Poly1305 edge cases of Appendix A.3; vectors at
@@ -97,6 +98,35 @@ TEST(Sha512Kat, Fips180_4) {
   EXPECT_EQ(hex_encode(apna::crypto::Sha512::hash(to_bytes(""))),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
             "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e");
+}
+
+template <class Hash>
+std::string digest_of_digests_to_300() {
+  Hash outer;
+  Bytes msg;
+  for (std::size_t n = 0; n <= 300; ++n) {
+    outer.update(Hash::hash(msg));
+    msg.push_back(static_cast<std::uint8_t>(n % 251));
+  }
+  return hex_encode(outer.finish());
+}
+
+TEST(Sha2Kat, EveryLengthTo300MatchesHashlib) {
+  // Every padding case of both hashes: the message of length n (0 ≤ n ≤
+  // 300) is bytes i % 251, and the pinned value hashes the 301 digests in
+  // order. Generated offline with Python's hashlib:
+  //   import hashlib
+  //   for name in ('sha256', 'sha512'):
+  //       outer = hashlib.new(name)
+  //       for n in range(301):
+  //           msg = bytes(i % 251 for i in range(n))
+  //           outer.update(hashlib.new(name, msg).digest())
+  //       print(name, outer.hexdigest())
+  EXPECT_EQ(digest_of_digests_to_300<apna::crypto::Sha256>(),
+            "b90e35153500e9a471591550ee25a954527c6b4448afff95f7949a2ca93300ce");
+  EXPECT_EQ(digest_of_digests_to_300<apna::crypto::Sha512>(),
+            "da20b3b598f77f25e2e2d1941e345bfe16543f32378fbc8447fbb64f038964ce"
+            "a0808c9d450e5e83ac095f5656c102b2ff15a8e0501c7553a7afe1e0256b5e09");
 }
 
 // ------------------------------------------------------------ HMAC-SHA256 --

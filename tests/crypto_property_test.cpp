@@ -696,13 +696,72 @@ TEST(Ed25519Batch, SwappedSignaturesBothRejected) {
   f.check_matches_scalar();
 }
 
-/// A signature under `seed` whose R carries the order-2 point (0, −1):
-/// R′ = r·B + (0, −1) = −(r·B), encoded as y → p − y with the sign bit
-/// flipped, and S = r + H(R′ ‖ A ‖ M)·a, with a and r derived exactly as
-/// ed25519_sign derives them. S·B − k·A equals R′ only up to (0, −1).
-Ed25519Signature torsion_offset_signature(const Ed25519Seed& seed,
-                                          const Ed25519PublicKey& pub,
-                                          ByteSpan msg) {
+// ---- Test-local affine Edwards arithmetic ------------------------------------
+// On −x² + y² = 1 + d·x²·y², straight from the formulas over fe25519.h and
+// independent of ed25519.cpp: it builds points with a torsion component.
+
+struct Affine {
+  Fe x, y;
+};
+
+Fe curve_d() {  // −121665 / 121666
+  return fe_mul(fe_neg(fe_mul_small(fe_one(), 121665)),
+                fe_invert(fe_mul_small(fe_one(), 121666)));
+}
+
+bool on_curve(const Affine& p) {
+  const Fe xx = fe_sq(p.x), yy = fe_sq(p.y);
+  return fe_equal(fe_sub(yy, xx),
+                  fe_add(fe_one(), fe_mul(curve_d(), fe_mul(xx, yy))));
+}
+
+/// Decodes a valid encoding: x² = (y² − 1) / (d·y² + 1), x = u·v³·(u·v⁷)^((p−5)/8)
+/// times sqrt(−1) when that squares to −u/v, sign from the top bit.
+Affine decode_point(const std::uint8_t enc[32]) {
+  const Fe y = fe_frombytes(enc);
+  const Fe u = fe_sub(fe_sq(y), fe_one());
+  const Fe v = fe_add(fe_mul(curve_d(), fe_sq(y)), fe_one());
+  const Fe v3 = fe_mul(fe_sq(v), v);
+  Fe x = fe_mul(fe_mul(u, v3), fe_pow2523(fe_mul(u, fe_mul(fe_sq(v3), v))));
+  if (!fe_equal(fe_mul(v, fe_sq(x)), u)) x = fe_mul(x, fe_sqrtm1());
+  if (fe_isnegative(x) != ((enc[31] & 0x80) != 0)) x = fe_neg(x);
+  return {x, y};
+}
+
+std::array<std::uint8_t, 32> encode_point(const Affine& p) {
+  std::array<std::uint8_t, 32> out;
+  fe_tobytes(out.data(), p.y);
+  if (fe_isnegative(p.x)) out[31] |= 0x80;
+  return out;
+}
+
+/// The complete twisted Edwards addition law with a = −1.
+Affine add_points(const Affine& p, const Affine& q) {
+  const Fe t = fe_mul(curve_d(), fe_mul(fe_mul(p.x, q.x), fe_mul(p.y, q.y)));
+  return {fe_mul(fe_add(fe_mul(p.x, q.y), fe_mul(p.y, q.x)),
+                 fe_invert(fe_add(fe_one(), t))),
+          fe_mul(fe_add(fe_mul(p.y, q.y), fe_mul(p.x, q.x)),
+                 fe_invert(fe_sub(fe_one(), t)))};
+}
+
+/// encode(decode(enc) + T) for the small-order point T of
+/// test::small_order_key(t).
+std::array<std::uint8_t, 32> plus_torsion(const std::uint8_t enc[32],
+                                          std::size_t t) {
+  const Affine p = decode_point(enc);
+  const Affine torsion = decode_point(test::small_order_key(t).data());
+  EXPECT_TRUE(on_curve(p) && on_curve(torsion)) << t;
+  return encode_point(add_points(p, torsion));
+}
+
+/// The signature under `seed` of `msg` with the nonce point and key
+/// encoded as `r_enc` and `pub`: S = r + SHA512(r_enc ‖ pub ‖ M)·a, with a
+/// and r derived exactly as ed25519_sign derives them. With
+/// r_enc = encode(r·B + T) or pub = encode(a·B + T), S·B − k·A − R is a
+/// multiple of the small-order point T.
+Ed25519Signature sign_with(const Ed25519Seed& seed,
+                           const std::array<std::uint8_t, 32>& r_enc,
+                           const Ed25519PublicKey& pub, ByteSpan msg) {
   const auto h = Sha512::hash(ByteSpan(seed.data(), seed.size()));
   std::uint8_t a[32];
   std::copy(h.begin(), h.begin() + 32, a);
@@ -715,11 +774,8 @@ Ed25519Signature torsion_offset_signature(const Ed25519Seed& seed,
   std::uint8_t r[32];
   sc_reduce(r, hr.finish().data());
 
-  Ed25519Signature sig = ed25519_sign(seed, pub, msg);  // R = encode(r·B)
-  const bool x_negative = (sig[31] & 0x80) != 0;
-  fe_tobytes(sig.data(), fe_neg(fe_frombytes(sig.data())));
-  if (!x_negative) sig[31] |= 0x80;  // r·B has x ≠ 0, so −x flips the sign
-
+  Ed25519Signature sig{};
+  std::copy(r_enc.begin(), r_enc.end(), sig.begin());
   Sha512 hk;
   hk.update(ByteSpan(sig.data(), 32));
   hk.update(ByteSpan(pub.data(), pub.size()));
@@ -728,6 +784,16 @@ Ed25519Signature torsion_offset_signature(const Ed25519Seed& seed,
   sc_reduce(k, hk.finish().data());
   sc_muladd(sig.data() + 32, k, a, r);
   return sig;
+}
+
+/// A signature under `seed` whose R carries the small-order point T of
+/// test::small_order_key(t): R′ = r·B + T, S = r + H(R′ ‖ A ‖ M)·a, so
+/// S·B − k·A equals R′ only up to T. t = 1 is the order-2 point (0, −1).
+Ed25519Signature torsion_offset_signature(const Ed25519Seed& seed,
+                                          const Ed25519PublicKey& pub,
+                                          ByteSpan msg, std::size_t t = 1) {
+  const Ed25519Signature honest = ed25519_sign(seed, pub, msg);  // R = r·B
+  return sign_with(seed, plus_torsion(honest.data(), t), pub, msg);
 }
 
 TEST(Ed25519Batch, TorsionOffsetPairMatchesScalar) {
@@ -753,6 +819,55 @@ TEST(Ed25519Batch, TorsionOffsetPairMatchesScalar) {
       pair.sigs.push_back(f.sigs[i]);
     }
     pair.check_matches_scalar();
+  }
+}
+
+// The small-order points but the identity and its non-canonical encoding.
+constexpr std::size_t kFirstTorsion = 1, kEndTorsion = 8;
+
+TEST(Ed25519Batch, TorsionOnREveryOrderMatchesScalar) {
+  // R′ = r·B + T for each T of order 2, 4 and 8: the cofactored equation
+  // accepts every one, alone, amid honest signatures and all seven in one
+  // batch.
+  ChaChaRng rng(2424);
+  BatchFixture all(0, rng);
+  for (std::size_t t = kFirstTorsion; t < kEndTorsion; ++t) {
+    BatchFixture f(5, rng);
+    f.sigs[2] = torsion_offset_signature(f.seeds[2], f.pubs[2], f.msgs[2], t);
+    EXPECT_NE(f.sigs[2], ed25519_sign(f.seeds[2], f.pubs[2], f.msgs[2]));
+    EXPECT_TRUE(ed25519_verify(f.pubs[2], f.msgs[2], f.sigs[2])) << t;
+    f.check_matches_scalar();
+    all.seeds.push_back(f.seeds[2]);
+    all.pubs.push_back(f.pubs[2]);
+    all.msgs.push_back(f.msgs[2]);
+    all.sigs.push_back(f.sigs[2]);
+  }
+  all.check_matches_scalar();
+}
+
+TEST(Ed25519Batch, MixedOrderKeysMatchScalar) {
+  // A′ = a·B + T for each T of order 2, 4 and 8 is not of small order, so
+  // both paths take it. An honest signature under A′ satisfies the
+  // cofactored equation (S·B − k·A′ − R = −k·T); one over another message
+  // does not.
+  ChaChaRng rng(2525);
+  for (std::size_t t = kFirstTorsion; t < kEndTorsion; ++t) {
+    BatchFixture f(5, rng);
+    std::array<std::uint8_t, 32> r_enc;  // encode(r·B)
+    const auto honest = ed25519_sign(f.seeds[1], f.pubs[1], f.msgs[1]);
+    std::copy(honest.begin(), honest.begin() + 32, r_enc.begin());
+    f.pubs[1] = plus_torsion(f.pubs[1].data(), t);
+    f.sigs[1] = sign_with(f.seeds[1], r_enc, f.pubs[1], f.msgs[1]);
+    EXPECT_TRUE(ed25519_verify(f.pubs[1], f.msgs[1], f.sigs[1])) << t;
+    f.check_matches_scalar();
+
+    // The same key and signature over another message.
+    f.pubs[3] = f.pubs[1];
+    f.sigs[3] = f.sigs[1];
+    f.msgs[3] = f.msgs[1];
+    f.msgs[3].push_back(0x5a);
+    EXPECT_FALSE(ed25519_verify(f.pubs[3], f.msgs[3], f.sigs[3])) << t;
+    f.check_matches_scalar();
   }
 }
 

@@ -592,6 +592,23 @@ U512 load_wide(ByteSpan le) {
   return x;
 }
 
+/// a · b + c as a 512-bit integer, schoolbook, for 32-byte a, b, c.
+U512 mul_add_wide(const Bytes& a, const Bytes& b, const Bytes& c) {
+  U512 x = load_wide(c);
+  const U512 aw = load_wide(a), bw = load_wide(b);
+  for (int i = 0; i < 4; ++i) {
+    unsigned __int128 carry = 0;
+    for (int j = 0; i + j < 8; ++j) {
+      const unsigned __int128 cur = (unsigned __int128)aw.w[i] *
+                                        (j < 4 ? bw.w[j] : 0) +
+                                    x.w[i + j] + carry;
+      x.w[i + j] = static_cast<std::uint64_t>(cur);
+      carry = cur >> 64;
+    }
+  }
+  return x;
+}
+
 /// The byte forms of 0, L-1, L, L+1, 2L, 2^252 and 2^(8·width) - 1.
 std::vector<Bytes> scalar_edges(std::size_t width) {
   const Bytes l = must_hex(
@@ -634,23 +651,52 @@ TEST(Sc25519, MulAddMatchesLongDivision) {
   for (int i = 0; i < 10000; ++i)
     inputs.push_back({rng.bytes(32), rng.bytes(32), rng.bytes(32)});
   for (const auto& [a, b, c] : inputs) {
-    // a · b + c as a 512-bit integer, schoolbook.
-    U512 x = load_wide(c);
-    const U512 aw = load_wide(a), bw = load_wide(b);
-    for (int i = 0; i < 4; ++i) {
-      unsigned __int128 carry = 0;
-      for (int j = 0; i + j < 8; ++j) {
-        const unsigned __int128 cur = (unsigned __int128)aw.w[i] *
-                                          (j < 4 ? bw.w[j] : 0) +
-                                      x.w[i + j] + carry;
-        x.w[i + j] = static_cast<std::uint64_t>(cur);
-        carry = cur >> 64;
-      }
-    }
     std::uint8_t got[32];
     sc_muladd(got, a.data(), b.data(), c.data());
-    EXPECT_EQ(hex_encode(ByteSpan(got, 32)), scalar_hex(mod_l_oracle(x)))
+    EXPECT_EQ(hex_encode(ByteSpan(got, 32)),
+              scalar_hex(mod_l_oracle(mul_add_wide(a, b, c))))
         << hex_encode(a) << " " << hex_encode(b) << " " << hex_encode(c);
+  }
+}
+
+TEST(Sc25519, HalfSplitIsShortAndCongruent) {
+  // sc_half_split's contract, through the long-division oracle:
+  // d ≡ c·k (mod L), 0 < c < 2^127 and |d| < 2^127.
+  std::vector<Bytes> inputs = {
+      Bytes(32, 0),
+      must_hex(  // 1
+          "0100000000000000000000000000000000000000000000000000000000000000"),
+      must_hex(  // 2^127 - 1
+          "ffffffffffffffffffffffffffffff7f00000000000000000000000000000000"),
+      must_hex(  // 2^127
+          "0000000000000000000000000000008000000000000000000000000000000000"),
+      must_hex(  // (L - 1) / 2
+          "f6e97a2e8d31092c6bce7b51ef7c6f0a00000000000000000000000000000008"),
+      must_hex(  // L - 1
+          "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010"),
+  };
+  ChaChaRng rng(127);
+  for (int i = 0; i < 10000; ++i) {
+    const Bytes wide = rng.bytes(64);
+    Bytes k(32);
+    sc_reduce(k.data(), wide.data());
+    inputs.push_back(k);
+  }
+  const Bytes zero(32, 0);
+  for (const Bytes& k : inputs) {
+    Bytes c(32), d(32);
+    const bool d_negative = sc_half_split(c.data(), d.data(), k.data());
+    for (const Bytes* half : {&c, &d}) {
+      EXPECT_EQ((*half)[15] & 0x80, 0) << hex_encode(k);
+      EXPECT_EQ(Bytes(half->begin() + 16, half->end()), Bytes(16, 0))
+          << hex_encode(k);
+    }
+    EXPECT_NE(c, zero) << hex_encode(k);
+    // d ≥ 0: c·k mod L is d itself. d < 0: c·k + |d| ≡ 0.
+    const U512 got =
+        mod_l_oracle(mul_add_wide(c, k, d_negative ? d : zero));
+    EXPECT_EQ(scalar_hex(got), hex_encode(d_negative ? zero : d))
+        << hex_encode(k);
   }
 }
 

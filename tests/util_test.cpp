@@ -3,7 +3,8 @@
 //    most `chunk` that start on a chunk boundary, at 1, 2 and 4 threads
 //    and across back-to-back runs (including n = threads with chunk 1, the
 //    ForwardingPool's one-ring-per-chunk shape); the caller is slot 0, every slot is one
-//    thread, and a 1-thread pool runs everything on the caller.
+//    thread, and a 1-thread pool runs everything on the caller. Every pool
+//    runs a one-chunk run on the caller alone.
 //  * Counters::add<&S::f>() bumps f and nothing else, concurrent adds sum
 //    exactly, snapshot() reads every field, and add_fields/sub_fields work
 //    field by field. CounterSet admits only all-std::uint64_t layouts.
@@ -78,6 +79,29 @@ TEST(ChunkPool, VisitsEveryIndexExactlyOnce) {
     }
     for (std::size_t s = 1; s < threads; ++s)
       EXPECT_NE(slot_thread[s], caller) << "slot " << s;
+  }
+}
+
+TEST(ChunkPool, SingleChunkRunsOnTheCaller) {
+  // A paced issuance is a burst of one: its run has no chunk for a worker,
+  // so the caller takes it as slot 0 and no worker is woken for it.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t threads : {2u, 4u}) {
+    ChunkPool pool(threads);
+    for (int round = 0; round < 200; ++round) {
+      for (const std::size_t n : {std::size_t{1}, std::size_t{16}}) {
+        unsigned calls = 0;
+        pool.run(n, 16, [&](std::size_t slot, std::size_t begin,
+                            std::size_t end) {
+          ++calls;
+          EXPECT_EQ(slot, 0u);
+          EXPECT_EQ(begin, 0u);
+          EXPECT_EQ(end, n);
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+        });
+        EXPECT_EQ(calls, 1u) << "n=" << n << " threads=" << threads;
+      }
+    }
   }
 }
 
