@@ -372,10 +372,9 @@ int main(int argc, char** argv) {
     sc_reduce(k.data(), wide.data());
   }
   std::uint8_t split_c[32], split_d[32];
-  const double split_ns = bench::time_per_op_ns(
-      aes_iters, [&](std::size_t i) {
-        sc_half_split(split_c, split_d, challenges[i % challenges.size()].data());
-      });
+  const double split_ns = bench::time_per_op_ns(aes_iters, [&](std::size_t i) {
+    sc_half_split(split_c, split_d, challenges[i % challenges.size()].data());
+  });
   std::printf("sc_half_split (half-size verification scalars): %.0f ns\n",
               split_ns);
 

@@ -73,7 +73,7 @@ void barrett_reduce(std::uint8_t out[32], const u64 x[8]) {
   for (int i = 0; i < 4; ++i) store_le64(out + 8 * i, r[i]);
 }
 
-// ---- Half-size split ---------------------------------------------------------
+// ---- Half-size split -------------------------------------------------------
 
 /// Bit length of a 4-word value (0 for zero).
 int bit_length(const u64 x[4]) {

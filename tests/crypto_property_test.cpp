@@ -696,7 +696,7 @@ TEST(Ed25519Batch, SwappedSignaturesBothRejected) {
   f.check_matches_scalar();
 }
 
-// ---- Test-local affine Edwards arithmetic ------------------------------------
+// ---- Test-local affine Edwards arithmetic ----------------------------------
 // On −x² + y² = 1 + d·x²·y², straight from the formulas over fe25519.h and
 // independent of ed25519.cpp: it builds points with a torsion component.
 
@@ -715,8 +715,9 @@ bool on_curve(const Affine& p) {
                   fe_add(fe_one(), fe_mul(curve_d(), fe_mul(xx, yy))));
 }
 
-/// Decodes a valid encoding: x² = (y² − 1) / (d·y² + 1), x = u·v³·(u·v⁷)^((p−5)/8)
-/// times sqrt(−1) when that squares to −u/v, sign from the top bit.
+/// Decodes a valid encoding: with u = y² − 1 and v = d·y² + 1, x² = u / v,
+/// x = u·v³·(u·v⁷)^((p−5)/8), times sqrt(−1) when that squares to −u/v,
+/// and the top bit picks the sign.
 Affine decode_point(const std::uint8_t enc[32]) {
   const Fe y = fe_frombytes(enc);
   const Fe u = fe_sub(fe_sq(y), fe_one());
